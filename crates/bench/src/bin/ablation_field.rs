@@ -66,7 +66,8 @@ fn main() {
             .sum();
         (n as f64 + extra) / n as f64
     };
-    let rows: [(&str, f64, fn(&PriorityProfile, usize, u64) -> (f64, f64)); 3] = [
+    type Overhead = fn(&PriorityProfile, usize, u64) -> (f64, f64);
+    let rows: [(&str, f64, Overhead); 3] = [
         ("GF(2^4)", 16.0, overhead::<Gf16>),
         ("GF(2^8)", 256.0, overhead::<Gf256>),
         ("GF(2^16)", 65536.0, overhead::<Gf64k>),

@@ -60,12 +60,17 @@ fn main() {
     }
 
     let mut table = Table::new(["epoch", "no repair", "repair r=2", "repair r=4"]);
-    for e in 0..=epochs {
+    for (e, ((none, r2), r4)) in results[0]
+        .iter()
+        .zip(&results[1])
+        .zip(&results[2])
+        .enumerate()
+    {
         table.push_row([
             e.to_string(),
-            fmt_f(results[0][e].mean, 3),
-            fmt_f(results[1][e].mean, 3),
-            fmt_f(results[2][e].mean, 3),
+            fmt_f(none.mean, 3),
+            fmt_f(r2.mean, 3),
+            fmt_f(r4.mean, 3),
         ]);
     }
     opts.emit(

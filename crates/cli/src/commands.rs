@@ -1,5 +1,6 @@
 //! The `encode`, `decode` and `info` operations.
 
+use std::ffi::OsStr;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -39,7 +40,7 @@ impl Default for EncodeOptions {
             overhead: 2.0,
             scheme: Scheme::Plc,
             distribution: None,
-            seed: 0x1DE_A5,
+            seed: 0x1DEA5,
         }
     }
 }
@@ -249,7 +250,7 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
     for path in paths {
         let block = match fs::File::open(&path)
             .map_err(FormatError::Io)
-            .and_then(|f| format::read_shard(f))
+            .and_then(format::read_shard)
         {
             Ok(b) => b,
             Err(_) => {
@@ -351,7 +352,7 @@ pub fn info(dir: &Path) -> Result<InfoReport, CliError> {
     let mut shards_skipped = 0usize;
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        if !path.extension().is_some_and(|e| e == "prlc") {
+        if path.extension() != Some(OsStr::new("prlc")) {
             continue;
         }
         match fs::File::open(&path)

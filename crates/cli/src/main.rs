@@ -773,11 +773,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     }
 
     let mut table = Table::new(["level", "size", "rows-to-unlock"]);
-    for l in 0..profile.num_levels() {
+    for (l, tick) in unlock.iter().enumerate() {
         table.push_row([
             (l + 1).to_string(),
             profile.blocks_of(l).count().to_string(),
-            unlock[l].map_or_else(|| "-".to_string(), |t| t.to_string()),
+            tick.map_or_else(|| "-".to_string(), |t| t.to_string()),
         ]);
     }
     println!("{}", table.render());

@@ -332,8 +332,8 @@ mod tests {
             3
         );
         assert!(dec.is_complete());
-        for i in 0..3 {
-            assert_eq!(dec.recovered(i).unwrap(), &srcs[i][..]);
+        for (i, s) in srcs.iter().enumerate() {
+            assert_eq!(dec.recovered(i).unwrap(), &s[..]);
         }
     }
 
@@ -365,8 +365,8 @@ mod tests {
             iterations += 1;
             assert!(iterations < 100_000, "growth decoding did not converge");
         }
-        for i in 0..n {
-            assert_eq!(dec.recovered(i).unwrap(), &srcs[i][..], "block {i}");
+        for (i, s) in srcs.iter().enumerate() {
+            assert_eq!(dec.recovered(i).unwrap(), &s[..], "block {i}");
         }
     }
 

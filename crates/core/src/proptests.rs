@@ -66,17 +66,17 @@ proptest! {
         // Everything that claims to be recovered matches the source.
         match scheme {
             Scheme::Slc => {
-                for i in 0..n {
+                for (i, s) in sources.iter().enumerate() {
                     if let Some(p) = slc.recovered(i) {
-                        prop_assert_eq!(p, &sources[i][..], "block {}", i);
+                        prop_assert_eq!(p, &s[..], "block {}", i);
                     }
                 }
                 prop_assert!(slc.decoded_blocks() <= n);
             }
             _ => {
-                for i in 0..n {
+                for (i, s) in sources.iter().enumerate() {
                     if let Some(p) = plc.recovered(i) {
-                        prop_assert_eq!(p, &sources[i][..], "block {}", i);
+                        prop_assert_eq!(p, &s[..], "block {}", i);
                     }
                 }
                 prop_assert!(plc.decoded_blocks() <= n);
@@ -164,9 +164,9 @@ proptest! {
                 break;
             }
         }
-        for i in 0..n {
+        for (i, s) in sources.iter().enumerate() {
             if let Some(p) = dec.recovered(i) {
-                prop_assert_eq!(p, &sources[i][..], "block {}", i);
+                prop_assert_eq!(p, &s[..], "block {}", i);
             }
         }
     }

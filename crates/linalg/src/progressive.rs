@@ -532,8 +532,8 @@ mod tests {
         // With overwhelming probability three random 3-vectors over
         // GF(256) are independent.
         assert_eq!(d.decoded_prefix(), 3);
-        for i in 0..3 {
-            assert_eq!(d.recovered(i).unwrap(), &sources[i]);
+        for (i, s) in sources.iter().enumerate().take(3) {
+            assert_eq!(d.recovered(i).unwrap(), s);
         }
         assert!(d.recovered(4).is_none());
     }

@@ -75,17 +75,17 @@ proptest! {
             d.insert(r.clone(), ());
         }
         let red = elim::rref(&Matrix::from_rows(rows));
-        let mut batch_solved = vec![false; 6];
+        let mut batch_solved = [false; 6];
         for (ri, &pc) in red.pivot_cols.iter().enumerate() {
             let nz = red.matrix.row(ri).iter().filter(|v| !v.is_zero()).count();
             if nz == 1 {
                 batch_solved[pc] = true;
             }
         }
-        for c in 0..6 {
+        for (c, &solved) in batch_solved.iter().enumerate() {
             prop_assert_eq!(
                 d.is_decoded(c),
-                batch_solved[c],
+                solved,
                 "column {} disagreement", c
             );
         }
@@ -128,9 +128,9 @@ proptest! {
                 Gf256::axpy(&mut payload, *c, s);
             }
             d.insert(coeffs, payload);
-            for c in 0..n {
+            for (c, s) in sources.iter().enumerate() {
                 if let Some(p) = d.recovered(c) {
-                    prop_assert_eq!(p, &sources[c], "column {}", c);
+                    prop_assert_eq!(p, s, "column {}", c);
                 }
             }
         }

@@ -477,7 +477,7 @@ mod tests {
 
     #[test]
     fn findings_sort_stably() {
-        let mut v = vec![
+        let mut v = [
             finding(Lint::PanicHygiene, "b.rs", 2, "expect"),
             finding(Lint::Determinism, "b.rs", 2, "Instant"),
             finding(Lint::Determinism, "a.rs", 9, "Instant"),

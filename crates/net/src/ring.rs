@@ -4,14 +4,20 @@
 //! Nodes hold random 64-bit IDs on a ring; the owner of a point is its
 //! *successor* (first node ID at or clockwise-after the point). Routing
 //! takes the classic `O(log W)` greedy finger steps — `finger[k]` =
-//! successor of `id + 2^k` — but fingers are computed *on demand* from
-//! the sorted alive-ID array (a binary search per finger) instead of
-//! being materialised per node. That keeps stabilisation O(N log N) and
-//! memory O(N) rather than O(N·64), which is what lets event-driven
-//! simulations run at N=10⁵–10⁶. After failures the structure
-//! re-stabilises (the successor array is rebuilt over the surviving
-//! nodes), modelling Chord's stabilisation protocol having converged
-//! before the next operation.
+//! successor of `id + 2^k` — over the sorted alive-ID array instead of
+//! materialised finger tables, which keeps memory O(N) rather than
+//! O(N·64) and lets event-driven simulations run at N=10⁵–10⁶:
+//!
+//! - **A hop is two binary searches.** Fingers advance monotonically in
+//!   `k`, so the best one is fixed by the last alive node before the
+//!   target: if it lies `d` clockwise of the current node, the hop is
+//!   `finger[⌊log2 d⌋]`.
+//! - **Stabilisation is O(N).** After failures the successor array is
+//!   filtered down to the survivors (nodes never revive, so it stays
+//!   sorted), modelling Chord's stabilisation protocol having converged
+//!   before the next operation.
+//! - **Construction is one sort** of the drawn IDs, which is also the
+//!   initial stabilisation.
 
 use rand::Rng;
 
@@ -34,30 +40,38 @@ pub struct RingNetwork {
 }
 
 impl RingNetwork {
-    /// Creates a ring of `nodes` peers with distinct random IDs.
+    /// Creates a ring of `nodes` peers with distinct random IDs: the
+    /// first `nodes` distinct values the generator yields, in draw order.
     ///
     /// # Panics
     ///
     /// Panics if `nodes == 0`.
     pub fn new<R: Rng + ?Sized>(nodes: usize, rng: &mut R) -> Self {
         assert!(nodes > 0, "a ring needs at least one node");
-        let mut ids = Vec::with_capacity(nodes);
-        let mut seen = std::collections::BTreeMap::new();
-        while ids.len() < nodes {
-            let id: u64 = rng.gen();
-            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(id) {
-                e.insert(ids.len());
-                ids.push(id);
+        let mut ids: Vec<u64> = Vec::with_capacity(nodes);
+        loop {
+            let deficit = nodes - ids.len();
+            ids.extend((0..deficit).map(|_| rng.gen::<u64>()));
+            // Sorting (id, draw index) is the initial stabilisation, and
+            // it puts equal IDs side by side, earliest draw first.
+            let mut sorted: Vec<(u64, usize)> =
+                ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+            sorted.sort_unstable();
+            sorted.dedup_by_key(|&mut (id, _)| id);
+            if sorted.len() == nodes {
+                return RingNetwork {
+                    ids,
+                    alive: vec![true; nodes],
+                    alive_count: nodes,
+                    sorted,
+                };
             }
+            // A repeated draw: keep each ID's first draw, in draw order,
+            // and redraw only the deficit.
+            let mut kept: Vec<usize> = sorted.iter().map(|&(_, i)| i).collect();
+            kept.sort_unstable();
+            ids = kept.iter().map(|&i| ids[i]).collect();
         }
-        let mut net = RingNetwork {
-            ids,
-            alive: vec![true; nodes],
-            alive_count: nodes,
-            sorted: Vec::new(),
-        };
-        net.stabilize();
-        net
     }
 
     /// The ring ID of a node.
@@ -69,19 +83,17 @@ impl RingNetwork {
         self.ids[node.index()]
     }
 
-    /// Rebuilds the successor structure over the alive nodes (Chord
+    /// Drops crashed nodes from the successor structure (Chord
     /// stabilisation, assumed converged). Fingers are derived from it on
-    /// demand during routing, so this is the whole rebuild: one filter
-    /// and one sort, O(N log N).
-    pub fn stabilize(&mut self) {
-        self.sorted = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.alive[i])
-            .map(|(i, &id)| (id, i))
-            .collect();
-        self.sorted.sort_unstable_by_key(|&(id, _)| id);
+    /// demand during routing, so this is the whole rebuild: one O(N)
+    /// filter of the already-sorted array.
+    ///
+    /// Precondition: `alive` only ever goes `true → false`. A node that
+    /// came back would be missing from `sorted`.
+    fn stabilize(&mut self) {
+        let alive = &self.alive;
+        self.sorted.retain(|&(_, i)| alive[i]);
+        debug_assert_eq!(self.sorted.len(), self.alive_count);
     }
 
     /// Dense index of the alive successor of `point` (first alive ID at
@@ -103,33 +115,27 @@ impl RingNetwork {
         b.wrapping_sub(a)
     }
 
-    /// One greedy Chord step from `current` toward `point`: the finger
-    /// that makes the most clockwise progress without overshooting the
-    /// point, falling back to `owner` (the direct successor) when no
-    /// finger precedes the target. `finger[k] = successor(id + 2^k)`,
-    /// computed by binary search instead of a materialised table.
+    /// One greedy Chord step from the alive node `current` toward
+    /// `point`: the finger that makes the most clockwise progress without
+    /// overshooting the point, falling back to `owner` (the direct
+    /// successor) when no finger precedes the target.
+    ///
+    /// `finger[k] = successor(id + 2^k)` is the first alive node at least
+    /// `2^k` clockwise of `current` (or `current` itself once that passes
+    /// the whole ring), so fingers advance monotonically in `k`. Let `q`
+    /// be the last alive node in `(current, point]`, `d` clockwise of
+    /// `current`. `finger[k]` stays within the target iff `2^k <= d`, so
+    /// the best finger is `finger[⌊log2 d⌋]`: two binary searches in all.
     fn greedy_next(&self, current: usize, point: u64, owner: usize) -> usize {
         let cur_id = self.ids[current];
-        let dist = Self::clockwise(cur_id, point);
-        let mut best = None;
-        let mut best_remaining = dist;
-        for k in 0..ID_BITS {
-            let f = self.successor(cur_id.wrapping_add(1u64 << k));
-            if f == current {
-                continue;
-            }
-            let fid = self.ids[f];
-            let advance = Self::clockwise(cur_id, fid);
-            // The finger must not pass the target point.
-            if advance > 0 && advance <= dist {
-                let remaining = Self::clockwise(fid, point);
-                if remaining < best_remaining {
-                    best_remaining = remaining;
-                    best = Some(f);
-                }
-            }
+        let i = self.sorted.partition_point(|&(id, _)| id <= point);
+        let i = if i == 0 { self.sorted.len() } else { i };
+        let (q_id, q) = self.sorted[i - 1];
+        if q == current {
+            return owner;
         }
-        best.unwrap_or(owner)
+        let d = Self::clockwise(cur_id, q_id);
+        self.successor(cur_id.wrapping_add(1u64 << d.ilog2()))
     }
 
     /// Every node index (alive or crashed) in clockwise ring-ID order:
@@ -271,12 +277,235 @@ impl Network for RingNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ring(n: usize, seed: u64) -> RingNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
         RingNetwork::new(n, &mut rng)
+    }
+
+    /// Reference constructor: sequential draws deduplicated through a
+    /// `BTreeMap`, stabilised by a filter and a sort.
+    fn new_by_btreemap<R: Rng + ?Sized>(nodes: usize, rng: &mut R) -> RingNetwork {
+        let mut ids = Vec::with_capacity(nodes);
+        let mut seen = std::collections::BTreeMap::new();
+        while ids.len() < nodes {
+            let id: u64 = rng.gen();
+            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(id) {
+                e.insert(ids.len());
+                ids.push(id);
+            }
+        }
+        let mut net = RingNetwork {
+            ids,
+            alive: vec![true; nodes],
+            alive_count: nodes,
+            sorted: Vec::new(),
+        };
+        net.sorted = sorted_from_scratch(&net);
+        net
+    }
+
+    /// Reference stabilisation: filter the alive nodes, then sort by ID.
+    fn sorted_from_scratch(net: &RingNetwork) -> Vec<(u64, usize)> {
+        let mut sorted: Vec<(u64, usize)> = net
+            .ids
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| net.alive[i])
+            .map(|(i, &id)| (id, i))
+            .collect();
+        sorted.sort_unstable_by_key(|&(id, _)| id);
+        sorted
+    }
+
+    /// Reference greedy step: scan all 64 fingers, each found by its own
+    /// binary search, for the one closest to `point` without passing it.
+    fn greedy_next_scan(net: &RingNetwork, current: usize, point: u64, owner: usize) -> usize {
+        let cur_id = net.ids[current];
+        let dist = RingNetwork::clockwise(cur_id, point);
+        let mut best = None;
+        let mut best_remaining = dist;
+        for k in 0..ID_BITS {
+            let f = net.successor(cur_id.wrapping_add(1u64 << k));
+            if f == current {
+                continue;
+            }
+            let fid = net.ids[f];
+            let advance = RingNetwork::clockwise(cur_id, fid);
+            if advance > 0 && advance <= dist {
+                let remaining = RingNetwork::clockwise(fid, point);
+                if remaining < best_remaining {
+                    best_remaining = remaining;
+                    best = Some(f);
+                }
+            }
+        }
+        best.unwrap_or(owner)
+    }
+
+    /// `first_hop` over the reference step.
+    fn first_hop_scan(net: &RingNetwork, from: NodeId, point: u64) -> Option<NodeId> {
+        if !net.alive[from.index()] || net.sorted.is_empty() {
+            return None;
+        }
+        let owner = net.successor(point);
+        if owner == from.index() {
+            return None;
+        }
+        Some(NodeId::new(greedy_next_scan(
+            net,
+            from.index(),
+            point,
+            owner,
+        )))
+    }
+
+    /// `route` over the reference step.
+    fn route_scan(net: &RingNetwork, from: NodeId, point: u64) -> Option<Route> {
+        if !net.alive[from.index()] || net.sorted.is_empty() {
+            return None;
+        }
+        let owner = net.successor(point);
+        let mut current = from.index();
+        let mut hops = 0usize;
+        while current != owner {
+            if hops > MAX_HOPS {
+                return None;
+            }
+            current = greedy_next_scan(net, current, point, owner);
+            hops += 1;
+        }
+        Some(Route {
+            owner: NodeId::new(owner),
+            hops,
+        })
+    }
+
+    /// A generator confined to `alphabet` values spaced `stride` apart
+    /// from `base`: a tiny alphabet forces repeated draws, a small stride
+    /// clusters the ring into one short arc.
+    #[derive(Clone, PartialEq, Debug)]
+    struct Confined {
+        inner: StdRng,
+        base: u64,
+        stride: u64,
+        alphabet: u64,
+    }
+
+    impl RngCore for Confined {
+        fn next_u64(&mut self) -> u64 {
+            let k = self.inner.next_u64() % self.alphabet;
+            self.base.wrapping_add(k.wrapping_mul(self.stride))
+        }
+    }
+
+    /// Applies `steps` rounds of seeded uniform or arc failures, checking
+    /// the incremental stabilisation against a from-scratch rebuild after
+    /// each one.
+    fn damage(net: &mut RingNetwork, seed: u64, steps: usize, fraction: f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..steps {
+            if rng.gen_bool(0.5) {
+                net.fail_uniform(fraction, &mut rng);
+            } else {
+                let start = rng.gen();
+                net.fail_arc(start, fraction / 2.0);
+            }
+            assert_eq!(net.sorted, sorted_from_scratch(net));
+        }
+    }
+
+    /// Checks `first_hop` and `route` against the 64-finger scan for a
+    /// spread of origins and points: random points, node IDs (alive and
+    /// crashed) and their neighbours, and from each point's own owner.
+    fn assert_matches_scan(net: &RingNetwork, seed: u64) {
+        let n = net.node_count();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut points: Vec<u64> = (0..8).map(|_| rng.gen()).collect();
+        for _ in 0..8 {
+            let id = net.ids[rng.gen_range(0..n)];
+            points.extend([id, id.wrapping_sub(1), id.wrapping_add(1)]);
+        }
+        points.extend([0, u64::MAX]);
+        let origins: Vec<NodeId> = (0..6).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+        for &p in &points {
+            for &from in origins.iter().chain(net.owner_of(p).as_ref()) {
+                assert_eq!(
+                    net.first_hop(from, p),
+                    first_hop_scan(net, from, p),
+                    "first hop from {from:?} to {p:x}"
+                );
+                assert_eq!(
+                    net.route(from, p),
+                    route_scan(net, from, p),
+                    "route from {from:?} to {p:x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn greedy_step_matches_finger_scan(
+            nodes in 1usize..=300,
+            seed in 0u64..10_000,
+            steps in 0usize..4,
+            fraction in 0.0f64..0.6,
+        ) {
+            let mut net = ring(nodes, seed);
+            damage(&mut net, seed ^ 1, steps, fraction);
+            assert_matches_scan(&net, seed ^ 2);
+        }
+
+        #[test]
+        fn greedy_step_matches_finger_scan_on_clustered_ring(
+            nodes in 1usize..=300,
+            seed in 0u64..10_000,
+            base in any::<u64>(),
+            stride in 1u64..1_000,
+            steps in 0usize..4,
+            fraction in 0.0f64..0.6,
+        ) {
+            let mut rng = Confined {
+                inner: StdRng::seed_from_u64(seed),
+                base,
+                stride,
+                alphabet: 4 * nodes as u64,
+            };
+            let mut net = RingNetwork::new(nodes, &mut rng);
+            damage(&mut net, seed ^ 1, steps, fraction);
+            assert_matches_scan(&net, seed ^ 2);
+        }
+
+        #[test]
+        fn construction_matches_btreemap_reference(
+            nodes in 1usize..=200,
+            seed in 0u64..10_000,
+            extra in 0u64..8,
+            steps in 0usize..6,
+            fraction in 0.0f64..0.6,
+        ) {
+            // An alphabet barely larger than the ring makes repeated
+            // draws (and several redraw rounds) the common case.
+            let mut rng = Confined {
+                inner: StdRng::seed_from_u64(seed),
+                base: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                stride: 0x0123_4567_89AB_CDEF,
+                alphabet: nodes as u64 + extra,
+            };
+            let mut reference_rng = rng.clone();
+            let mut net = RingNetwork::new(nodes, &mut rng);
+            let reference = new_by_btreemap(nodes, &mut reference_rng);
+            prop_assert_eq!(&net.ids, &reference.ids);
+            prop_assert_eq!(&net.sorted, &reference.sorted);
+            prop_assert_eq!(&rng, &reference_rng);
+            damage(&mut net, seed, steps, fraction);
+        }
     }
 
     #[test]
