@@ -258,9 +258,20 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
                 continue;
             }
         };
+        // An SLC shard combines only its own level's blocks. One with
+        // coefficients outside that range is hostile or foreign: the
+        // per-level decoder would drop the stray terms and decode the
+        // wrong combination.
         if block.coefficients.len() != n
             || block.payload.len() != manifest.block_size as usize
             || block.level >= profile.num_levels()
+            || (manifest.scheme == Scheme::Slc && {
+                let range = profile.blocks_of(block.level);
+                block
+                    .coefficients
+                    .iter_nonzeros()
+                    .any(|(i, _)| !range.contains(&i))
+            })
         {
             shards_skipped += 1;
             continue;
@@ -550,6 +561,43 @@ mod tests {
         .unwrap();
         let out = dir.join("r.bin");
         let outcome = decode(&shards, &out, &DecodeOptions::default()).unwrap();
+        assert!(outcome.complete);
+        assert_eq!(fs::read(&input).unwrap(), fs::read(&out).unwrap());
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn slc_shard_with_coefficients_outside_its_level_is_skipped() {
+        let dir = temp_dir("slc-hostile");
+        let input = sample_file(&dir, 8_192);
+        let shards = dir.join("shards");
+        encode(
+            &input,
+            &shards,
+            &EncodeOptions {
+                scheme: Scheme::Slc,
+                overhead: 2.5,
+                ..EncodeOptions::default()
+            },
+        )
+        .unwrap();
+        // A checksum-valid shard whose coefficients stray past its level:
+        // take a real shard and add a term in a block of another level.
+        let manifest =
+            Manifest::read_from(fs::File::open(shards.join("manifest.prlcm")).unwrap()).unwrap();
+        let profile = manifest.profile().unwrap();
+        let mut block =
+            format::read_shard(fs::File::open(shards.join("shard-00000.prlc")).unwrap()).unwrap();
+        let range = profile.blocks_of(block.level);
+        let stray = if range.start > 0 { 0 } else { range.end };
+        assert!(stray < profile.total_blocks());
+        block.coefficients.add_assign_at(stray, Gf256::ONE);
+        let f = fs::File::create(shards.join("shard-99999.prlc")).unwrap();
+        format::write_shard(f, &block).unwrap();
+
+        let out = dir.join("r.bin");
+        let outcome = decode(&shards, &out, &DecodeOptions::default()).unwrap();
+        assert_eq!(outcome.shards_skipped, 1);
         assert!(outcome.complete);
         assert_eq!(fs::read(&input).unwrap(), fs::read(&out).unwrap());
         fs::remove_dir_all(dir).unwrap();

@@ -20,9 +20,11 @@
 //!   aarch64): for a constant `c`, precompute two 16-entry tables
 //!   `L[i] = c·i` and `H[i] = c·(i·16)`; then `c·b = L[b & 0xF] ^ H[b >> 4]`
 //!   by linearity of the field product over XOR, evaluated 16/32 bytes at
-//!   a time with byte-shuffle instructions. Products of two *variable*
-//!   slices (`mul_slice`, `dot`) have no constant to split on and run
-//!   through the product table.
+//!   a time with byte-shuffle instructions (AVX2 finishes an odd 16-byte
+//!   block with 128-bit shuffles, so at most 15 bytes take the
+//!   product-table tail). Products of two *variable* slices
+//!   (`mul_slice`, `dot`) have no constant to split on and run through
+//!   the product table.
 //!
 //! # Selection
 //!
@@ -101,19 +103,6 @@ enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Vector width in bytes.
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-    fn width(self) -> usize {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => 32,
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Ssse3 => 16,
-            #[cfg(target_arch = "aarch64")]
-            SimdLevel::Neon => 16,
-        }
-    }
-
     fn name(self) -> &'static str {
         match self {
             #[cfg(target_arch = "x86_64")]
@@ -533,23 +522,26 @@ mod plane {
 #[allow(unsafe_code)]
 mod simd {
     use super::SimdLevel;
+    use crate::element::gf256_product_table;
 
     /// The two 16-entry shuffle tables for multiplication by the constant
-    /// whose product row is `row`: `lo[i] = c·i`, `hi[i] = c·(i·16)`.
-    fn nibble_tables(row: &[u8; 256]) -> ([u8; 16], [u8; 16]) {
+    /// `c` whose product row is `row`: `lo[i] = c·i`, `hi[i] = c·(i·16)`.
+    /// Both are contiguous 16-byte runs of product rows: `lo` is
+    /// `row[..16]`, and since `c·(16·i) = (c·16)·i`, `hi` is the head of
+    /// the product row of `c·16 = row[16]`.
+    pub(super) fn nibble_tables(row: &[u8; 256]) -> ([u8; 16], [u8; 16]) {
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
-        for (i, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-            *l = row[i];
-            *h = row[i << 4];
-        }
+        lo.copy_from_slice(&row[..16]);
+        hi.copy_from_slice(&gf256_product_table().row(row[16])[..16]);
         (lo, hi)
     }
 
-    /// `dst ^= c·src` over the vector-aligned prefix, product-table tail.
+    /// `dst ^= c·src` over the 16-byte-aligned prefix, product-table tail
+    /// of at most 15 bytes.
     pub(super) fn axpy(level: SimdLevel, dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
         let (lo, hi) = nibble_tables(row);
-        let n = dst.len() - dst.len() % level.width();
+        let n = dst.len() - dst.len() % 16;
         // SAFETY: `level` came from runtime feature detection, so the
         // matching instruction set is available on this CPU.
         unsafe {
@@ -567,10 +559,11 @@ mod simd {
         }
     }
 
-    /// `dst = c·dst` over the vector-aligned prefix, product-table tail.
+    /// `dst = c·dst` over the 16-byte-aligned prefix, product-table tail
+    /// of at most 15 bytes.
     pub(super) fn scale(level: SimdLevel, dst: &mut [u8], row: &[u8; 256]) {
         let (lo, hi) = nibble_tables(row);
-        let n = dst.len() - dst.len() % level.width();
+        let n = dst.len() - dst.len() % 16;
         // SAFETY: as in `axpy`.
         unsafe {
             match level {
@@ -629,14 +622,17 @@ mod simd {
         }
 
         // SAFETY: caller must verify AVX2 support (detect() does) and pass
-        // slices of equal, 32-divisible length; only unaligned loads/stores.
+        // slices of equal, 16-divisible length; only unaligned loads/stores.
         #[target_feature(enable = "avx2")]
         pub(super) unsafe fn axpy_avx2(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
-            debug_assert_eq!(dst.len() % 32, 0);
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+            debug_assert_eq!(dst.len() % 16, 0);
+            let lo_x = _mm_loadu_si128(lo.as_ptr().cast());
+            let hi_x = _mm_loadu_si128(hi.as_ptr().cast());
+            let lo_t = _mm256_broadcastsi128_si256(lo_x);
+            let hi_t = _mm256_broadcastsi128_si256(hi_x);
             let mask = _mm256_set1_epi8(0x0f);
-            for i in (0..dst.len()).step_by(32) {
+            let n = dst.len() - dst.len() % 32;
+            for i in (0..n).step_by(32) {
                 let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
                 let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
                 let prod = _mm256_xor_si256(
@@ -645,23 +641,49 @@ mod simd {
                 );
                 _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, prod));
             }
+            if n < dst.len() {
+                // One trailing 16-byte block on the 128-bit tables (AVX2
+                // implies SSSE3).
+                let mask = _mm256_castsi256_si128(mask);
+                let s = _mm_loadu_si128(src.as_ptr().add(n).cast());
+                let d = _mm_loadu_si128(dst.as_ptr().add(n).cast());
+                let prod = _mm_xor_si128(
+                    _mm_shuffle_epi8(lo_x, _mm_and_si128(s, mask)),
+                    _mm_shuffle_epi8(hi_x, _mm_and_si128(_mm_srli_epi64::<4>(s), mask)),
+                );
+                _mm_storeu_si128(dst.as_mut_ptr().add(n).cast(), _mm_xor_si128(d, prod));
+            }
         }
 
         // SAFETY: caller must verify AVX2 support (detect() does) and pass a
-        // 32-divisible dst length; only unaligned loads/stores.
+        // 16-divisible dst length; only unaligned loads/stores.
         #[target_feature(enable = "avx2")]
         pub(super) unsafe fn scale_avx2(dst: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
-            debug_assert_eq!(dst.len() % 32, 0);
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+            debug_assert_eq!(dst.len() % 16, 0);
+            let lo_x = _mm_loadu_si128(lo.as_ptr().cast());
+            let hi_x = _mm_loadu_si128(hi.as_ptr().cast());
+            let lo_t = _mm256_broadcastsi128_si256(lo_x);
+            let hi_t = _mm256_broadcastsi128_si256(hi_x);
             let mask = _mm256_set1_epi8(0x0f);
-            for i in (0..dst.len()).step_by(32) {
+            let n = dst.len() - dst.len() % 32;
+            for i in (0..n).step_by(32) {
                 let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
                 let prod = _mm256_xor_si256(
                     _mm256_shuffle_epi8(lo_t, _mm256_and_si256(d, mask)),
                     _mm256_shuffle_epi8(hi_t, _mm256_and_si256(_mm256_srli_epi64::<4>(d), mask)),
                 );
                 _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), prod);
+            }
+            if n < dst.len() {
+                // One trailing 16-byte block on the 128-bit tables (AVX2
+                // implies SSSE3).
+                let mask = _mm256_castsi256_si128(mask);
+                let d = _mm_loadu_si128(dst.as_ptr().add(n).cast());
+                let prod = _mm_xor_si128(
+                    _mm_shuffle_epi8(lo_x, _mm_and_si128(d, mask)),
+                    _mm_shuffle_epi8(hi_x, _mm_and_si128(_mm_srli_epi64::<4>(d), mask)),
+                );
+                _mm_storeu_si128(dst.as_mut_ptr().add(n).cast(), prod);
             }
         }
     }
@@ -733,8 +755,11 @@ mod tests {
 
     /// Slice lengths covering the interesting boundaries: empty, single
     /// element, sub-vector, around one vector (16), around an AVX2
-    /// vector (32), around the u64-chunk boundary, and a bulk size.
-    const LENGTHS: &[usize] = &[0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 1000];
+    /// vector (32), around the u64-chunk boundary, around an AVX2 body
+    /// plus one 16-byte step (47–49, 79–80), and a bulk size.
+    const LENGTHS: &[usize] = &[
+        0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 79, 80, 100, 1000,
+    ];
 
     fn random_slice<F: GfElem>(rng: &mut StdRng, n: usize) -> Vec<F> {
         (0..n).map(|_| F::random(rng)).collect()
@@ -788,6 +813,48 @@ mod tests {
     #[test]
     fn backends_match_scalar_gf64k() {
         check_all_ops_match_scalar::<Gf64k>(3);
+    }
+
+    #[test]
+    fn misaligned_subslices_match_scalar() {
+        // Sub-slices at odd offsets put the vector body, the AVX2 16-byte
+        // step and the table tail on unaligned addresses, with dst and
+        // src misaligned differently.
+        let mut rng = StdRng::seed_from_u64(9);
+        for &n in LENGTHS {
+            for (doff, soff) in [(1, 0), (3, 5), (7, 2), (15, 9)] {
+                let src: Vec<Gf256> = random_slice(&mut rng, n + soff);
+                let base: Vec<Gf256> = random_slice(&mut rng, n + doff);
+                let c = Gf256::random(&mut rng);
+                for backend in available_backends() {
+                    let mut want = base.clone();
+                    axpy_with(Backend::Scalar, &mut want[doff..], c, &src[soff..]);
+                    let mut got = base.clone();
+                    axpy_with(backend, &mut got[doff..], c, &src[soff..]);
+                    assert_eq!(got, want, "axpy {backend} n={n} offsets=({doff},{soff})");
+
+                    let mut want = base.clone();
+                    scale_slice_with(Backend::Scalar, &mut want[doff..], c);
+                    let mut got = base.clone();
+                    scale_slice_with(backend, &mut got[doff..], c);
+                    assert_eq!(got, want, "scale_slice {backend} n={n} offset={doff}");
+                }
+            }
+        }
+    }
+
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[test]
+    fn nibble_tables_equal_strided_construction() {
+        let table = gf256_product_table();
+        for c in 0..=255u8 {
+            let row = table.row(c);
+            let (lo, hi) = simd::nibble_tables(row);
+            for i in 0..16 {
+                assert_eq!(lo[i], row[i], "lo c={c} i={i}");
+                assert_eq!(hi[i], row[i << 4], "hi c={c} i={i}");
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,12 @@
 //!   row has support `b_k`) and all row operations touch only
 //!   `pivot..support`, while sparse rows store only their `(index,
 //!   value)` pairs so elimination costs `O(nnz)` per colliding pivot;
-//! * the nonzero count per row is maintained incrementally so decoded
+//! * each row keeps a *witness*: its first nonzero column right of the
+//!   pivot, or none once the row is solved. Back-elimination by a new
+//!   pivot `pc` touches only rows with a nonzero at `pc`, which forces
+//!   `witness <= pc`, and leaves every column left of `pc` unchanged. So
+//!   a row rescans (from `pc + 1`) only when its witness *was* `pc`;
+//!   otherwise solved-tracking costs O(1) per touched row and decoded
 //!   queries are O(1);
 //! * dense bulk operations route through the dispatched
 //!   [`kernel`](prlc_gf::kernel) (product table or SIMD nibble-shuffle
@@ -63,8 +68,11 @@ struct Row<F, P> {
     coeffs: CoeffRow<F>,
     payload: P,
     pivot: usize,
-    /// Number of nonzero coefficients, maintained incrementally.
-    nonzeros: usize,
+    /// The first nonzero column right of `pivot`, or `None` once the row
+    /// is solved (its only nonzero is the pivot). Under the RREF
+    /// invariant this is always a free column, and the row is zero
+    /// strictly between `pivot` and the witness.
+    witness: Option<usize>,
 }
 
 // Hand-written (not derived) because `CoeffRow`'s logical `Debug`
@@ -75,7 +83,7 @@ impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for Row<F, P> {
             .field("coeffs", &self.coeffs)
             .field("payload", &self.payload)
             .field("pivot", &self.pivot)
-            .field("nonzeros", &self.nonzeros)
+            .field("witness", &self.witness)
             .finish()
     }
 }
@@ -292,29 +300,31 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         payload.payload_scale(inv);
 
         // Back-eliminate column `pc` from every existing row that has a
-        // nonzero entry there, restoring the RREF invariant.
+        // nonzero entry there, restoring the RREF invariant. Such a row's
+        // witness is at most `pc`, and the axpy leaves columns left of
+        // `pc` alone, so only a row whose witness *is* `pc` can change
+        // its witness — and only it needs a rescan.
         let new_idx = self.rows.len();
         for row in self.rows.iter_mut() {
             let factor = row.coeffs.get(pc);
             if factor.is_zero() {
                 continue;
             }
-            let before = row.coeffs.count_nonzeros_from(pc);
+            debug_assert!(row.witness.is_some_and(|w| w <= pc));
             row.coeffs.axpy_from(pc, factor, &coeffs);
-            let after = row.coeffs.count_nonzeros_from(pc);
             row.payload.payload_axpy(&payload, factor);
-            row.nonzeros = row.nonzeros - before + after;
-            debug_assert!(row.nonzeros >= 1);
-            if row.nonzeros == 1 && !self.solved[row.pivot] {
-                self.solved[row.pivot] = true;
-                self.solved_count += 1;
-                self.last_solved.push(row.pivot);
+            if row.witness == Some(pc) {
+                row.witness = row.coeffs.first_nonzero_at_or_after(pc + 1);
+                if row.witness.is_none() {
+                    self.solved[row.pivot] = true;
+                    self.solved_count += 1;
+                    self.last_solved.push(row.pivot);
+                }
             }
         }
 
-        let nonzeros = coeffs.count_nonzeros_from(pc);
-        debug_assert!(nonzeros >= 1);
-        if nonzeros == 1 {
+        let witness = coeffs.first_nonzero_at_or_after(pc + 1);
+        if witness.is_none() {
             self.solved[pc] = true;
             self.solved_count += 1;
             self.last_solved.push(pc);
@@ -324,7 +334,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             coeffs,
             payload,
             pivot: pc,
-            nonzeros,
+            witness,
         });
 
         // Advance the decoded-prefix pointer (monotone: a solved column
@@ -355,8 +365,9 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             // and storage (forward elimination can only add structure to
             // a sparse row). Defined over logical nonzero counts, so the
             // observed values are representation-independent.
+            let stored_nnz = self.rows[new_idx].coeffs.count_nonzeros_from(pc);
             prlc_obs::histogram!("linalg.rref.fill_in")
-                .observe(nonzeros.saturating_sub(original_nnz) as u64);
+                .observe(stored_nnz.saturating_sub(original_nnz) as u64);
         }
 
         InsertOutcome::Innovative { pivot: pc }

@@ -30,8 +30,107 @@ fn rows_strategy(width: usize, max_rows: usize) -> impl Strategy<Value = Vec<Vec
     })
 }
 
+/// The columns the batch RREF of `rows` determines: a pivot column whose
+/// row has no other nonzero.
+fn batch_solved<F: GfElem>(rows: &[Vec<F>], width: usize) -> Vec<bool> {
+    let red = elim::rref(&Matrix::from_rows(rows.to_vec()));
+    let mut solved = vec![false; width];
+    for (ri, &pc) in red.pivot_cols.iter().enumerate() {
+        if red.matrix.row(ri).iter().filter(|v| !v.is_zero()).count() == 1 {
+            solved[pc] = true;
+        }
+    }
+    solved
+}
+
+/// Drives a progressive RREF with seeded rows and checks its solved
+/// bookkeeping after *every* insert against the batch RREF of all rows
+/// so far: `is_decoded` per column, `decoded_count`, `decoded_prefix`
+/// and `newly_solved` (the batch-solved set difference, ascending).
+///
+/// `prefix_rows` draws PLC-shaped rows (nonzeros only below a random
+/// support bound); otherwise entries are zero-biased across the whole
+/// width. `sparse` feeds every row as a sparse `CoeffRow`.
+fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: bool, sparse: bool) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut d: ProgressiveRref<F> = ProgressiveRref::new(width);
+    let mut held: Vec<Vec<F>> = Vec::new();
+    let mut before = vec![false; width];
+    for _ in 0..2 * width {
+        let support = if prefix_rows {
+            rng.gen_range(1..=width)
+        } else {
+            width
+        };
+        let row: Vec<F> = (0..width)
+            .map(|c| {
+                if c >= support || (!prefix_rows && rng.gen_bool(0.5)) {
+                    F::ZERO
+                } else {
+                    F::random(&mut rng)
+                }
+            })
+            .collect();
+        let coeffs = if sparse {
+            let entries = row
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_zero())
+                .map(|(i, &v)| (i as u32, v))
+                .collect();
+            CoeffRow::from_sorted_entries(width, entries)
+        } else {
+            CoeffRow::from_dense(row.clone())
+        };
+        d.insert_row(coeffs, ());
+        held.push(row);
+
+        let after = batch_solved(&held, width);
+        for (c, &solved) in after.iter().enumerate() {
+            prop_assert_eq!(
+                d.is_decoded(c),
+                solved,
+                "seed {} column {} after {} rows",
+                seed,
+                c,
+                held.len()
+            );
+        }
+        let fresh: Vec<usize> = (0..width).filter(|&c| after[c] && !before[c]).collect();
+        prop_assert_eq!(d.newly_solved(), fresh.as_slice());
+        prop_assert_eq!(d.decoded_count(), after.iter().filter(|&&s| s).count());
+        prop_assert_eq!(d.decoded_prefix(), after.iter().take_while(|&&s| s).count());
+        before = after;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// GF(2⁴): entries cancel with probability 1/16, so back-elimination
+    /// often zeroes a row's witness column, forcing the rescan, and
+    /// solves rows by cancellation.
+    #[test]
+    fn solved_bookkeeping_matches_batch_after_every_insert_gf16(
+        seed in 0u64..1_000_000,
+        width in 1usize..12,
+        prefix_rows in any::<bool>(),
+        sparse in any::<bool>(),
+    ) {
+        check_solved_bookkeeping::<Gf16>(seed, width, prefix_rows, sparse);
+    }
+
+    #[test]
+    fn solved_bookkeeping_matches_batch_after_every_insert_gf256(
+        seed in 0u64..1_000_000,
+        width in 1usize..12,
+        prefix_rows in any::<bool>(),
+        sparse in any::<bool>(),
+    ) {
+        check_solved_bookkeeping::<Gf256>(seed, width, prefix_rows, sparse);
+    }
 
     #[test]
     fn progressive_rank_equals_batch_rank(
@@ -74,14 +173,7 @@ proptest! {
         for r in &rows {
             d.insert(r.clone(), ());
         }
-        let red = elim::rref(&Matrix::from_rows(rows));
-        let mut batch_solved = [false; 6];
-        for (ri, &pc) in red.pivot_cols.iter().enumerate() {
-            let nz = red.matrix.row(ri).iter().filter(|v| !v.is_zero()).count();
-            if nz == 1 {
-                batch_solved[pc] = true;
-            }
-        }
+        let batch_solved = batch_solved(&rows, 6);
         for (c, &solved) in batch_solved.iter().enumerate() {
             prop_assert_eq!(
                 d.is_decoded(c),
