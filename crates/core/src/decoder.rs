@@ -65,6 +65,31 @@ pub trait PriorityDecoder<F: GfElem> {
     fn blocks_processed(&self) -> usize;
 }
 
+/// A boxed decoder decodes like the decoder inside it, so a caller can
+/// pick the scheme's decoder at run time and still hand it to generic
+/// code such as collection.
+impl<F: GfElem, D: PriorityDecoder<F> + ?Sized> PriorityDecoder<F> for Box<D> {
+    fn insert_block(&mut self, block: &CodedBlock<F>) -> InsertOutcome {
+        (**self).insert_block(block)
+    }
+
+    fn decoded_levels(&self) -> usize {
+        (**self).decoded_levels()
+    }
+
+    fn decoded_blocks(&self) -> usize {
+        (**self).decoded_blocks()
+    }
+
+    fn is_complete(&self) -> bool {
+        (**self).is_complete()
+    }
+
+    fn blocks_processed(&self) -> usize {
+        (**self).blocks_processed()
+    }
+}
+
 /// Progressive decoder for PLC (and RLC) blocks.
 ///
 /// See the [module documentation](self) and the paper's Sec. 3.2: the

@@ -436,15 +436,6 @@ impl FaultSession {
                             self.crashed += 1;
                             if prlc_obs::enabled() {
                                 prlc_obs::counter!("net.churn.crashed").incr();
-                                // Domain-separated ID: node index within the
-                                // session; the value is the (deterministic)
-                                // message step the crash interleaved with.
-                                prlc_obs::record_event(
-                                    "net.churn",
-                                    i as u64,
-                                    "crash",
-                                    self.step as u64,
-                                );
                             }
                             if prlc_obs::trace::enabled() {
                                 prlc_obs::trace_instant!(

@@ -1,13 +1,11 @@
 //! `prlc-obs`: a zero-dependency, deterministic observability layer for
 //! the PRLC workspace.
 //!
-//! The crate provides four primitives —
+//! The crate provides three primitives —
 //!
 //! * [`Counter`] — monotonic `u64` counters,
 //! * [`Histogram`] — fixed power-of-two bucket histograms,
 //! * [`SpanTimer`] — wall-clock span accumulators (count + nanoseconds),
-//! * a bounded structured **event recorder** ([`record_event`]) with
-//!   domain-separated IDs,
 //!
 //! — plus the [`trace`] module: a deterministic causal tracer of
 //! logical-clock spans and instant events with its own gate
@@ -26,10 +24,9 @@
 //!
 //! * counters and histograms are commutative sums — merge order cannot
 //!   be observed;
-//! * snapshot output is sorted (metrics by name, events by
-//!   `(domain, id, kind, value)`);
-//! * **no wall-clock values are recorded** in counters, histograms or
-//!   events. Wall-clock time lives exclusively in span timers, which
+//! * snapshot output is sorted by metric name;
+//! * **no wall-clock values are recorded** in counters or histograms.
+//!   Wall-clock time lives exclusively in span timers, which
 //!   [`Snapshot::to_deterministic_json`] omits (and
 //!   [`Snapshot::to_json`] emits as the final `"timers"` key so callers
 //!   can strip it textually).
@@ -41,7 +38,6 @@
 //! prlc_obs::reset();
 //! prlc_obs::counter!("demo.widgets").add(3);
 //! prlc_obs::histogram!("demo.sizes").observe(17);
-//! prlc_obs::record_event("demo", 7, "made", 3);
 //! let snap = prlc_obs::snapshot();
 //! assert!(snap.to_json().contains("\"demo.widgets\":3"));
 //! ```
@@ -298,33 +294,6 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
-
-/// One structured event. `domain` separates ID namespaces (e.g. a
-/// `net.churn` event's `id` is a node index, a `sim.lossy` event's `id`
-/// is a run seed); `value` must be derived from the workload, never
-/// from the clock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Event {
-    /// Namespace for `id` (e.g. `"net.churn"`).
-    pub domain: &'static str,
-    /// Identifier within the domain.
-    pub id: u64,
-    /// What happened (e.g. `"crash"`).
-    pub kind: &'static str,
-    /// Deterministic payload value.
-    pub value: u64,
-}
-
-/// Maximum events retained by a registry; later events only bump the
-/// drop counter so the recorder stays bounded. Overflow is never
-/// silent: every snapshot carries the count both as the top-level
-/// `events_dropped` field and as the injected `obs.events.dropped`
-/// counter (also exported to Prometheus as `prlc_obs_events_dropped`).
-pub const EVENT_CAPACITY: usize = 4096;
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -335,7 +304,7 @@ struct Metrics {
     timers: BTreeMap<&'static str, &'static SpanTimer>,
 }
 
-/// A named collection of metrics plus a bounded event buffer.
+/// A named collection of metrics.
 ///
 /// Most users talk to the process-global registry through
 /// [`registry`], the [`counter!`]/[`histogram!`]/[`timer!`] macros and
@@ -345,8 +314,6 @@ struct Metrics {
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<Metrics>,
-    events: Mutex<Vec<Event>>,
-    events_dropped: AtomicU64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -383,27 +350,7 @@ impl Registry {
             .or_insert_with(|| &*Box::leak(Box::new(SpanTimer::new())))
     }
 
-    /// Record a structured event (no-op while disabled). The buffer is
-    /// bounded at [`EVENT_CAPACITY`]; overflow increments a drop
-    /// counter instead of growing.
-    pub fn record_event(&self, domain: &'static str, id: u64, kind: &'static str, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let mut events = lock(&self.events);
-        if events.len() < EVENT_CAPACITY {
-            events.push(Event {
-                domain,
-                id,
-                kind,
-                value,
-            });
-        } else {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Zero every metric and clear the event buffer. Registered names
+    /// Zero every metric. Registered names
     /// survive (they reappear in snapshots with zero values).
     pub fn reset(&self) {
         let metrics = lock(&self.metrics);
@@ -416,31 +363,16 @@ impl Registry {
         for t in metrics.timers.values() {
             t.reset();
         }
-        drop(metrics);
-        lock(&self.events).clear();
-        self.events_dropped.store(0, Ordering::Relaxed);
     }
 
     /// A point-in-time, fully sorted copy of everything recorded.
-    ///
-    /// The always-on `obs.events.dropped` counter (how many events the
-    /// bounded recorder discarded, see [`EVENT_CAPACITY`]) is injected
-    /// at its sorted position so overflow is never silent, even when no
-    /// macro call site registers it.
     pub fn snapshot(&self) -> Snapshot {
         let metrics = lock(&self.metrics);
-        let mut counters: Vec<(&'static str, u64)> = metrics
+        let counters = metrics
             .counters
             .iter()
             .map(|(&n, c)| (n, c.get()))
             .collect();
-        const DROPPED_KEY: &str = "obs.events.dropped";
-        let dropped = self.events_dropped.load(Ordering::Relaxed);
-        let pos = counters.partition_point(|&(n, _)| n < DROPPED_KEY);
-        match counters.get(pos) {
-            Some(&(n, _)) if n == DROPPED_KEY => counters[pos].1 += dropped,
-            _ => counters.insert(pos, (DROPPED_KEY, dropped)),
-        }
         let histograms = metrics
             .histograms
             .iter()
@@ -468,15 +400,10 @@ impl Registry {
                 )
             })
             .collect();
-        drop(metrics);
-        let mut events = lock(&self.events).clone();
-        events.sort();
         Snapshot {
             counters,
             histograms,
             timers,
-            events,
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -487,11 +414,6 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 /// `timer!` macros and the free functions below.
 pub fn registry() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Record an event in the global registry. See [`Registry::record_event`].
-pub fn record_event(domain: &'static str, id: u64, kind: &'static str, value: u64) {
-    registry().record_event(domain, id, kind, value);
 }
 
 /// Snapshot the global registry.
@@ -596,10 +518,6 @@ pub struct Snapshot {
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
     /// Timer states by name (sorted). Wall-clock — non-deterministic.
     pub timers: Vec<(&'static str, TimerSnapshot)>,
-    /// Events sorted by `(domain, id, kind, value)`.
-    pub events: Vec<Event>,
-    /// Events discarded after the buffer filled.
-    pub events_dropped: u64,
 }
 
 pub(crate) fn json_escape(s: &str, out: &mut String) {
@@ -624,19 +542,7 @@ impl Snapshot {
             json_escape(name, &mut s);
             s.push_str(&format!("\":{v}"));
         }
-        s.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"domain\":\"");
-            json_escape(e.domain, &mut s);
-            s.push_str(&format!("\",\"id\":{},\"kind\":\"", e.id));
-            json_escape(e.kind, &mut s);
-            s.push_str(&format!("\",\"value\":{}}}", e.value));
-        }
-        s.push_str(&format!("],\"events_dropped\":{},", self.events_dropped));
-        s.push_str("\"histogram_bounds\":[");
+        s.push_str("},\"histogram_bounds\":[");
         for (i, b) in BUCKET_BOUNDS.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -704,26 +610,12 @@ impl Snapshot {
 
     /// Prometheus text exposition format. Metric names are prefixed
     /// with `prlc_` and sanitised (`.` and other non-identifier
-    /// characters become `_`). Events are summarised per
-    /// `(domain, kind)` as a labelled counter whose label values are
-    /// escaped per the exposition grammar (`\\`, `\"`, `\n`).
+    /// characters become `_`).
     pub fn to_prometheus(&self) -> String {
         fn sanitize(name: &str) -> String {
             name.chars()
                 .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
                 .collect()
-        }
-        fn label_escape(value: &str) -> String {
-            let mut out = String::with_capacity(value.len());
-            for c in value.chars() {
-                match c {
-                    '\\' => out.push_str("\\\\"),
-                    '"' => out.push_str("\\\""),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
-                }
-            }
-            out
         }
         let mut s = String::new();
         for (name, v) in &self.counters {
@@ -749,20 +641,6 @@ impl Snapshot {
                 "# TYPE prlc_{n}_spans counter\nprlc_{n}_spans {}\n\
                  # TYPE prlc_{n}_ns_total counter\nprlc_{n}_ns_total {}\n",
                 t.count, t.total_nanos
-            ));
-        }
-        let mut per_kind: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-        for e in &self.events {
-            *per_kind.entry((e.domain, e.kind)).or_insert(0) += 1;
-        }
-        if !per_kind.is_empty() {
-            s.push_str("# TYPE prlc_events_total counter\n");
-        }
-        for ((domain, kind), c) in per_kind {
-            s.push_str(&format!(
-                "prlc_events_total{{domain=\"{}\",kind=\"{}\"}} {c}\n",
-                label_escape(domain),
-                label_escape(kind)
             ));
         }
         s
@@ -802,15 +680,13 @@ mod tests {
         let r = Registry::new();
         r.counter("c").add(5);
         r.histogram("h").observe(9);
-        r.record_event("d", 1, "k", 2);
         let snap = r.snapshot();
-        assert_eq!(snap.counters, vec![("c", 0), ("obs.events.dropped", 0)]);
+        assert_eq!(snap.counters, vec![("c", 0)]);
         assert_eq!(snap.histograms[0].1.count, 0);
-        assert!(snap.events.is_empty());
     }
 
     #[test]
-    fn counters_histograms_events_round_trip() {
+    fn counters_and_histograms_round_trip() {
         let _g = guarded();
         enable();
         let r = Registry::new();
@@ -822,22 +698,14 @@ mod tests {
         h.observe(1);
         h.observe(2);
         h.observe(1_000_000);
-        r.record_event("dom", 9, "boom", 4);
-        r.record_event("dom", 3, "boom", 1);
         let snap = r.snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("a.x", 3), ("b.y", 1), ("obs.events.dropped", 0)]
-        );
+        assert_eq!(snap.counters, vec![("a.x", 3), ("b.y", 1)]);
         let hs = &snap.histograms[0].1;
         assert_eq!(hs.count, 4);
         assert_eq!(hs.sum, 1_000_003);
         assert_eq!(hs.counts[0], 2); // 0 and 1 both land in the <=1 bucket
         assert_eq!(hs.counts[1], 1);
         assert_eq!(*hs.counts.last().unwrap(), 1); // overflow
-                                                   // Events come back sorted by (domain, id, kind, value).
-        assert_eq!(snap.events[0].id, 3);
-        assert_eq!(snap.events[1].id, 9);
         disable();
     }
 
@@ -890,40 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn event_buffer_is_bounded() {
-        let _g = guarded();
-        enable();
-        let r = Registry::new();
-        for i in 0..(EVENT_CAPACITY as u64 + 10) {
-            r.record_event("d", i, "k", 0);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.events.len(), EVENT_CAPACITY);
-        assert_eq!(snap.events_dropped, 10);
-        // Overflow is surfaced as a counter too, not just the raw field.
-        assert!(snap.counters.contains(&("obs.events.dropped", 10)));
-        assert!(r
-            .snapshot()
-            .to_prometheus()
-            .contains("prlc_obs_events_dropped 10"));
-        r.reset();
-        let snap = r.snapshot();
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.events_dropped, 0);
-        disable();
-    }
-
-    #[test]
     fn reset_zeroes_but_keeps_names() {
         let _g = guarded();
         enable();
         let r = Registry::new();
         r.counter("kept").add(7);
         r.reset();
-        assert_eq!(
-            r.snapshot().counters,
-            vec![("kept", 0), ("obs.events.dropped", 0)]
-        );
+        assert_eq!(r.snapshot().counters, vec![("kept", 0)]);
         disable();
     }
 
@@ -935,12 +776,10 @@ mod tests {
         r.counter("n").add(1);
         r.histogram("h").observe(3);
         let _ = r.timer("t"); // registered, zero
-        r.record_event("d", 2, "k", 5);
         let snap = r.snapshot();
         let det = snap.to_deterministic_json();
         let full = snap.to_json();
-        assert!(det.starts_with("{\"counters\":{\"n\":1,\"obs.events.dropped\":0}"));
-        assert!(det.contains("\"events\":[{\"domain\":\"d\",\"id\":2,\"kind\":\"k\",\"value\":5}]"));
+        assert!(det.starts_with("{\"counters\":{\"n\":1},\"histogram_bounds\":["));
         assert!(det.contains("\"histograms\":{\"h\":{\"counts\":["));
         assert!(!det.contains("\"timers\""));
         // Full JSON is the deterministic body plus a trailing timers key.
@@ -958,20 +797,12 @@ mod tests {
         let r = Registry::new();
         r.counter("gf.axpy.bytes.simd").add(64);
         r.histogram("rows").observe(2);
-        r.record_event("net.churn", 4, "crash", 1);
-        r.record_event("odd\"dom\\ain", 1, "k\nind", 2);
         let text = r.snapshot().to_prometheus();
         assert!(text.contains("prlc_gf_axpy_bytes_simd 64"));
         assert!(text.contains("prlc_rows_bucket{le=\"2\"} 1"));
         assert!(text.contains("prlc_rows_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("prlc_rows_sum 2"));
         assert!(text.contains("prlc_rows_count 1"));
-        assert!(text.contains("# TYPE prlc_events_total counter"));
-        assert!(text.contains("prlc_events_total{domain=\"net.churn\",kind=\"crash\"} 1"));
-        // Label values escape backslash, quote and newline per the
-        // exposition grammar — one sample must stay one line.
-        assert!(text.contains("domain=\"odd\\\"dom\\\\ain\",kind=\"k\\nind\""));
-        assert!(text.contains("prlc_obs_events_dropped 0"));
         for line in text.lines() {
             assert!(
                 line.starts_with("# TYPE ") || line.starts_with("prlc_"),
@@ -1069,7 +900,6 @@ mod tests {
         r.counter("weird\"name\\with\nescapes").incr();
         r.histogram("net.collect.query_hops").observe(7);
         let _ = r.timer("sim.run");
-        r.record_event("net.churn", 2, "crash", 1);
         let snap = r.snapshot();
         assert_json_well_formed(&snap.to_json());
         assert_json_well_formed(&snap.to_deterministic_json());
@@ -1119,7 +949,6 @@ mod tests {
         histogram!("obs.test.hist").observe(5);
         let _span = timer!("obs.test.timer").span();
         drop(_span);
-        record_event("obs.test", 1, "fired", 2);
         let snap = snapshot();
         assert!(snap
             .counters

@@ -6,11 +6,11 @@
 //! * [`experiments`] — decoding-curve and survivability simulations over
 //!   any scheme ([`Persistence`]): RLC/SLC/PLC plus the replication and
 //!   Growth-Codes baselines;
-//! * [`lossy`] — collection re-run over a fault-injected transport
-//!   (loss rate × retry budget sweeps via [`prlc_net::FaultPlan`]);
-//! * [`adversarial`] — per-epoch decoding degradation under structured
-//!   fault adversaries (regional outage, collector eclipse, targeted
-//!   cache killer, slow compromise via [`prlc_net::Adversary`]);
+//! * [`scenario`] — the one engine for networked experiments: a
+//!   deployment on the ring overlay, per-epoch churn, repair and
+//!   adversary strikes, and an omniscient, collected or loss × retry
+//!   grid measurement after every epoch (persistence timelines, the
+//!   lossy-collection sweep, structured-adversary sweeps);
 //! * [`stats`] — means and 95% confidence intervals ("the average and
 //!   the 95% confidence intervals from 100 independent experiments");
 //! * [`runner`] — seed-split, order-deterministic parallel execution;
@@ -43,35 +43,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversarial;
 pub mod bench;
 pub mod experiments;
-pub mod lossy;
 pub mod metadata;
 pub mod runner;
+pub mod scenario;
 pub mod stats;
 pub mod table;
-pub mod timeline;
 
-pub use adversarial::{
-    adversary_results_json, simulate_adversary_sweep, simulate_adversary_sweep_with_threads,
-    AdversaryEpoch, AdversarySweepConfig,
-};
 pub use bench::{bench_file_name, run_bench_probe, BENCH_PROBES};
 pub use experiments::{
     growth_levels, simulate_decoding_curve, simulate_decoding_curve_with_threads,
     simulate_survivability, simulate_survivability_with_threads, CurveConfig, DecodingCurve,
     Persistence, SurvivabilityConfig,
 };
-pub use lossy::{
-    persistence_under_lossy_collection, persistence_under_lossy_collection_with_threads, LossyCell,
-    LossyCollectionConfig, LossySweep,
-};
 pub use metadata::{measure_wall_ms, run_probe_and_reset, RunMetadata};
 pub use runner::{default_threads, run_parallel, run_parallel_with_threads, run_seed, splitmix64};
+pub use scenario::{
+    every_epoch, results_json, rows_table, simulate_persistence_timeline,
+    simulate_persistence_timeline_with_threads, Event, Measure, Row, Scenario, TimelineConfig,
+    ACCOUNTING,
+};
 pub use stats::{summarize, summarize_trajectories, Summary};
 pub use table::{fmt_f, Table};
-pub use timeline::{
-    simulate_persistence_timeline, simulate_persistence_timeline_with_threads,
-    timeline_results_json, TimelineConfig,
-};
