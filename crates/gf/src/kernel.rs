@@ -15,16 +15,26 @@
 //! * [`Backend::Table`] — the 64 KiB product table for GF(2⁸): one load
 //!   plus one XOR per byte. Fields other than GF(2⁸) fall back to the
 //!   scalar loop.
-//! * [`Backend::Simd`] — GF(2⁸) constant-by-slice multiplication via the
-//!   nibble-split shuffle technique (SSSE3/AVX2 on x86_64, NEON on
-//!   aarch64): for a constant `c`, precompute two 16-entry tables
-//!   `L[i] = c·i` and `H[i] = c·(i·16)`; then `c·b = L[b & 0xF] ^ H[b >> 4]`
-//!   by linearity of the field product over XOR, evaluated 16/32 bytes at
-//!   a time with byte-shuffle instructions (AVX2 finishes an odd 16-byte
-//!   block with 128-bit shuffles, so at most 15 bytes take the
-//!   product-table tail). Products of two *variable* slices
-//!   (`mul_slice`, `dot`) have no constant to split on and run through
-//!   the product table.
+//! * [`Backend::Simd`] — GF(2⁸) constant-by-slice multiplication at the
+//!   best SIMD level the CPU offers, best first:
+//!   * `gfni` (x86_64 with GFNI, AVX-512F and AVX-512BW): for a constant
+//!     `c`, `x ↦ c·x` is a linear map over GF(2)⁸, so one
+//!     `vgf2p8affineqb` with `c`'s 8×8 bit matrix multiplies 64 bytes at
+//!     once, in any GF(2⁸) polynomial (ours is 0x11D). The matrix comes
+//!     from a 256-entry `u64` table built once from the product table.
+//!     Masked loads and stores finish the 1–63-byte remainder, so no
+//!     product-table tail runs on this level.
+//!   * `avx2`/`ssse3` on x86_64, `neon` on aarch64: the nibble-split
+//!     shuffle technique. For a constant `c`, precompute two 16-entry
+//!     tables `L[i] = c·i` and `H[i] = c·(i·16)`; then
+//!     `c·b = L[b & 0xF] ^ H[b >> 4]` by linearity of the field product
+//!     over XOR, evaluated 16/32 bytes at a time with byte-shuffle
+//!     instructions (AVX2 finishes an odd 16-byte block with 128-bit
+//!     shuffles, so at most 15 bytes take the product-table tail).
+//!
+//!   Products of two *variable* slices (`mul_slice`, `dot`) have no
+//!   constant to build a matrix or shuffle tables from and run through
+//!   the product table on every level.
 //!
 //! # Selection
 //!
@@ -36,6 +46,10 @@
 //!    falls through to step 2.
 //! 2. Otherwise the best available backend: `simd` when runtime feature
 //!    detection succeeds, `table` otherwise.
+//!
+//! CPU features are probed once per process into a best-first list of
+//! SIMD levels; `simd` always runs the head of that list, and run headers
+//! name it (e.g. `simd(gfni)`, `simd(avx2)`).
 //!
 //! Regardless of backend, [`add_slice`] on fields whose addition is a
 //! plain XOR of the representation ([`GfElem::REPR_XOR`]) runs
@@ -59,8 +73,9 @@ pub enum Backend {
     Scalar,
     /// 64 KiB product-table byte loop (GF(2⁸); scalar elsewhere).
     Table,
-    /// Nibble-split shuffle kernels (GF(2⁸); product table for
-    /// variable×variable products, scalar for other fields).
+    /// GF(2⁸) constant-by-slice kernels at the best detected SIMD level:
+    /// GFNI affine on AVX-512, otherwise nibble-split shuffles. Product
+    /// table for variable×variable products, scalar for other fields.
     Simd,
 }
 
@@ -95,6 +110,8 @@ impl fmt::Display for Backend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SimdLevel {
     #[cfg(target_arch = "x86_64")]
+    Gfni,
+    #[cfg(target_arch = "x86_64")]
     Avx2,
     #[cfg(target_arch = "x86_64")]
     Ssse3,
@@ -106,6 +123,8 @@ impl SimdLevel {
     fn name(self) -> &'static str {
         match self {
             #[cfg(target_arch = "x86_64")]
+            SimdLevel::Gfni => "gfni",
+            #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => "avx2",
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Ssse3 => "ssse3",
@@ -115,30 +134,48 @@ impl SimdLevel {
     }
 }
 
+/// The SIMD levels this CPU supports, best first, probed once per
+/// process. [`select`] and the `*_with` entry points run the head; the
+/// equivalence tests run every entry.
+fn simd_levels() -> &'static [SimdLevel] {
+    static LEVELS: OnceLock<Vec<SimdLevel>> = OnceLock::new();
+    LEVELS.get_or_init(detect_simd_levels)
+}
+
+/// The best SIMD level this CPU supports, if any.
+fn best_simd_level() -> Option<SimdLevel> {
+    simd_levels().first().copied()
+}
+
 /// Runtime CPU feature detection for the SIMD kernels. Under Miri the
 /// intrinsics are unsupported, so detection reports no SIMD and every
 /// kernel path stays on the interpretable scalar/table implementations.
-fn detect_simd() -> Option<SimdLevel> {
+fn detect_simd_levels() -> Vec<SimdLevel> {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        if std::is_x86_feature_detected!("avx2") {
-            return Some(SimdLevel::Avx2);
-        }
-        if std::is_x86_feature_detected!("ssse3") {
-            return Some(SimdLevel::Ssse3);
-        }
-        None
+        let gfni = std::is_x86_feature_detected!("gfni")
+            && std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512bw");
+        [
+            (SimdLevel::Gfni, gfni),
+            (SimdLevel::Avx2, std::is_x86_feature_detected!("avx2")),
+            (SimdLevel::Ssse3, std::is_x86_feature_detected!("ssse3")),
+        ]
+        .into_iter()
+        .filter_map(|(level, supported)| supported.then_some(level))
+        .collect()
     }
     #[cfg(all(target_arch = "aarch64", not(miri)))]
     {
         if std::arch::is_aarch64_feature_detected!("neon") {
-            return Some(SimdLevel::Neon);
+            vec![SimdLevel::Neon]
+        } else {
+            Vec::new()
         }
-        None
     }
     #[cfg(any(not(any(target_arch = "x86_64", target_arch = "aarch64")), miri))]
     {
-        None
+        Vec::new()
     }
 }
 
@@ -162,7 +199,7 @@ fn choose(request: Option<&str>, simd_available: bool) -> Backend {
 fn select() -> (Backend, Option<SimdLevel>) {
     static ACTIVE: OnceLock<(Backend, Option<SimdLevel>)> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        let level = detect_simd();
+        let level = best_simd_level();
         let request = std::env::var("PRLC_KERNEL").ok();
         (choose(request.as_deref(), level.is_some()), level)
     })
@@ -189,7 +226,7 @@ pub fn active_backend_description() -> String {
 /// succeeds. Benchmarks and equivalence tests iterate over this list.
 pub fn available_backends() -> Vec<Backend> {
     let mut backends = vec![Backend::Scalar, Backend::Table];
-    if detect_simd().is_some() {
+    if best_simd_level().is_some() {
         backends.push(Backend::Simd);
     }
     backends
@@ -277,12 +314,12 @@ pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
 /// `Table` when the hardware lacks the features (use
 /// [`available_backends`] to avoid benchmarking the degraded path).
 pub fn axpy_with<F: GfElem>(backend: Backend, dst: &mut [F], c: F, src: &[F]) {
-    axpy_impl(backend, detect_simd(), dst, c, src);
+    axpy_impl(backend, best_simd_level(), dst, c, src);
 }
 
 /// [`scale_slice`] forced onto `backend`.
 pub fn scale_slice_with<F: GfElem>(backend: Backend, dst: &mut [F], c: F) {
-    scale_slice_impl(backend, detect_simd(), dst, c);
+    scale_slice_impl(backend, best_simd_level(), dst, c);
 }
 
 /// [`mul_slice`] forced onto `backend`.
@@ -316,8 +353,7 @@ fn axpy_impl<F: GfElem>(
     }
     if backend != Backend::Scalar {
         if let (Some(s), Some(d)) = (plane::gf256(src), plane::gf256_mut(dst)) {
-            let row = gf256_product_table().row(c.index() as u8);
-            gf256_axpy_bytes(backend, level, d, row, s);
+            gf256_axpy_bytes(backend, level, d, c.index() as u8, s);
             return;
         }
     }
@@ -332,8 +368,7 @@ fn scale_slice_impl<F: GfElem>(backend: Backend, level: Option<SimdLevel>, dst: 
     }
     if backend != Backend::Scalar && !c.is_zero() {
         if let Some(d) = plane::gf256_mut(dst) {
-            let row = gf256_product_table().row(c.index() as u8);
-            gf256_scale_bytes(backend, level, d, row);
+            gf256_scale_bytes(backend, level, d, c.index() as u8);
             return;
         }
     }
@@ -413,33 +448,29 @@ fn xor_slice_u64(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// GF(2⁸) byte-plane `dst ^= row[src]` with the requested backend.
-fn gf256_axpy_bytes(
-    backend: Backend,
-    level: Option<SimdLevel>,
-    dst: &mut [u8],
-    row: &[u8; 256],
-    src: &[u8],
-) {
+/// GF(2⁸) byte-plane `dst ^= c·src` with the requested backend.
+fn gf256_axpy_bytes(backend: Backend, level: Option<SimdLevel>, dst: &mut [u8], c: u8, src: &[u8]) {
     if backend == Backend::Simd {
         if let Some(level) = level {
-            simd::axpy(level, dst, src, row);
+            simd::axpy(level, dst, src, c);
             return;
         }
     }
+    let row = gf256_product_table().row(c);
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= row[*s as usize];
     }
 }
 
-/// GF(2⁸) byte-plane `dst = row[dst]` with the requested backend.
-fn gf256_scale_bytes(backend: Backend, level: Option<SimdLevel>, dst: &mut [u8], row: &[u8; 256]) {
+/// GF(2⁸) byte-plane `dst = c·dst` with the requested backend.
+fn gf256_scale_bytes(backend: Backend, level: Option<SimdLevel>, dst: &mut [u8], c: u8) {
     if backend == Backend::Simd {
         if let Some(level) = level {
-            simd::scale(level, dst, row);
+            simd::scale(level, dst, c);
             return;
         }
     }
+    let row = gf256_product_table().row(c);
     for d in dst.iter_mut() {
         *d = row[*d as usize];
     }
@@ -515,7 +546,7 @@ mod plane {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernels (nibble-split shuffle).
+// SIMD kernels (GFNI affine and nibble-split shuffle).
 // ---------------------------------------------------------------------------
 
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -523,6 +554,31 @@ mod plane {
 mod simd {
     use super::SimdLevel;
     use crate::element::gf256_product_table;
+
+    /// The `GF2P8AFFINEQB` bit matrix of `x ↦ c·x`, looked up in a
+    /// 256-entry table built once from the product table. Byte `7−i` of
+    /// the matrix holds bit `i` of `c·2^j` at bit position `j`, so the
+    /// instruction's output bit `i` — the parity of byte `7−i` ANDed
+    /// with `x` — is bit `i` of `Σ_j x_j·(c·2^j) = c·x`.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn affine_matrix(c: u8) -> u64 {
+        static MATRICES: std::sync::OnceLock<[u64; 256]> = std::sync::OnceLock::new();
+        let matrices = MATRICES.get_or_init(|| {
+            let table = gf256_product_table();
+            std::array::from_fn(|c| {
+                let row = table.row(c as u8);
+                let mut matrix = 0u64;
+                for j in 0..8 {
+                    let column = row[1 << j];
+                    for i in 0..8 {
+                        matrix |= u64::from(column >> i & 1) << (8 * (7 - i) + j);
+                    }
+                }
+                matrix
+            })
+        });
+        matrices[usize::from(c)]
+    }
 
     /// The two 16-entry shuffle tables for multiplication by the constant
     /// `c` whose product row is `row`: `lo[i] = c·i`, `hi[i] = c·(i·16)`.
@@ -537,44 +593,74 @@ mod simd {
         (lo, hi)
     }
 
-    /// `dst ^= c·src` over the 16-byte-aligned prefix, product-table tail
-    /// of at most 15 bytes.
-    pub(super) fn axpy(level: SimdLevel, dst: &mut [u8], src: &[u8], row: &[u8; 256]) {
-        let (lo, hi) = nibble_tables(row);
-        let n = dst.len() - dst.len() % 16;
+    /// `dst ^= c·src`: the whole slice on `gfni`; otherwise the
+    /// 16-byte-aligned prefix, with a product-table tail of at most 15
+    /// bytes.
+    pub(super) fn axpy(level: SimdLevel, dst: &mut [u8], src: &[u8], c: u8) {
         // SAFETY: `level` came from runtime feature detection, so the
         // matching instruction set is available on this CPU.
         unsafe {
             match level {
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => x86::axpy_avx2(&mut dst[..n], &src[..n], &lo, &hi),
+                SimdLevel::Gfni => x86::axpy_gfni(dst, src, affine_matrix(c)),
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Ssse3 => x86::axpy_ssse3(&mut dst[..n], &src[..n], &lo, &hi),
+                SimdLevel::Avx2 => {
+                    nibble_axpy(dst, src, c, |d, s, lo, hi| x86::axpy_avx2(d, s, lo, hi))
+                }
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Ssse3 => {
+                    nibble_axpy(dst, src, c, |d, s, lo, hi| x86::axpy_ssse3(d, s, lo, hi))
+                }
                 #[cfg(target_arch = "aarch64")]
-                SimdLevel::Neon => arm::axpy_neon(&mut dst[..n], &src[..n], &lo, &hi),
+                SimdLevel::Neon => {
+                    nibble_axpy(dst, src, c, |d, s, lo, hi| arm::axpy_neon(d, s, lo, hi))
+                }
             }
         }
+    }
+
+    /// `dst = c·dst`, split across levels as in [`axpy`].
+    pub(super) fn scale(level: SimdLevel, dst: &mut [u8], c: u8) {
+        // SAFETY: as in `axpy`.
+        unsafe {
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Gfni => x86::scale_gfni(dst, affine_matrix(c)),
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Avx2 => nibble_scale(dst, c, |d, lo, hi| x86::scale_avx2(d, lo, hi)),
+                #[cfg(target_arch = "x86_64")]
+                SimdLevel::Ssse3 => nibble_scale(dst, c, |d, lo, hi| x86::scale_ssse3(d, lo, hi)),
+                #[cfg(target_arch = "aarch64")]
+                SimdLevel::Neon => nibble_scale(dst, c, |d, lo, hi| arm::scale_neon(d, lo, hi)),
+            }
+        }
+    }
+
+    /// Runs a nibble-shuffle axpy `kernel` over the 16-byte-aligned
+    /// prefix, then the product table over the tail of at most 15 bytes.
+    #[inline(always)]
+    fn nibble_axpy(
+        dst: &mut [u8],
+        src: &[u8],
+        c: u8,
+        kernel: impl FnOnce(&mut [u8], &[u8], &[u8; 16], &[u8; 16]),
+    ) {
+        let row = gf256_product_table().row(c);
+        let (lo, hi) = nibble_tables(row);
+        let n = dst.len() - dst.len() % 16;
+        kernel(&mut dst[..n], &src[..n], &lo, &hi);
         for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
             *d ^= row[*s as usize];
         }
     }
 
-    /// `dst = c·dst` over the 16-byte-aligned prefix, product-table tail
-    /// of at most 15 bytes.
-    pub(super) fn scale(level: SimdLevel, dst: &mut [u8], row: &[u8; 256]) {
+    /// The scale counterpart of [`nibble_axpy`].
+    #[inline(always)]
+    fn nibble_scale(dst: &mut [u8], c: u8, kernel: impl FnOnce(&mut [u8], &[u8; 16], &[u8; 16])) {
+        let row = gf256_product_table().row(c);
         let (lo, hi) = nibble_tables(row);
         let n = dst.len() - dst.len() % 16;
-        // SAFETY: as in `axpy`.
-        unsafe {
-            match level {
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => x86::scale_avx2(&mut dst[..n], &lo, &hi),
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Ssse3 => x86::scale_ssse3(&mut dst[..n], &lo, &hi),
-                #[cfg(target_arch = "aarch64")]
-                SimdLevel::Neon => arm::scale_neon(&mut dst[..n], &lo, &hi),
-            }
-        }
+        kernel(&mut dst[..n], &lo, &hi);
         for d in dst[n..].iter_mut() {
             *d = row[*d as usize];
         }
@@ -583,6 +669,60 @@ mod simd {
     #[cfg(target_arch = "x86_64")]
     mod x86 {
         use std::arch::x86_64::*;
+
+        /// Mask selecting the low `len` (1..=63) bytes of a 64-byte vector.
+        #[inline(always)]
+        fn tail_mask(len: usize) -> __mmask64 {
+            debug_assert!((1..64).contains(&len));
+            u64::MAX >> (64 - len)
+        }
+
+        // SAFETY: caller must verify GFNI, AVX-512F and AVX-512BW support and
+        // pass slices of equal length; masked loads/stores stay in bounds.
+        #[target_feature(enable = "gfni,avx512f,avx512bw")]
+        pub(super) unsafe fn axpy_gfni(dst: &mut [u8], src: &[u8], matrix: u64) {
+            debug_assert_eq!(dst.len(), src.len());
+            let a = _mm512_set1_epi64(matrix as i64);
+            let n = dst.len() - dst.len() % 64;
+            for i in (0..n).step_by(64) {
+                let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
+                let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
+                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
+                _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), _mm512_xor_si512(d, prod));
+            }
+            if n < dst.len() {
+                // Masked-off lanes are neither read nor written, so no byte
+                // past the end of either slice is touched.
+                let k = tail_mask(dst.len() - n);
+                let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(n).cast());
+                let d = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(n).cast());
+                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
+                _mm512_mask_storeu_epi8(
+                    dst.as_mut_ptr().add(n).cast(),
+                    k,
+                    _mm512_xor_si512(d, prod),
+                );
+            }
+        }
+
+        // SAFETY: caller must verify GFNI, AVX-512F and AVX-512BW support;
+        // masked loads/stores stay in bounds.
+        #[target_feature(enable = "gfni,avx512f,avx512bw")]
+        pub(super) unsafe fn scale_gfni(dst: &mut [u8], matrix: u64) {
+            let a = _mm512_set1_epi64(matrix as i64);
+            let n = dst.len() - dst.len() % 64;
+            for i in (0..n).step_by(64) {
+                let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
+                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(d, a);
+                _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), prod);
+            }
+            if n < dst.len() {
+                let k = tail_mask(dst.len() - n);
+                let d = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(n).cast());
+                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(d, a);
+                _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(n).cast(), k, prod);
+            }
+        }
 
         // SAFETY: caller must verify SSSE3 support (detect() does) and pass
         // slices of equal, 16-divisible length; only unaligned loads/stores.
@@ -737,11 +877,11 @@ mod simd {
 mod simd {
     use super::SimdLevel;
 
-    pub(super) fn axpy(level: SimdLevel, _dst: &mut [u8], _src: &[u8], _row: &[u8; 256]) {
+    pub(super) fn axpy(level: SimdLevel, _dst: &mut [u8], _src: &[u8], _c: u8) {
         match level {}
     }
 
-    pub(super) fn scale(level: SimdLevel, _dst: &mut [u8], _row: &[u8; 256]) {
+    pub(super) fn scale(level: SimdLevel, _dst: &mut [u8], _c: u8) {
         match level {}
     }
 }
@@ -815,29 +955,39 @@ mod tests {
         check_all_ops_match_scalar::<Gf64k>(3);
     }
 
+    /// Every byte-plane kernel this CPU can run — the table backend and
+    /// each detected SIMD level, not only the one `select()` runs —
+    /// against the scalar reference. Lengths straddle the 16/32/64-byte
+    /// vector widths, and sub-slices at odd offsets put the vector body,
+    /// the tails and the masked GFNI remainder on unaligned addresses,
+    /// with dst and src misaligned differently. The operated-on window
+    /// sits inside a larger buffer, so a write past either end of the
+    /// slice also fails the comparison.
     #[test]
     fn misaligned_subslices_match_scalar() {
-        // Sub-slices at odd offsets put the vector body, the AVX2 16-byte
-        // step and the table tail on unaligned addresses, with dst and
-        // src misaligned differently.
+        let levels = simd_levels()
+            .iter()
+            .map(|&level| (Backend::Simd, Some(level)));
+        let kernels = std::iter::once((Backend::Table, None)).chain(levels);
         let mut rng = StdRng::seed_from_u64(9);
-        for &n in LENGTHS {
-            for (doff, soff) in [(1, 0), (3, 5), (7, 2), (15, 9)] {
+        for &n in LENGTHS.iter().chain(&[65, 127, 128, 129, 4096]) {
+            for (doff, soff) in [(0, 0), (1, 0), (3, 5), (7, 2), (15, 9), (63, 33)] {
                 let src: Vec<Gf256> = random_slice(&mut rng, n + soff);
-                let base: Vec<Gf256> = random_slice(&mut rng, n + doff);
+                let base: Vec<Gf256> = random_slice(&mut rng, n + doff + 64);
                 let c = Gf256::random(&mut rng);
-                for backend in available_backends() {
-                    let mut want = base.clone();
-                    axpy_with(Backend::Scalar, &mut want[doff..], c, &src[soff..]);
+                let (window, src) = (doff..doff + n, &src[soff..]);
+                let mut axpy_want = base.clone();
+                axpy_with(Backend::Scalar, &mut axpy_want[window.clone()], c, src);
+                let mut scale_want = base.clone();
+                scale_slice_with(Backend::Scalar, &mut scale_want[window.clone()], c);
+                for (backend, level) in kernels.clone() {
+                    let name = level.map_or(backend.name(), SimdLevel::name);
                     let mut got = base.clone();
-                    axpy_with(backend, &mut got[doff..], c, &src[soff..]);
-                    assert_eq!(got, want, "axpy {backend} n={n} offsets=({doff},{soff})");
-
-                    let mut want = base.clone();
-                    scale_slice_with(Backend::Scalar, &mut want[doff..], c);
+                    axpy_impl(backend, level, &mut got[window.clone()], c, src);
+                    assert_eq!(got, axpy_want, "axpy {name} n={n} offsets=({doff},{soff})");
                     let mut got = base.clone();
-                    scale_slice_with(backend, &mut got[doff..], c);
-                    assert_eq!(got, want, "scale_slice {backend} n={n} offset={doff}");
+                    scale_slice_impl(backend, level, &mut got[window.clone()], c);
+                    assert_eq!(got, scale_want, "scale_slice {name} n={n} offset={doff}");
                 }
             }
         }
@@ -853,6 +1003,36 @@ mod tests {
             for i in 0..16 {
                 assert_eq!(lo[i], row[i], "lo c={c} i={i}");
                 assert_eq!(hi[i], row[i << 4], "hi c={c} i={i}");
+            }
+        }
+    }
+
+    /// A pure-Rust model of `GF2P8AFFINEQB` on one byte with a zero
+    /// immediate: output bit `i` is the parity of `x` ANDed with byte
+    /// `7−i` of the matrix.
+    #[cfg(target_arch = "x86_64")]
+    fn gf2p8affine_model(matrix: u64, x: u8) -> u8 {
+        (0..8).fold(0u8, |out, i| {
+            let row = (matrix >> (8 * (7 - i))) as u8;
+            out | (((row & x).count_ones() & 1) as u8) << i
+        })
+    }
+
+    /// Every `(c, x)` pair: the affine matrix of `c` maps `x` to `c·x`.
+    /// No intrinsics, so this also runs under Miri.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn affine_matrices_multiply_every_pair() {
+        let table = gf256_product_table();
+        for c in 0..=255u8 {
+            let matrix = simd::affine_matrix(c);
+            let row = table.row(c);
+            for x in 0..=255u8 {
+                assert_eq!(
+                    gf2p8affine_model(matrix, x),
+                    row[usize::from(x)],
+                    "c={c} x={x}"
+                );
             }
         }
     }
