@@ -7,6 +7,7 @@ use prlc_cli::{decode, encode, info, DecodeOptions, EncodeOptions};
 use prlc_core::{PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
 use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
+use prlc_obs::baseline::envelope_json;
 use prlc_sim::{
     bench_file_name, every_epoch, fmt_f, results_json, rows_table, run_bench_probe,
     run_probe_and_reset, runner, simulate_decoding_curve_with_threads, CurveConfig, Event, Measure,
@@ -420,13 +421,14 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         None => None,
     };
     if let Some(path) = flag_value(args, "--bench-out")? {
-        meta.write_bench_json_with_blocks(
-            std::path::Path::new(&path),
-            &results,
-            metrics_json.as_deref(),
-            trace_json.as_deref(),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
+        // `results` stays the last member: the golden tests slice the
+        // envelope from its last `,"results":` to the end.
+        let mut members = vec![("run_metadata", meta.to_json())];
+        members.extend(metrics_json.map(|m| ("metrics", m)));
+        members.extend(trace_json.map(|t| ("trace", t)));
+        members.push(("results", results));
+        std::fs::write(&path, envelope_json(&members) + "\n")
+            .map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote {label} + run metadata to {path}");
     }
     Ok(())

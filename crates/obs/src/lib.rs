@@ -532,7 +532,9 @@ pub(crate) fn json_escape(s: &str, out: &mut String) {
 }
 
 impl Snapshot {
-    fn deterministic_body(&self) -> String {
+    /// JSON without any wall-clock content: byte-identical across
+    /// thread counts for a fixed workload.
+    pub fn to_deterministic_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -579,18 +581,12 @@ impl Snapshot {
         s
     }
 
-    /// JSON without any wall-clock content: byte-identical across
-    /// thread counts for a fixed workload.
-    pub fn to_deterministic_json(&self) -> String {
-        self.deterministic_body()
-    }
-
     /// Full JSON. The non-deterministic `"timers"` object is emitted as
     /// the **final** key, so `to_json()` is exactly
     /// [`Self::to_deterministic_json`] with `,"timers":{...}` spliced
     /// in before the closing brace — trivially strippable.
     pub fn to_json(&self) -> String {
-        let mut s = self.deterministic_body();
+        let mut s = self.to_deterministic_json();
         s.pop(); // closing brace
         s.push_str(",\"timers\":{");
         for (i, (name, t)) in self.timers.iter().enumerate() {
@@ -605,44 +601,6 @@ impl Snapshot {
             ));
         }
         s.push_str("}}");
-        s
-    }
-
-    /// Prometheus text exposition format. Metric names are prefixed
-    /// with `prlc_` and sanitised (`.` and other non-identifier
-    /// characters become `_`).
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            name.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
-        }
-        let mut s = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            s.push_str(&format!("# TYPE prlc_{n} counter\nprlc_{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            s.push_str(&format!("# TYPE prlc_{n} histogram\n"));
-            let mut cum = 0u64;
-            for (bound, c) in BUCKET_BOUNDS.iter().zip(h.counts.iter()) {
-                cum += c;
-                s.push_str(&format!("prlc_{n}_bucket{{le=\"{bound}\"}} {cum}\n"));
-            }
-            s.push_str(&format!(
-                "prlc_{n}_bucket{{le=\"+Inf\"}} {}\nprlc_{n}_sum {}\nprlc_{n}_count {}\n",
-                h.count, h.sum, h.count
-            ));
-        }
-        for (name, t) in &self.timers {
-            let n = sanitize(name);
-            s.push_str(&format!(
-                "# TYPE prlc_{n}_spans counter\nprlc_{n}_spans {}\n\
-                 # TYPE prlc_{n}_ns_total counter\nprlc_{n}_ns_total {}\n",
-                t.count, t.total_nanos
-            ));
-        }
         s
     }
 }
@@ -790,28 +748,6 @@ mod tests {
         disable();
     }
 
-    #[test]
-    fn prometheus_export_shape() {
-        let _g = guarded();
-        enable();
-        let r = Registry::new();
-        r.counter("gf.axpy.bytes.simd").add(64);
-        r.histogram("rows").observe(2);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("prlc_gf_axpy_bytes_simd 64"));
-        assert!(text.contains("prlc_rows_bucket{le=\"2\"} 1"));
-        assert!(text.contains("prlc_rows_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("prlc_rows_sum 2"));
-        assert!(text.contains("prlc_rows_count 1"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# TYPE ") || line.starts_with("prlc_"),
-                "malformed exposition line: {line:?}"
-            );
-        }
-        disable();
-    }
-
     /// Minimal JSON well-formedness checker for the round-trip test (no
     /// serde in this workspace): returns the index after one value.
     fn json_value(b: &[u8], mut i: usize) -> Result<usize, String> {
@@ -903,27 +839,6 @@ mod tests {
         let snap = r.snapshot();
         assert_json_well_formed(&snap.to_json());
         assert_json_well_formed(&snap.to_deterministic_json());
-        // Prometheus: every sample line must be `name{labels} value` or
-        // `name value` with a numeric value, even with hostile names.
-        for line in snap.to_prometheus().lines() {
-            if line.starts_with("# TYPE ") {
-                continue;
-            }
-            let (name_part, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-                panic!("sample line without value: {line:?}");
-            });
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "non-numeric sample value in {line:?}"
-            );
-            let name = name_part.split('{').next().unwrap_or("");
-            assert!(
-                !name.is_empty()
-                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && !name.starts_with(|c: char| c.is_ascii_digit()),
-                "invalid metric name in {line:?}"
-            );
-        }
         disable();
     }
 

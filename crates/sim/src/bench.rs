@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use prlc_core::{Encoder, PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
 use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
-use prlc_obs::baseline::{digest64, BENCH_SCHEMA_VERSION, SCHEMA_VERSION_KEY};
+use prlc_obs::baseline::{digest64, envelope_json, Json};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -58,7 +58,7 @@ pub fn bench_file_name(probe: &str) -> String {
 /// failure.
 pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
     match probe {
-        "kernel" => Ok(probe_kernel(threads)),
+        "kernel" => probe_kernel(threads),
         "lossy" => probe_lossy(threads),
         "timeline" => probe_timeline(threads),
         "adversary" => probe_adversary(threads),
@@ -71,75 +71,8 @@ pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Envelope assembly
+// Metrics block
 // ---------------------------------------------------------------------------
-
-/// Everything a probe contributes beyond its run metadata.
-struct ProbeOutput {
-    /// Probe name (the `"probe"` field).
-    probe: &'static str,
-    /// Probe configuration as a JSON object (deterministic).
-    config_json: String,
-    /// Deterministic metrics block, when the recorder was enabled.
-    metrics_json: Option<String>,
-    /// FNV-1a digest of the full trace dump, when tracing was enabled.
-    trace_digest: Option<String>,
-    /// Result rows as a JSON array (deterministic).
-    results_json: String,
-    /// Pinned RNG end state, for probes that own their generator.
-    rng_end_state: Option<String>,
-    /// Elapsed wall-clock of the workload, in milliseconds.
-    wall_ms: f64,
-}
-
-/// Renders the versioned envelope:
-/// `{"bench_schema_version":1,"probe":...,"config":...,"run_metadata":...`
-/// `[,"metrics":...][,"trace_digest":...],"results":...`
-/// `[,"rng_end_state":...],"wall_ms":...}`.
-fn envelope(meta: &crate::RunMetadata, out: &ProbeOutput) -> String {
-    let mut s = format!(
-        "{{\"{}\":{},\"probe\":\"{}\",\"config\":{},\"run_metadata\":{}",
-        SCHEMA_VERSION_KEY,
-        BENCH_SCHEMA_VERSION,
-        out.probe,
-        out.config_json,
-        meta.to_json()
-    );
-    if let Some(m) = &out.metrics_json {
-        s.push_str(",\"metrics\":");
-        s.push_str(m);
-    }
-    if let Some(d) = &out.trace_digest {
-        s.push_str(&format!(",\"trace_digest\":\"{d}\""));
-    }
-    s.push_str(",\"results\":");
-    s.push_str(&out.results_json);
-    if let Some(r) = &out.rng_end_state {
-        s.push_str(&format!(",\"rng_end_state\":\"{r}\""));
-    }
-    if out.wall_ms.is_finite() {
-        s.push_str(&format!(",\"wall_ms\":{:.1}}}\n", out.wall_ms));
-    } else {
-        s.push_str(",\"wall_ms\":null}\n");
-    }
-    s
-}
-
-/// Snapshot of the recorders after a probe, ready for the envelope:
-/// `Some((metrics_json, trace_digest))` per enabled recorder.
-fn recorder_blocks() -> (Option<String>, Option<String>) {
-    let metrics = if prlc_obs::enabled() {
-        Some(deterministic_metrics_json(&prlc_obs::snapshot()))
-    } else {
-        None
-    };
-    let trace = if prlc_obs::trace::enabled() {
-        Some(digest64(&prlc_obs::trace::snapshot().to_json()))
-    } else {
-        None
-    };
-    (metrics, trace)
-}
 
 /// The metrics block a baseline can hold: counters, histogram bounds and
 /// histograms (with their percentile fields), no timers (wall-clock).
@@ -151,67 +84,35 @@ fn recorder_blocks() -> (Option<String>, Option<String>) {
 /// names), so including them would make an envelope depend on which
 /// probes ran before it in the same process.
 fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    for (name, v) in &snap.counters {
-        if *v == 0 {
-            continue;
+    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for &(name, v) in &snap.counters {
+        if v != 0 {
+            *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
         }
-        *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
     }
-    let mut s = String::from("{\"counters\":{");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{name}\":{v}"));
+    prlc_obs::Snapshot {
+        counters: counters.into_iter().collect(),
+        histograms: snap
+            .histograms
+            .iter()
+            .filter(|(_, h)| h.count > 0)
+            .cloned()
+            .collect(),
+        timers: Vec::new(),
     }
-    s.push_str("},\"histogram_bounds\":[");
-    for (i, b) in prlc_obs::BUCKET_BOUNDS.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&b.to_string());
-    }
-    s.push_str("],\"histograms\":{");
-    let mut first = true;
-    for (name, h) in &snap.histograms {
-        if h.count == 0 {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!("\"{name}\":{{\"counts\":["));
-        for (j, c) in h.counts.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str(&format!("],\"sum\":{},\"count\":{}", h.sum, h.count));
-        for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            match h.percentile(q) {
-                Some(v) => s.push_str(&format!(",\"{key}\":{v}")),
-                None => s.push_str(&format!(",\"{key}\":null")),
-            }
-        }
-        s.push('}');
-    }
-    s.push_str("}}");
-    s
+    .to_deterministic_json()
 }
 
 /// `gf.<op>.bytes.<backend>` → `gf.<op>.bytes`; anything else unchanged.
-fn merge_backend_suffix(name: &str) -> String {
+fn merge_backend_suffix(name: &'static str) -> &'static str {
     if name.starts_with("gf.") {
         for suffix in [".scalar", ".table", ".simd"] {
             if let Some(stem) = name.strip_suffix(suffix) {
-                return stem.to_string();
+                return stem;
             }
         }
     }
-    name.to_string()
+    name
 }
 
 // ---------------------------------------------------------------------------
@@ -232,54 +133,28 @@ fn plc_profile() -> Result<(PriorityProfile, PriorityDistribution), String> {
 /// GF(2⁸) `axpy` throughput on 64 KiB slices: one row per fixed backend
 /// plus a `dispatched` row labelled with what the dispatcher picked.
 /// Entirely environmental — no metrics/trace blocks (the iteration
-/// counts are wall-clock-bounded and could never match a baseline).
-fn probe_kernel(threads: usize) -> String {
-    let mut meta = run_probe_and_reset(threads);
-    let (rows, wall_ms) = measure_wall_ms(|| {
+/// counts are wall-clock-bounded and could never match a baseline). The
+/// byte counters its loops leave behind are cleared by the reset every
+/// probe starts with.
+fn probe_kernel(threads: usize) -> Result<String, String> {
+    let config_json = "{\"slice_len\":65536,\"budget_ms\":20}".to_string();
+    run_probe("kernel", config_json, threads, false, || {
         let mut rows = Vec::new();
         for backend in [kernel::Backend::Scalar, kernel::Backend::Table] {
             let mb_s = measure_symbol_throughput_mb_s_with(backend);
             rows.push(format!(
-                "{{\"backend\":\"{}\",\"mb_s\":{}}}",
-                backend.name(),
-                fmt_mb_s(mb_s)
+                "{{\"backend\":{},\"mb_s\":{}}}",
+                Json::Str(backend.name().to_string()).render(),
+                Json::fixed(mb_s, 1).render()
             ));
         }
         rows.push(format!(
-            "{{\"backend\":\"dispatched\",\"description\":\"{}\",\"mb_s\":{}}}",
-            kernel::active_backend_description(),
-            fmt_mb_s(measure_symbol_throughput_mb_s())
+            "{{\"backend\":\"dispatched\",\"description\":{},\"mb_s\":{}}}",
+            Json::Str(kernel::active_backend_description()).render(),
+            Json::fixed(measure_symbol_throughput_mb_s(), 1).render()
         ));
-        rows
-    });
-    // The probe's own kernel loops polluted the recorders; clear them so
-    // a stale state never leaks into a later probe even if the suite
-    // order changes.
-    let _ = run_probe_and_reset(threads);
-    meta.aggregate_obs_timing();
-    envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "kernel",
-            config_json: "{\"slice_len\":65536,\"budget_ms\":20}".to_string(),
-            metrics_json: None,
-            trace_digest: None,
-            results_json: format!("[{}]", rows.join(",")),
-            rng_end_state: None,
-            wall_ms,
-        },
-    )
-}
-
-/// Non-finite throughput measurements become `null`, mirroring
-/// `RunMetadata::to_json` (the differ treats a lost measurement against
-/// a numeric baseline as out-of-band).
-fn fmt_mb_s(mb_s: f64) -> String {
-    if mb_s.is_finite() {
-        format!("{mb_s:.1}")
-    } else {
-        "null".to_string()
-    }
+        Ok((format!("[{}]", rows.join(",")), None))
+    })
 }
 
 /// The lossy-collection sweep: the trace-determinism CI workload
@@ -390,39 +265,47 @@ fn run_scenario_probe(
     scenario: &Scenario,
     threads: usize,
 ) -> Result<String, String> {
-    run_probe(probe, config_json.to_string(), threads, || {
+    run_probe(probe, config_json.to_string(), threads, true, || {
         let rows = scenario.run::<Gf256>(threads);
         let rows = rows.map_err(|e| format!("{probe} probe: {e}"))?;
         Ok((results_json(&rows), None))
     })
 }
 
-/// Runs `work` on freshly reset recorders and wraps what it returns —
-/// the results array and an optional RNG end state — in an envelope
-/// with the recorder blocks and the work's wall-clock time.
+/// Runs `work` on freshly reset recorders and renders the probe's
+/// envelope: `probe`, `config`, `run_metadata`, then — when `recorded`
+/// and the recorders are on — the deterministic `metrics` block and the
+/// `trace_digest`, then what `work` returns (the `results` array and an
+/// optional `rng_end_state`), and last the work's `wall_ms`.
 fn run_probe(
-    probe: &'static str,
+    probe: &str,
     config_json: String,
     threads: usize,
+    recorded: bool,
     work: impl FnOnce() -> Result<(String, Option<String>), String>,
 ) -> Result<String, String> {
     let mut meta = run_probe_and_reset(threads);
     let (out, wall_ms) = measure_wall_ms(work);
     let (results_json, rng_end_state) = out?;
-    let (metrics_json, trace_digest) = recorder_blocks();
     meta.aggregate_obs_timing();
-    Ok(envelope(
-        &meta,
-        &ProbeOutput {
-            probe,
-            config_json,
-            metrics_json,
-            trace_digest,
-            results_json,
-            rng_end_state,
-            wall_ms,
-        },
-    ))
+    let mut members = vec![
+        ("probe", Json::Str(probe.to_string()).render()),
+        ("config", config_json),
+        ("run_metadata", meta.to_json()),
+    ];
+    if recorded && prlc_obs::enabled() {
+        members.push(("metrics", deterministic_metrics_json(&prlc_obs::snapshot())));
+    }
+    if recorded && prlc_obs::trace::enabled() {
+        let digest = digest64(&prlc_obs::trace::snapshot().to_json());
+        members.push(("trace_digest", Json::Str(digest).render()));
+    }
+    members.push(("results", results_json));
+    if let Some(state) = rng_end_state {
+        members.push(("rng_end_state", Json::Str(state).render()));
+    }
+    members.push(("wall_ms", Json::fixed(wall_ms, 1).render()));
+    Ok(envelope_json(&members) + "\n")
 }
 
 /// Per-row coefficient memory on the encoder path at
@@ -438,7 +321,7 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
         "{{\"sizes\":[1000,10000,100000],\"rows_per_cell\":{ROWS},\
          \"factor\":{FACTOR},\"scheme\":\"rlc\",\"seed\":{SEED}}}"
     );
-    run_probe("sparse", config_json, threads, || {
+    run_probe("sparse", config_json, threads, true, || {
         let mut rng = StdRng::seed_from_u64(SEED);
         let mut rows = Vec::new();
         for n in SIZES {

@@ -4,12 +4,10 @@
 //! capture the performance trajectory of the codebase, not just the
 //! statistical outputs.
 
-use std::io::Write;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use prlc_gf::{kernel, Gf256, GfElem};
-use prlc_obs::baseline::{BENCH_SCHEMA_VERSION, SCHEMA_VERSION_KEY};
+use prlc_obs::baseline::Json;
 
 /// Environment metadata attached to an experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,99 +52,25 @@ impl RunMetadata {
         }
     }
 
-    /// Renders the metadata as a JSON object.
+    /// Renders the metadata as a JSON object — the `run_metadata`
+    /// member of every `BENCH_*.json` envelope.
     ///
     /// Serialisation is hand-rolled: the workspace builds offline and the
-    /// fields are three scalars, so a serializer dependency buys nothing.
+    /// fields are four scalars, so a serializer dependency buys nothing.
     /// A non-finite throughput (a zero-duration or failed measurement)
-    /// is emitted as `null` — `{:.1}` would print `NaN`/`inf`, which is
-    /// not JSON and silently corrupts every `BENCH_*.json` envelope
-    /// built on top of this object.
+    /// is emitted as `null` ([`Json::fixed`]); a non-finite wall time is
+    /// omitted like an absent one.
     pub fn to_json(&self) -> String {
-        let throughput = if self.symbol_throughput_mb_s.is_finite() {
-            format!("{:.1}", self.symbol_throughput_mb_s)
-        } else {
-            "null".to_string()
-        };
         let wall = match self.run_wall_ms_total {
             Some(ms) if ms.is_finite() => format!(",\"run_wall_ms_total\":{ms:.1}"),
             _ => String::new(),
         };
         format!(
-            "{{\"kernel_backend\":\"{}\",\"threads\":{},\"symbol_throughput_mb_s\":{}{}}}",
-            escape_json(&self.kernel_backend),
+            "{{\"kernel_backend\":{},\"threads\":{},\"symbol_throughput_mb_s\":{}{}}}",
+            Json::Str(self.kernel_backend.clone()).render(),
             self.threads,
-            throughput,
+            Json::fixed(self.symbol_throughput_mb_s, 1).render(),
             wall
-        )
-    }
-
-    /// Writes `{"run_metadata": <self>, "results": <results_json>}` to
-    /// `path` — the envelope used by the `BENCH_*.json` artifacts.
-    /// `results_json` must already be valid JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json(&self, path: &Path, results_json: &str) -> std::io::Result<()> {
-        self.write_bench_json_with_metrics(path, results_json, None)
-    }
-
-    /// [`write_bench_json`](Self::write_bench_json) with an optional
-    /// metrics block: when `metrics_json` is `Some`, the envelope becomes
-    /// `{"run_metadata": ..., "metrics": ..., "results": ...}`.
-    /// `metrics_json` must already be valid JSON (e.g. a
-    /// [`prlc_obs::Snapshot`] rendering).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json_with_metrics(
-        &self,
-        path: &Path,
-        results_json: &str,
-        metrics_json: Option<&str>,
-    ) -> std::io::Result<()> {
-        self.write_bench_json_with_blocks(path, results_json, metrics_json, None)
-    }
-
-    /// [`write_bench_json_with_metrics`](Self::write_bench_json_with_metrics)
-    /// with an additional optional trace block; the full envelope is
-    /// `{"run_metadata": ..., "metrics": ..., "trace": ..., "results": ...}`
-    /// with absent blocks omitted. Both optional arguments must already be
-    /// valid JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json_with_blocks(
-        &self,
-        path: &Path,
-        results_json: &str,
-        metrics_json: Option<&str>,
-        trace_json: Option<&str>,
-    ) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        let metrics = match metrics_json {
-            Some(m) => format!(",\"metrics\":{m}"),
-            None => String::new(),
-        };
-        let trace = match trace_json {
-            Some(t) => format!(",\"trace\":{t}"),
-            None => String::new(),
-        };
-        // The leading schema stamp is what lets `prlc bench --check`
-        // refuse to diff envelopes written by a different writer
-        // generation (see prlc_obs::baseline).
-        writeln!(
-            f,
-            "{{\"{}\":{},\"run_metadata\":{}{}{},\"results\":{}}}",
-            SCHEMA_VERSION_KEY,
-            BENCH_SCHEMA_VERSION,
-            self.to_json(),
-            metrics,
-            trace,
-            results_json
         )
     }
 }
@@ -176,17 +100,6 @@ pub fn measure_wall_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Measures the dispatched GF(2⁸) `axpy` throughput in MB/s on 64 KiB
@@ -291,44 +204,18 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("\n"), "\\u000a");
-    }
-
-    #[test]
-    fn bench_json_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("prlc-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
+    fn backend_label_is_escaped() {
         let meta = RunMetadata {
-            kernel_backend: "scalar".into(),
+            kernel_backend: "odd\"name\\".into(),
             threads: 1,
             symbol_throughput_mb_s: 10.0,
             run_wall_ms_total: None,
         };
-        meta.write_bench_json(&path, "[1,2,3]").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("{\"bench_schema_version\":1,"));
-        assert!(text.contains("\"run_metadata\":{\"kernel_backend\":\"scalar\""));
-        assert!(text.contains("\"results\":[1,2,3]"));
-
-        meta.write_bench_json_with_metrics(&path, "[1,2,3]", Some("{\"counters\":{}}"))
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(",\"metrics\":{\"counters\":{}},\"results\":[1,2,3]"));
-
-        meta.write_bench_json_with_blocks(
-            &path,
-            "[1,2,3]",
-            Some("{\"counters\":{}}"),
-            Some("{\"tracks\":[]}"),
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(
-            ",\"metrics\":{\"counters\":{}},\"trace\":{\"tracks\":[]},\"results\":[1,2,3]"
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
+        let json = meta.to_json();
+        assert!(
+            json.starts_with("{\"kernel_backend\":\"odd\\\"name\\\\\","),
+            "{json}"
+        );
+        assert!(prlc_obs::baseline::parse_json(&json).is_ok(), "{json}");
     }
 }

@@ -13,14 +13,18 @@
 //!   environmental deltas;
 //! * a perturbed deterministic field, an out-of-band throughput, and a
 //!   bumped schema version each fail with their distinct
-//!   machine-readable finding.
+//!   machine-readable finding;
+//! * the reader never panics on hostile text: arbitrary strings and
+//!   byte-mutated copies of the baselines parse to `Ok` or `Err`.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use prlc_obs::baseline::{
     diff_envelopes, findings_json, parse_json, FindingKind, Json, Tolerances,
 };
 use prlc_sim::{bench_file_name, BENCH_PROBES};
+use proptest::prelude::*;
 
 fn baseline_path(probe: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(bench_file_name(probe))
@@ -182,5 +186,120 @@ fn legacy_results_layout_is_retired() {
             "legacy unversioned baseline still present: {}",
             legacy.display()
         );
+    }
+}
+
+/// Parses `text`; a document that parses must render and re-parse to
+/// itself. A panic anywhere fails the calling property.
+fn parse_survives(text: &str) {
+    if let Ok(doc) = parse_json(text) {
+        assert_eq!(parse_json(&doc.render()), Ok(doc), "input {text:?}");
+    }
+}
+
+/// Fragments that steer random strings into the parser's deeper states:
+/// structure, escapes, literals, number syntax and multi-byte scalars.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    ":",
+    ",",
+    "\\",
+    "\\u",
+    "\\u00e9",
+    "\\n",
+    "0",
+    "17",
+    "-",
+    ".",
+    "e",
+    "E+",
+    "true",
+    "false",
+    "null",
+    "tru",
+    "nul",
+    " ",
+    "\n",
+    "é",
+    "€",
+    "\u{0}",
+    "\u{1f}",
+    "\u{10ffff}",
+    "\"k\":",
+    "1e999",
+    "-0.5e-3",
+];
+
+/// Each `u32` becomes a fragment (three times in four) or an arbitrary
+/// Unicode scalar.
+fn hostile_text(picks: &[u32]) -> String {
+    picks
+        .iter()
+        .map(|&x| match x % 4 {
+            0 => char::from_u32((x / 4) % 0x11_0000)
+                .unwrap_or('\u{fffd}')
+                .to_string(),
+            _ => FRAGMENTS[(x / 4) as usize % FRAGMENTS.len()].to_string(),
+        })
+        .collect()
+}
+
+fn baseline_texts() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| BENCH_PROBES.iter().map(|p| baseline_text(p)).collect())
+}
+
+/// Applies `(kind, position, byte)` edits to a copy of `text`: flip a
+/// bit, insert a byte, delete a byte, or truncate. Inserted bytes below
+/// 128 are drawn from the JSON punctuation so edits break structure,
+/// not just string contents. Non-UTF-8 results decode lossily.
+fn mutate(text: &str, edits: &[(u8, usize, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(kind, pos, byte) in edits {
+        let at = pos % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+            1 => {
+                const PUNCT: &[u8] = b"{}[]\",:\\-.e0 ";
+                let b = if byte < 128 {
+                    PUNCT[usize::from(byte) % PUNCT.len()]
+                } else {
+                    byte
+                };
+                bytes.insert(at, b);
+            }
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn parse_json_never_panics_on_arbitrary_text(
+        picks in prop::collection::vec(any::<u32>(), 0..96),
+    ) {
+        parse_survives(&hostile_text(&picks));
+    }
+
+    #[test]
+    fn parse_json_never_panics_on_mutated_baselines(
+        file in 0usize..5,
+        edits in prop::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let original = &baseline_texts()[file];
+        let mutant = mutate(original, &edits);
+        parse_survives(&mutant);
+        let _ = diff_envelopes(BENCH_PROBES[file], original, &mutant, &Tolerances::default());
     }
 }
