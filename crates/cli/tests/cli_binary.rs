@@ -706,3 +706,49 @@ fn bench_write_check_and_negative_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown probe"));
     fs::remove_dir_all(dir).unwrap();
 }
+
+/// A misspelt flag is an error naming it, not a silent default: before
+/// flags were checked, `sim --chrun 0.3` ran with no churn at all.
+#[test]
+fn sim_rejects_unknown_flag() {
+    let out = prlc()
+        .args(["sim", "--epochs", "1", "--chrun", "0.3"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown flag \"--chrun\""), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// `prlc <cmd> --help` prints the usage instead of running the command.
+#[test]
+fn subcommand_help_prints_usage_without_running() {
+    let out = prlc().args(["sim", "--help"]).output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("USAGE"), "{text}");
+    // The run header `prlc sim — kernel backend ...` never printed.
+    assert!(!text.contains("prlc sim —"), "the simulation ran: {text}");
+}
+
+/// An unknown `bench` flag fails before any probe runs, so no baseline
+/// in the working directory is overwritten.
+#[test]
+fn bench_rejects_unknown_flag_without_writing() {
+    let dir = temp_dir("bench-bogus");
+    let out = prlc()
+        .args(["bench", "--bogus"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown flag \"--bogus\""), "{err}");
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "bench wrote files");
+    fs::remove_dir_all(dir).unwrap();
+}
