@@ -237,10 +237,9 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
         Slc(SlcDecoder<Gf256>),
         Plc(PlcDecoder<Gf256>),
     }
-    let mut decoder = match manifest.scheme {
-        Scheme::Slc => AnyDecoder::Slc(SlcDecoder::with_payloads(profile.clone())),
-        _ => AnyDecoder::Plc(PlcDecoder::with_payloads(profile.clone())),
-    };
+    // Built by the first shard that fits the manifest, so its size is
+    // bounded by input actually read, not by the manifest's block count.
+    let mut decoder = None;
 
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -277,7 +276,10 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
             continue;
         }
         shards_read += 1;
-        match &mut decoder {
+        match decoder.get_or_insert_with(|| match manifest.scheme {
+            Scheme::Slc => AnyDecoder::Slc(SlcDecoder::with_payloads(profile.clone())),
+            _ => AnyDecoder::Plc(PlcDecoder::with_payloads(profile.clone())),
+        }) {
             AnyDecoder::Slc(d) => {
                 d.insert_block(&block);
             }
@@ -288,13 +290,15 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
     }
 
     let (levels_recovered, complete) = match &decoder {
-        AnyDecoder::Slc(d) => (d.decoded_levels(), d.is_complete()),
-        AnyDecoder::Plc(d) => (d.decoded_levels(), d.is_complete()),
+        Some(AnyDecoder::Slc(d)) => (d.decoded_levels(), d.is_complete()),
+        Some(AnyDecoder::Plc(d)) => (d.decoded_levels(), d.is_complete()),
+        None => (0, false),
     };
     let recovered = |idx: usize| -> Option<&[Gf256]> {
         match &decoder {
-            AnyDecoder::Slc(d) => d.recovered(idx),
-            AnyDecoder::Plc(d) => d.recovered(idx),
+            Some(AnyDecoder::Slc(d)) => d.recovered(idx),
+            Some(AnyDecoder::Plc(d)) => d.recovered(idx),
+            None => None,
         }
     };
 

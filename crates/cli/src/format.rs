@@ -223,6 +223,20 @@ impl Manifest {
         if !b.done() {
             return Err(FormatError::Invalid("trailing manifest bytes".into()));
         }
+        // The invariant `encode` writes: the level sizes split exactly
+        // the blocks the file fills. A hostile count would otherwise size
+        // the decoder.
+        if file_len == 0 || block_size == 0 {
+            return Err(FormatError::Invalid("empty file or zero block size".into()));
+        }
+        let blocks = file_len.div_ceil(u64::from(block_size));
+        let listed: u64 = level_sizes.iter().map(|&s| u64::from(s)).sum();
+        if listed != blocks {
+            return Err(FormatError::Invalid(format!(
+                "level sizes list {listed} blocks, but {file_len} bytes in \
+                 {block_size}-byte blocks fill {blocks}"
+            )));
+        }
         Ok(Manifest {
             file_len,
             block_size,
@@ -400,12 +414,16 @@ mod proptests {
     proptest! {
         #[test]
         fn manifest_roundtrips_arbitrary(
-            file_len in 0u64..u64::MAX / 2,
+            tail in 1u64..1 << 20,
             block_size in 1u32..1 << 20,
             scheme_tag in 0u8..3,
             level_sizes in prop::collection::vec(1u32..10_000, 1..20),
             file_hash in any::<u64>(),
         ) {
+            // A file that fills exactly the listed blocks: every block
+            // but the last is full, the last holds 1..=block_size bytes.
+            let blocks: u64 = level_sizes.iter().map(|&s| u64::from(s)).sum();
+            let file_len = (blocks - 1) * u64::from(block_size) + 1 + tail % u64::from(block_size);
             let m = Manifest {
                 file_len,
                 block_size,
@@ -463,6 +481,98 @@ mod proptests {
         fn reader_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..200)) {
             let _ = read_shard(&data[..]);
             let _ = Manifest::read_from(&data[..]);
+        }
+    }
+
+    /// Bytes in front of a container body: magic, version, body length
+    /// and checksum.
+    const HEADER: usize = 17;
+
+    /// Re-stamps the body length and checksum after the body was edited,
+    /// so a reader parses past the integrity check.
+    fn restamp(buf: &mut [u8]) {
+        let body_len = (buf.len() - HEADER) as u32;
+        buf[5..9].copy_from_slice(&body_len.to_le_bytes());
+        let checksum = fnv1a(&buf[HEADER..]);
+        buf[9..HEADER].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Applies one edit to the body of `buf`: overwrite a byte, insert
+    /// one, delete one, or overwrite a 4-byte window with an extreme
+    /// count (level counts and sizes, and shard lengths, are `u32`).
+    fn mutate(buf: &mut Vec<u8>, (at, byte, op): (usize, u8, usize)) {
+        let body = buf.len() - HEADER;
+        let at = HEADER + at % (body + 1);
+        match op {
+            0 if at < buf.len() => buf[at] = byte,
+            1 => buf.insert(at, byte),
+            2 if at < buf.len() => {
+                buf.remove(at);
+            }
+            _ => {
+                let extreme = [0, 1, u32::MAX, u32::MAX / 2 + 1][usize::from(byte) % 4];
+                for (k, b) in extreme.to_le_bytes().into_iter().enumerate() {
+                    if let Some(slot) = buf.get_mut(at + k) {
+                        *slot = b;
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn readers_never_panic_on_restamped_body_mutants(
+            levels in prop::collection::vec(1u32..50, 1..5),
+            block_size in 1u32..64,
+            n_coeffs in 0usize..40,
+            payload_len in 0usize..40,
+            edits in prop::collection::vec((any::<usize>(), any::<u8>(), 0usize..4), 1..6),
+        ) {
+            let blocks: u64 = levels.iter().map(|&s| u64::from(s)).sum();
+            let manifest = Manifest {
+                file_len: blocks * u64::from(block_size),
+                block_size,
+                scheme: Scheme::Plc,
+                level_sizes: levels,
+                file_hash: 7,
+            };
+            let mut mbuf = Vec::new();
+            manifest.write_to(&mut mbuf).unwrap();
+            let shard = CodedBlock {
+                level: n_coeffs % 3,
+                coefficients: CoeffRow::from_dense(vec![Gf256::new(3); n_coeffs]),
+                payload: vec![Gf256::new(5); payload_len],
+            };
+            let mut sbuf = Vec::new();
+            write_shard(&mut sbuf, &shard).unwrap();
+            for &edit in &edits {
+                mutate(&mut mbuf, edit);
+                mutate(&mut sbuf, edit);
+            }
+            restamp(&mut mbuf);
+            restamp(&mut sbuf);
+
+            // Whatever parses must be well-formed and write back to the
+            // very bytes it was read from.
+            if let Ok(m) = Manifest::read_from(&mbuf[..]) {
+                prop_assert!(m.block_size > 0 && m.file_len > 0);
+                prop_assert_eq!(
+                    m.total_blocks() as u64,
+                    m.file_len.div_ceil(u64::from(m.block_size))
+                );
+                let _ = m.profile();
+                let mut back = Vec::new();
+                m.write_to(&mut back).unwrap();
+                prop_assert_eq!(back, mbuf);
+            }
+            if let Ok(block) = read_shard(&sbuf[..]) {
+                let mut back = Vec::new();
+                write_shard(&mut back, &block).unwrap();
+                prop_assert_eq!(back, sbuf);
+            }
         }
     }
 }

@@ -430,20 +430,14 @@ fn cmd_info(dir: Option<&str>) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let persistence = match flag_value(args, "--scheme")?
-        .map(|s| s.to_ascii_lowercase())
-        .as_deref()
-    {
-        None | Some("plc") => Persistence::Coding(Scheme::Plc),
-        Some("rlc") => Persistence::Coding(Scheme::Rlc),
-        Some("slc") => Persistence::Coding(Scheme::Slc),
-        Some("replication") => Persistence::Replication,
-        Some("growth") => Persistence::Growth,
-        Some(_) => return Err("bad --scheme (rlc|slc|plc|replication|growth)".into()),
-    };
+    let persistence = scheme_flag(args)?;
     let profile = levels_flag(args)?;
     let distribution = PriorityDistribution::uniform(profile.num_levels());
-    let max_blocks = parse_or(args, "--max-blocks", 3 * profile.total_blocks())?;
+    let max_blocks = parse_or(
+        args,
+        "--max-blocks",
+        profile.total_blocks().saturating_mul(3),
+    )?;
     let runs: usize = parse_or(args, "--runs", 100)?;
     if runs == 0 {
         return Err("--runs must be at least 1".into());
@@ -551,6 +545,23 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         println!("wrote {label} + run metadata to {path}");
     }
     Ok(())
+}
+
+/// `sim --scheme`, defaulting to PLC.
+fn scheme_flag(args: &[String]) -> Result<Persistence, String> {
+    Ok(
+        match flag_value(args, "--scheme")?
+            .map(|s| s.to_ascii_lowercase())
+            .as_deref()
+        {
+            None | Some("plc") => Persistence::Coding(Scheme::Plc),
+            Some("rlc") => Persistence::Coding(Scheme::Rlc),
+            Some("slc") => Persistence::Coding(Scheme::Slc),
+            Some("replication") => Persistence::Replication,
+            Some("growth") => Persistence::Growth,
+            Some(_) => return Err("bad --scheme (rlc|slc|plc|replication|growth)".into()),
+        },
+    )
 }
 
 /// Parses `--flag value` as a `T`, or returns `default` when absent.
@@ -787,7 +798,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         Some(_) => return Err("trace: bad --scheme (rlc|slc|plc)".into()),
     };
     let profile = levels_flag(args)?;
-    let max_blocks = parse_or(args, "--max-blocks", 3 * profile.total_blocks())?;
+    let max_blocks = parse_or(
+        args,
+        "--max-blocks",
+        profile.total_blocks().saturating_mul(3),
+    )?;
     let seed = parse_or(args, "--seed", 1)?;
     let out = flag_value(args, "--out")?;
     let format = flag_value(args, "--format")?.unwrap_or_else(|| "json".to_string());
@@ -852,6 +867,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Most epochs a networked `sim` accepts: a scenario lists each epoch's
+/// events up front, so an absurd count would only exhaust memory.
+const MAX_EPOCHS: usize = 100_000;
+
 /// Fraction of nodes a lossy-collection sweep fails before collecting.
 const LOSSY_NODE_FAILURE: f64 = 0.3;
 
@@ -910,8 +929,8 @@ fn sim_scenario(
         ));
     }
     let epochs: usize = parse_or(args, "--epochs", 4)?;
-    if epochs == 0 {
-        return Err("--epochs must be at least 1".into());
+    if !(1..=MAX_EPOCHS).contains(&epochs) {
+        return Err(format!("--epochs must be in 1..={MAX_EPOCHS}"));
     }
     let churn: f64 = parse_or(args, "--churn", if adversary.is_some() { 0.0 } else { 0.2 })?;
     if !(0.0..=1.0).contains(&churn) {
@@ -1017,19 +1036,23 @@ fn sim_scenario(
 /// message instead of failing deep inside the protocol.
 fn overlay_geometry(args: &[String], profile: &PriorityProfile) -> Result<(usize, usize), String> {
     let total = profile.total_blocks();
-    let nodes = parse_or(args, "--nodes", 4 * total.max(20))?;
-    if nodes < 2 * total {
+    let nodes = parse_or(args, "--nodes", total.max(20).saturating_mul(4))?;
+    if nodes < total.saturating_mul(2) {
         return Err(format!(
             "--nodes {nodes} is too small for this code: {total} source blocks \
              need at least {} nodes (2x the code width) to hold a decodable \
              set of storage locations",
-            2 * total
+            total.saturating_mul(2)
         ));
     }
     // nodes/2 like the original sweeps, capped so that huge overlays
     // (--nodes 100000) keep a code-sized deployment instead of scaling
     // the location count with the network.
-    let locations = parse_or(args, "--locations", (nodes / 2).min(4 * total.max(20)))?;
+    let locations = parse_or(
+        args,
+        "--locations",
+        (nodes / 2).min(total.max(20).saturating_mul(4)),
+    )?;
     if locations < total {
         return Err(format!(
             "--locations {locations} is below the code width {total}: the \
@@ -1093,7 +1116,109 @@ fn adversary_strategy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// Every subcommand with a flag list.
+    const COMMANDS: [&str; 7] = ["encode", "decode", "info", "sim", "trace", "bench", "lint"];
+
+    /// Values that sit on the edges of the flags' parsers.
+    const EDGE_VALUES: &[&str] = &[
+        "0",
+        "1",
+        "-1",
+        "2",
+        "0.5",
+        "1.5",
+        "-0",
+        "nan",
+        "inf",
+        "-inf",
+        "1e308",
+        "4294967295",
+        "4294967296",
+        "9223372036854775807",
+        "18446744073709551615",
+        "18446744073709551616",
+        "2,3,5",
+        "1,18446744073709551615",
+        "9223372036854775807,9223372036854775807",
+        "0,0.1,0.3",
+        ",",
+        "",
+        "-",
+        "--",
+        "log:2",
+        "log:0",
+        "log:nan",
+        "log:1e308",
+        "log:",
+        "all",
+        "sparse",
+        "dense",
+        "plc",
+        "rlc",
+        "slc",
+        "replication",
+        "growth",
+        "region",
+        "eclipse",
+        "targeted",
+        "creep",
+        "json",
+        "chrome",
+        "é",
+    ];
+
+    /// Every flag name any subcommand accepts.
+    fn all_flags() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|c| accepted_flags(c))
+            .flat_map(|(values, switches)| values.iter().chain(switches).copied())
+            .collect();
+        flags.extend(["--help", "-h"]);
+        flags
+    }
+
+    /// One argument: an accepted flag, an edge value, the two joined by
+    /// `=`, or random text.
+    fn argument() -> impl Strategy<Value = String> {
+        let pick = |list: &[&str], i: usize| list[i % list.len()].to_string();
+        prop_oneof![
+            4 => any::<usize>().prop_map(move |i| pick(&all_flags(), i)),
+            4 => any::<usize>().prop_map(move |i| pick(EDGE_VALUES, i)),
+            2 => (any::<usize>(), any::<usize>())
+                .prop_map(move |(f, v)| format!("{}={}", pick(&all_flags(), f), pick(EDGE_VALUES, v))),
+            1 => prop::collection::vec(any::<u8>(), 0..12)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Flag checking and the networked `sim` parser return `Ok` or
+        /// `Err` on any argument vector; none of them panics. Nothing
+        /// runs: `sim_scenario` only builds the scenario.
+        #[test]
+        fn argument_parsing_never_panics(
+            args in prop::collection::vec(argument(), 0..12),
+        ) {
+            for command in COMMANDS {
+                let (values, switches) = accepted_flags(command).unwrap_or_default();
+                let _ = check_flags(command, &args, values, switches);
+            }
+            let persistence = scheme_flag(&args);
+            let profile = levels_flag(&args);
+            let runs = parse_or(&args, "--runs", 100);
+            let seed = parse_or(&args, "--seed", 1);
+            if let (Ok(persistence), Ok(profile), Ok(runs), Ok(seed)) = (persistence, profile, runs, seed) {
+                let distribution = PriorityDistribution::uniform(profile.num_levels());
+                let _ = sim_scenario(&args, persistence, &profile, &distribution, runs, seed);
+            }
+        }
+    }
 
     /// Each `prlc <cmd> ...` synopsis in [`USAGE`] (with its continuation
     /// lines), as the command and the `--flag`s it names.
@@ -1132,10 +1257,7 @@ mod tests {
     fn accepted_flags_match_the_usage_synopses() {
         let synopses = usage_synopses();
         let commands: Vec<&str> = synopses.iter().map(|(c, _)| c.as_str()).collect();
-        assert_eq!(
-            commands,
-            ["encode", "decode", "info", "sim", "trace", "bench", "lint"]
-        );
+        assert_eq!(commands, COMMANDS);
         for (command, documented) in &synopses {
             let (values, switches) =
                 accepted_flags(command).unwrap_or_else(|| panic!("{command} has no flag list"));

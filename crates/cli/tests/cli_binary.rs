@@ -752,3 +752,70 @@ fn bench_rejects_unknown_flag_without_writing() {
     assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "bench wrote files");
     fs::remove_dir_all(dir).unwrap();
 }
+
+/// Writes a checksum-valid PLC manifest with the given fields into `dir`.
+fn write_manifest(dir: &std::path::Path, file_len: u64, block_size: u32, level_sizes: Vec<u32>) {
+    let manifest = prlc_cli::format::Manifest {
+        file_len,
+        block_size,
+        scheme: prlc_core::Scheme::Plc,
+        level_sizes,
+        file_hash: 0,
+    };
+    manifest
+        .write_to(fs::File::create(dir.join("manifest.prlcm")).unwrap())
+        .unwrap();
+}
+
+/// Runs `prlc decode` on `shards`, expecting a clean failure: exit 1
+/// with an error message (an aborted allocation exits 134).
+fn assert_decode_fails_cleanly(shards: &std::path::Path, expected: &str) {
+    let out = prlc()
+        .args([
+            "decode",
+            shards.to_str().unwrap(),
+            "--out",
+            shards.join("out.bin").to_str().unwrap(),
+            "--allow-partial",
+        ])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error: ") && err.contains(expected), "{err}");
+}
+
+/// A manifest whose level sizes list more blocks than its file fills is
+/// rejected when it is read: one listing `u32::MAX` blocks for a 1-byte
+/// file used to make `decode` allocate 64 GiB and abort.
+#[test]
+fn decode_rejects_a_manifest_whose_levels_overrun_its_file() {
+    let dir = temp_dir("hostile-manifest");
+    write_manifest(&dir, 1, 1, vec![u32::MAX]);
+    assert_eq!(fs::metadata(dir.join("manifest.prlcm")).unwrap().len(), 46);
+    assert_decode_fails_cleanly(&dir, "level sizes list 4294967295 blocks");
+    let info = prlc()
+        .args(["info", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(info.status.code(), Some(1));
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// A consistent manifest for a 4 GiB file is valid, but `decode` builds
+/// no decoder until a shard with all of its coefficients arrives, so
+/// shards that do not fit cost no memory.
+#[test]
+fn decode_sizes_its_decoder_by_the_shards_it_reads() {
+    let dir = temp_dir("huge-manifest");
+    write_manifest(&dir, u64::from(u32::MAX), 1, vec![u32::MAX]);
+    let block = prlc_core::CodedBlock {
+        level: 0,
+        coefficients: prlc_core::CoeffRow::from_dense(vec![prlc_gf::Gf256::new(1); 4]),
+        payload: vec![prlc_gf::Gf256::new(2)],
+    };
+    let shard = fs::File::create(dir.join("shard-00000.prlc")).unwrap();
+    prlc_cli::format::write_shard(shard, &block).unwrap();
+    assert_decode_fails_cleanly(&dir, "nothing recoverable from 0 shards");
+    fs::remove_dir_all(dir).unwrap();
+}

@@ -43,6 +43,8 @@ pub enum ProfileError {
     Empty,
     /// A level had zero source blocks (index attached).
     EmptyLevel(usize),
+    /// The level sizes sum past `usize::MAX`.
+    TooLarge,
 }
 
 impl fmt::Display for ProfileError {
@@ -51,6 +53,9 @@ impl fmt::Display for ProfileError {
             ProfileError::Empty => write!(f, "priority profile has no levels"),
             ProfileError::EmptyLevel(i) => {
                 write!(f, "priority level {i} has zero source blocks")
+            }
+            ProfileError::TooLarge => {
+                write!(f, "priority levels hold more blocks than fit a usize")
             }
         }
     }
@@ -64,7 +69,8 @@ impl PriorityProfile {
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError`] if `sizes` is empty or any level is empty.
+    /// Returns [`ProfileError`] if `sizes` is empty, any level is empty
+    /// or the sizes sum past `usize::MAX`.
     pub fn new(sizes: Vec<usize>) -> Result<Self, ProfileError> {
         if sizes.is_empty() {
             return Err(ProfileError::Empty);
@@ -76,7 +82,7 @@ impl PriorityProfile {
         bounds.push(0);
         let mut acc = 0usize;
         for &s in &sizes {
-            acc += s;
+            acc = acc.checked_add(s).ok_or(ProfileError::TooLarge)?;
             bounds.push(acc);
         }
         Ok(PriorityProfile { sizes, bounds })

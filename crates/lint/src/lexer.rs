@@ -249,6 +249,8 @@ pub fn lex(src: &str) -> Vec<Token> {
             let mut value = String::new();
             while j < n && b[j] != b'"' {
                 if b[j] == b'\\' && j + 1 < n {
+                    // The escaped scalar may be wider than a byte.
+                    let escaped = utf8_len(b[j + 1]);
                     match b[j + 1] {
                         b'n' => value.push('\n'),
                         b't' => value.push('\t'),
@@ -259,12 +261,9 @@ pub fn lex(src: &str) -> Vec<Token> {
                         b'0' => value.push('\0'),
                         // \xNN, \u{…}: keep the raw spelling; no lint
                         // compares escaped keys byte-for-byte.
-                        other => {
-                            value.push('\\');
-                            value.push(other as char);
-                        }
+                        _ => value.push_str(&src[j..j + 1 + escaped]),
                     }
-                    j += 2;
+                    j += 1 + escaped;
                 } else {
                     // Copy the full UTF-8 scalar starting at j.
                     let ch_len = utf8_len(b[j]);
@@ -514,6 +513,21 @@ mod tests {
                 TokenKind::Punct, // ..
                 TokenKind::Int,
             ]
+        );
+    }
+
+    #[test]
+    fn an_escaped_multibyte_scalar_stays_whole() {
+        // The escape used to skip one byte into `é` and slice mid-scalar.
+        let src = "\"a\\é\" x";
+        assert_eq!(texts(src), ["\"a\\é\"", "x"]);
+        assert_eq!(
+            kinds(src)[0],
+            TokenKind::Str {
+                value: "a\\é".into(),
+                raw: false,
+                byte: false
+            }
         );
     }
 

@@ -8,6 +8,9 @@
 //! materialised finger tables, which keeps memory O(N) rather than
 //! O(N·64) and lets event-driven simulations run at N=10⁵–10⁶:
 //!
+//! - **The ring is two parallel arrays**: the alive IDs in ascending
+//!   order (`u64`) and the dense node index at each position (`u32`),
+//!   12 bytes per node. The binary searches read only the IDs.
 //! - **A hop is two binary searches.** Fingers advance monotonically in
 //!   `k`, so the best one is fixed by the last alive node before the
 //!   target: if it lies `d` clockwise of the current node, the hop is
@@ -16,20 +19,23 @@
 //!   N=10⁵, so it stays in L1). Failure walks each word's set bits in
 //!   index order and clears a whole word's kills with one store; uniform
 //!   churn still draws exactly one coin per alive node, in index order,
-//!   so the random stream is the one a per-node loop would consume.
-//! - **Stabilisation is O(N).** After failures the successor array is
-//!   compacted down to the survivors (nodes never revive, so it stays
-//!   sorted) by a branch-free write-then-advance pass over the bitset,
+//!   so the random stream is the one a per-node loop would consume. The
+//!   coin is one integer compare against a threshold computed once per
+//!   churn call.
+//! - **Stabilisation is O(N).** After failures both arrays are
+//!   compacted down to the survivors (nodes never revive, so they stay
+//!   sorted) by one branch-free write-then-advance pass over the bitset,
 //!   modelling Chord's stabilisation protocol having converged before
 //!   the next operation.
 //! - **Construction is a counting sort** of the drawn IDs, which is also
 //!   the initial stabilisation: `(id, index)` pairs are scattered in
-//!   index order into buckets keyed by the IDs' top `⌊log2 N⌋−2` bits
-//!   (at least one; 4 to 8 per bucket on average from 16 nodes up),
-//!   and each bucket is
-//!   comparison-sorted, so the result is exactly the fully sorted pair
-//!   array even when IDs cluster.
+//!   index order into buckets keyed by the IDs' top `⌊log2 N⌋+1` bits,
+//!   about one ID per bucket. Buckets longer than 16 are
+//!   comparison-sorted and one insertion pass fixes up the rest, so the
+//!   result is exactly the fully sorted pair array, in O(N log N) even
+//!   when all IDs cluster in one bucket.
 
+use rand::distributions::{Bernoulli, Distribution};
 use rand::Rng;
 
 use crate::network::{Network, NodeId, Route};
@@ -54,39 +60,81 @@ fn full_bitset(n: usize) -> Vec<u64> {
     bits
 }
 
-/// `(ids[i], i)` for every `i`, in ascending order: a counting sort on
-/// the IDs' top `⌊log2 N⌋−2` bits (at least one bit, so rings under 16
-/// nodes get two buckets) followed by a comparison sort of each bucket.
-/// The pairs are distinct, so this is the order one comparison sort of
-/// all of them would give, byte for byte.
-fn sorted_pairs(ids: &[u64]) -> Vec<(u64, usize)> {
+/// Longest bucket the construction sort leaves to its insertion pass.
+/// Longer buckets are comparison-sorted first, so a ring whose IDs all
+/// share one bucket still sorts in O(N log N).
+const INSERTION_MAX: u32 = 16;
+
+/// The IDs in ascending order, and at each position the index of the ID
+/// there. A counting sort on the IDs' top `⌊log2 N⌋+1` bits scatters the
+/// `(id, index)` pairs in index order, which leaves most buckets with at
+/// most one ID. Buckets longer than [`INSERTION_MAX`] are then sorted by
+/// comparison, and one insertion pass over the whole array fixes up the
+/// rest: it moves an ID only within its own bucket, so no ID moves more
+/// than `INSERTION_MAX` places. Both sorts keep equal IDs in index
+/// order, so the result is the order one comparison sort of all
+/// `(ids[i], i)` pairs would give, byte for byte.
+fn sorted_ring(ids: &[u64]) -> (Vec<u64>, Vec<u32>) {
     let n = ids.len();
-    let shift = 64 - n.ilog2().saturating_sub(2).max(1);
+    let shift = 63 - n.ilog2();
     // The output is allocated before the bucket counts: a whole N=10^5
     // simulation measured a lower peak RSS in this order than the other.
-    let mut sorted = vec![(0u64, 0usize); n];
-    let mut ends = vec![0usize; 1 << (64 - shift)];
+    let mut ring = vec![0u64; n];
+    let mut node_at = vec![0u32; n];
+    let mut ends = vec![0u32; 1 << (64 - shift)];
     for &id in ids {
         ends[(id >> shift) as usize] += 1;
     }
     let mut start = 0;
+    let mut longest = 0;
     for count in &mut ends {
         let len = *count;
+        longest = longest.max(len);
         *count = start;
         start += len;
     }
     // `ends[b]` holds bucket `b`'s start; the scatter moves it to the end.
     for (i, &id) in ids.iter().enumerate() {
         let slot = &mut ends[(id >> shift) as usize];
-        sorted[*slot] = (id, i);
+        ring[*slot as usize] = id;
+        node_at[*slot as usize] = i as u32;
         *slot += 1;
     }
-    let mut start = 0;
-    for &end in &ends {
-        sorted[start..end].sort_unstable();
-        start = end;
+    if longest > INSERTION_MAX {
+        let mut start = 0;
+        for &end in &ends {
+            if end - start > INSERTION_MAX {
+                let bucket = start as usize..end as usize;
+                let mut pairs: Vec<(u64, u32)> = ring[bucket.clone()]
+                    .iter()
+                    .copied()
+                    .zip(node_at[bucket.clone()].iter().copied())
+                    .collect();
+                pairs.sort_unstable();
+                for (p, (id, node)) in bucket.zip(pairs) {
+                    ring[p] = id;
+                    node_at[p] = node;
+                }
+            }
+            start = end;
+        }
     }
-    sorted
+    for j in 1..n {
+        let id = ring[j];
+        if ring[j - 1] <= id {
+            continue;
+        }
+        let node = node_at[j];
+        let mut k = j;
+        while k > 0 && ring[k - 1] > id {
+            ring[k] = ring[k - 1];
+            node_at[k] = node_at[k - 1];
+            k -= 1;
+        }
+        ring[k] = id;
+        node_at[k] = node;
+    }
+    (ring, node_at)
 }
 
 /// A simulated Chord-like ring overlay.
@@ -97,8 +145,10 @@ pub struct RingNetwork {
     /// Liveness bitset: bit `i % 64` of word `i / 64` is node `i`.
     alive: Vec<u64>,
     alive_count: usize,
-    /// Alive nodes sorted by ring ID: `(id, dense index)`.
-    sorted: Vec<(u64, usize)>,
+    /// Alive nodes' IDs, ascending: the ring the binary searches read.
+    ring: Vec<u64>,
+    /// The dense index of the node at each position of `ring`.
+    node_at: Vec<u32>,
 }
 
 impl RingNetwork {
@@ -107,30 +157,37 @@ impl RingNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes == 0`.
+    /// Panics if `nodes == 0` or `nodes > u32::MAX`.
     pub fn new<R: Rng + ?Sized>(nodes: usize, rng: &mut R) -> Self {
         assert!(nodes > 0, "a ring needs at least one node");
+        assert!(
+            u32::try_from(nodes).is_ok(),
+            "a ring holds at most u32::MAX nodes, got {nodes}"
+        );
         let mut ids: Vec<u64> = Vec::with_capacity(nodes);
         loop {
             let deficit = nodes - ids.len();
             ids.extend((0..deficit).map(|_| rng.gen::<u64>()));
-            // Sorting (id, draw index) is the initial stabilisation, and
-            // it puts equal IDs side by side, earliest draw first.
-            let mut sorted = sorted_pairs(&ids);
-            sorted.dedup_by_key(|&mut (id, _)| id);
-            if sorted.len() == nodes {
+            // Sorting is the initial stabilisation, and it puts equal IDs
+            // side by side, earliest draw first.
+            let (ring, node_at) = sorted_ring(&ids);
+            if ring.windows(2).all(|pair| pair[0] != pair[1]) {
                 return RingNetwork {
                     ids,
                     alive: full_bitset(nodes),
                     alive_count: nodes,
-                    sorted,
+                    ring,
+                    node_at,
                 };
             }
             // A repeated draw: keep each ID's first draw, in draw order,
             // and redraw only the deficit.
-            let mut kept: Vec<usize> = sorted.iter().map(|&(_, i)| i).collect();
+            let mut kept: Vec<u32> = (0..nodes)
+                .filter(|&p| p == 0 || ring[p] != ring[p - 1])
+                .map(|p| node_at[p])
+                .collect();
             kept.sort_unstable();
-            ids = kept.iter().map(|&i| ids[i]).collect();
+            ids = kept.iter().map(|&i| ids[i as usize]).collect();
         }
     }
 
@@ -151,16 +208,18 @@ impl RingNetwork {
     /// alive, so the pass has no data-dependent branch.
     ///
     /// Precondition: nodes only ever die. A node that came back would be
-    /// missing from `sorted`.
+    /// missing from `ring`.
     fn stabilize(&mut self) {
         let mut kept = 0;
-        for r in 0..self.sorted.len() {
-            let entry = self.sorted[r];
-            self.sorted[kept] = entry;
-            kept += usize::from(bit(&self.alive, entry.1));
+        for r in 0..self.ring.len() {
+            let (id, node) = (self.ring[r], self.node_at[r]);
+            self.ring[kept] = id;
+            self.node_at[kept] = node;
+            kept += usize::from(bit(&self.alive, node as usize));
         }
-        self.sorted.truncate(kept);
-        debug_assert_eq!(self.sorted.len(), self.alive_count);
+        self.ring.truncate(kept);
+        self.node_at.truncate(kept);
+        debug_assert_eq!(self.ring.len(), self.alive_count);
     }
 
     /// Fails every alive node whose ID satisfies `dies`, asking about
@@ -192,10 +251,10 @@ impl RingNetwork {
     ///
     /// Panics if no node is alive.
     fn successor(&self, point: u64) -> usize {
-        assert!(!self.sorted.is_empty(), "no alive nodes");
-        let i = self.sorted.partition_point(|&(id, _)| id < point);
-        let i = if i == self.sorted.len() { 0 } else { i };
-        self.sorted[i].1
+        assert!(!self.ring.is_empty(), "no alive nodes");
+        let i = self.ring.partition_point(|&id| id < point);
+        let i = if i == self.ring.len() { 0 } else { i };
+        self.node_at[i] as usize
     }
 
     /// Clockwise distance from `a` to `b` on the ring.
@@ -216,9 +275,9 @@ impl RingNetwork {
     /// the best finger is `finger[⌊log2 d⌋]`: two binary searches in all.
     fn greedy_next(&self, current: usize, point: u64, owner: usize) -> usize {
         let cur_id = self.ids[current];
-        let i = self.sorted.partition_point(|&(id, _)| id <= point);
-        let i = if i == 0 { self.sorted.len() } else { i };
-        let (q_id, q) = self.sorted[i - 1];
+        let i = self.ring.partition_point(|&id| id <= point);
+        let i = if i == 0 { self.ring.len() } else { i };
+        let (q_id, q) = (self.ring[i - 1], self.node_at[i - 1] as usize);
         if q == current {
             return owner;
         }
@@ -243,7 +302,7 @@ impl RingNetwork {
     /// concentrates loss on.
     pub fn finger_neighborhood(&self, node: NodeId) -> Vec<NodeId> {
         let mut fingers = Vec::new();
-        if self.sorted.is_empty() {
+        if self.ring.is_empty() {
             return fingers;
         }
         let cur_id = self.ids[node.index()];
@@ -261,7 +320,7 @@ impl RingNetwork {
     /// hop is always a member of `from`'s [finger
     /// neighborhood](Self::finger_neighborhood).
     pub fn first_hop(&self, from: NodeId, point: u64) -> Option<NodeId> {
-        if !self.is_alive(from) || self.sorted.is_empty() {
+        if !self.is_alive(from) || self.ring.is_empty() {
             return None;
         }
         let owner = self.successor(point);
@@ -331,14 +390,14 @@ impl Network for RingNetwork {
     }
 
     fn owner_of(&self, point: u64) -> Option<NodeId> {
-        if self.sorted.is_empty() {
+        if self.ring.is_empty() {
             return None;
         }
         Some(NodeId::new(self.successor(point)))
     }
 
     fn route(&self, from: NodeId, point: u64) -> Option<Route> {
-        if !self.is_alive(from) || self.sorted.is_empty() {
+        if !self.is_alive(from) || self.ring.is_empty() {
             return None;
         }
         let owner = self.successor(point);
@@ -358,11 +417,11 @@ impl Network for RingNetwork {
     }
 
     fn fail_uniform<R: Rng + ?Sized>(&mut self, fraction: f64, rng: &mut R) -> usize {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0,1], got {fraction}"
-        );
-        self.fail_where(|_| rng.gen_bool(fraction))
+        // The coin's threshold is computed once, not once per node.
+        let Ok(coin) = Bernoulli::new(fraction) else {
+            panic!("fraction must be in [0,1], got {fraction}");
+        };
+        self.fail_where(|_| coin.sample(rng))
     }
 }
 
@@ -394,14 +453,16 @@ mod tests {
             ids,
             alive: full_bitset(nodes),
             alive_count: nodes,
-            sorted: Vec::new(),
+            ring: Vec::new(),
+            node_at: Vec::new(),
         };
-        net.sorted = sorted_from_scratch(&net);
+        (net.ring, net.node_at) = ring_from_scratch(&net);
         net
     }
 
-    /// Reference stabilisation: filter the alive nodes, then sort by ID.
-    fn sorted_from_scratch(net: &RingNetwork) -> Vec<(u64, usize)> {
+    /// Reference stabilisation: filter the alive nodes, sort them by ID,
+    /// and split the pairs into the ring and its node indices.
+    fn ring_from_scratch(net: &RingNetwork) -> (Vec<u64>, Vec<u32>) {
         let mut sorted: Vec<(u64, usize)> = net
             .ids
             .iter()
@@ -410,7 +471,12 @@ mod tests {
             .map(|(i, &id)| (id, i))
             .collect();
         sorted.sort_unstable_by_key(|&(id, _)| id);
-        sorted
+        sorted.into_iter().map(|(id, i)| (id, i as u32)).unzip()
+    }
+
+    /// The ring and node arrays, for comparison with [`ring_from_scratch`].
+    fn ring_arrays(net: &RingNetwork) -> (Vec<u64>, Vec<u32>) {
+        (net.ring.clone(), net.node_at.clone())
     }
 
     /// Reference greedy step: scan all 64 fingers, each found by its own
@@ -440,7 +506,7 @@ mod tests {
 
     /// `first_hop` over the reference step.
     fn first_hop_scan(net: &RingNetwork, from: NodeId, point: u64) -> Option<NodeId> {
-        if !net.is_alive(from) || net.sorted.is_empty() {
+        if !net.is_alive(from) || net.ring.is_empty() {
             return None;
         }
         let owner = net.successor(point);
@@ -457,7 +523,7 @@ mod tests {
 
     /// `route` over the reference step.
     fn route_scan(net: &RingNetwork, from: NodeId, point: u64) -> Option<Route> {
-        if !net.is_alive(from) || net.sorted.is_empty() {
+        if !net.is_alive(from) || net.ring.is_empty() {
             return None;
         }
         let owner = net.successor(point);
@@ -539,7 +605,7 @@ mod tests {
                 let start = rng.gen();
                 net.fail_arc(start, fraction / 2.0);
             }
-            assert_eq!(net.sorted, sorted_from_scratch(net));
+            assert_eq!(ring_arrays(net), ring_from_scratch(net));
         }
     }
 
@@ -635,7 +701,7 @@ mod tests {
             let mut net = RingNetwork::new(nodes, &mut rng);
             let reference = new_by_btreemap(nodes, &mut reference_rng);
             prop_assert_eq!(&net.ids, &reference.ids);
-            prop_assert_eq!(&net.sorted, &reference.sorted);
+            prop_assert_eq!(ring_arrays(&net), ring_arrays(&reference));
             prop_assert_eq!(&rng, &reference_rng);
             damage(&mut net, seed, steps, fraction);
         }
@@ -679,9 +745,30 @@ mod tests {
                     prop_assert_eq!(net.is_alive(NodeId::new(i)), flag);
                 }
                 prop_assert_eq!(net.alive_count(), alive.iter().filter(|&&a| a).count());
-                prop_assert_eq!(&net.sorted, &sorted_from_scratch(&net));
+                prop_assert_eq!(ring_arrays(&net), ring_from_scratch(&net));
             }
         }
+    }
+
+    #[test]
+    fn one_bucket_ring_sorts_in_n_log_n() {
+        // Every ID shares its top 32 bits, so the counting sort puts all
+        // 2^18 of them in one bucket. An insertion pass over that bucket
+        // would take about 2^35 steps (minutes in a debug build); the
+        // comparison sort takes well under a second.
+        let nodes = 1 << 18;
+        let mut rng = Confined {
+            inner: StdRng::seed_from_u64(13),
+            base: 0x5EED_0000_0000_0000,
+            stride: 1,
+            alphabet: 1 << 32,
+        };
+        let mut reference_rng = rng.clone();
+        let net = RingNetwork::new(nodes, &mut rng);
+        let reference = new_by_btreemap(nodes, &mut reference_rng);
+        assert_eq!(net.ids, reference.ids);
+        assert_eq!(ring_arrays(&net), ring_arrays(&reference));
+        assert_eq!(rng, reference_rng);
     }
 
     #[test]

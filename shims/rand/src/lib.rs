@@ -2,7 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so the workspace
 //! vendors the small slice of the `rand 0.8` API it actually uses:
-//! [`Rng`], [`SeedableRng`], [`rngs::StdRng`], [`seq::SliceRandom`] and
+//! [`Rng`], [`SeedableRng`], [`rngs::StdRng`],
+//! [`distributions::Bernoulli`], [`seq::SliceRandom`] and
 //! [`seq::index::sample`]. The generator is xoshiro256++ seeded through
 //! SplitMix64 — deterministic, portable and of ample statistical quality
 //! for the simulations (it is the same family the real `rand` small
@@ -156,19 +157,81 @@ pub trait Rng: RngCore {
         range.sample_from(self)
     }
 
-    /// `true` with probability `p`.
+    /// `true` with probability `p`: one [`Bernoulli`] coin, so the top
+    /// 53 bits of one draw are compared with `ceil(p·2^53)` as integers.
+    /// That is exactly the float test `gen::<f64>() < p`, coin for coin
+    /// and draw for draw. A loop flipping many coins of one `p` should
+    /// build the [`Bernoulli`] once.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
+    ///
+    /// [`Bernoulli`]: distributions::Bernoulli
     #[inline]
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool: p = {p} not in [0, 1]");
-        <f64 as Standard>::sample(self) < p
+        use distributions::{Bernoulli, Distribution};
+        match Bernoulli::new(p) {
+            Ok(coin) => coin.sample(self),
+            Err(_) => panic!("gen_bool: p = {p} not in [0, 1]"),
+        }
     }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
+
+/// Distributions a value can be sampled from.
+pub mod distributions {
+    use super::Rng;
+
+    /// Types that produce a random `T` from a generator.
+    pub trait Distribution<T> {
+        /// Draws one value.
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T;
+    }
+
+    /// A coin that comes up `true` with probability `p`.
+    ///
+    /// A sample takes the top 53 bits `m` of one 64-bit draw and returns
+    /// `m < ceil(p·2^53)`. The float test `m·2^-53 < p` gives the same
+    /// answer for every `m` and every `p` in `[0, 1]`: `m·2^-53` and
+    /// `p·2^53` are both exact (a power-of-two scaling that cannot
+    /// overflow or round), and an integer is below a real exactly when
+    /// it is below the real's ceiling. So `p = 0` never fires, `p = 1`
+    /// always does, and a subnormal `p` fires only on `m = 0`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Bernoulli {
+        /// `ceil(p·2^53)`, in `0..=2^53`.
+        threshold: u64,
+    }
+
+    /// [`Bernoulli::new`] was given a `p` outside `[0, 1]` (or NaN).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BernoulliError;
+
+    impl Bernoulli {
+        /// The coin for probability `p`.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`BernoulliError`] if `p` is not in `[0, 1]`.
+        pub fn new(p: f64) -> Result<Self, BernoulliError> {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(BernoulliError);
+            }
+            Ok(Bernoulli {
+                threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+            })
+        }
+    }
+
+    impl Distribution<bool> for Bernoulli {
+        #[inline]
+        fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+            rng.next_u64() >> 11 < self.threshold
+        }
+    }
+}
 
 /// Construction of reproducible generators from seeds.
 pub trait SeedableRng: Sized {
@@ -395,6 +458,23 @@ mod tests {
     }
 
     #[test]
+    fn bernoulli_rejects_probabilities_outside_the_unit_interval() {
+        use super::distributions::Bernoulli;
+        for p in [
+            f64::NAN,
+            -f64::MIN_POSITIVE,
+            -1.0,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+        ] {
+            assert!(Bernoulli::new(p).is_err(), "p = {p}");
+        }
+        for p in [-0.0, 0.0, f64::MIN_POSITIVE, 0.5, 1.0] {
+            assert!(Bernoulli::new(p).is_ok(), "p = {p}");
+        }
+    }
+
+    #[test]
     fn sample_is_without_replacement() {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..100 {
@@ -492,5 +572,100 @@ mod tests {
         let _ = takes_generic(&mut rng);
         let re: &mut StdRng = &mut rng;
         let _ = takes_generic(re);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::distributions::{Bernoulli, Distribution};
+    use super::rngs::StdRng;
+    use super::{Rng, RngCore, SeedableRng};
+    use proptest::prelude::*;
+
+    /// `2^-53`, the spacing of the float coin's grid.
+    const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// The float coin `gen_bool` used to flip: a `[0, 1)` sample with 53
+    /// bits of precision, compared with `p`.
+    fn float_coin<R: RngCore>(rng: &mut R, p: f64) -> bool {
+        (rng.next_u64() >> 11) as f64 * ULP < p
+    }
+
+    /// Replays a fixed list of words.
+    #[derive(Debug, PartialEq)]
+    struct Replay {
+        words: Vec<u64>,
+        next: usize,
+    }
+
+    impl RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            let word = self.words[self.next % self.words.len()];
+            self.next += 1;
+            word
+        }
+    }
+
+    /// A probability in `[0, 1]`: the ends, the grid's first and last
+    /// steps, grid points and their float neighbours, subnormals, every
+    /// float of the interval by bit pattern, and uniform values.
+    fn probability() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0),
+            Just(ULP),
+            Just(1.0 - ULP),
+            Just(f64::MIN_POSITIVE),
+            (0u64..=1 << 53).prop_map(|k| k as f64 * ULP),
+            ((1u64..1 << 53), 0usize..2).prop_map(|(k, side)| {
+                let bits = (k as f64 * ULP).to_bits();
+                f64::from_bits(if side == 0 { bits - 1 } else { bits + 1 })
+            }),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (0u64..=1.0f64.to_bits()).prop_map(f64::from_bits),
+            0.0f64..1.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        #[test]
+        fn integer_gen_bool_matches_the_float_coin(
+            p in probability(),
+            seed in any::<u64>(),
+            coins in 1usize..64,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = rng.clone();
+            for _ in 0..coins {
+                prop_assert_eq!(rng.gen_bool(p), float_coin(&mut reference, p));
+            }
+            prop_assert_eq!(&rng, &reference);
+        }
+
+        #[test]
+        fn bernoulli_matches_the_float_coin_at_its_threshold(
+            p in probability(),
+            low in any::<u64>(),
+            top in any::<u64>(),
+        ) {
+            // Draws whose top 53 bits sit on, just below and just above
+            // the grid point nearest `p·2^53`, plus the extreme words.
+            let m = (p * (1u64 << 53) as f64) as u64;
+            let mut words = vec![0, u64::MAX, top];
+            for near in [m.saturating_sub(1), m, m + 1] {
+                let near = near.min((1 << 53) - 1);
+                words.push(near << 11 | low >> 53);
+            }
+            let coin = Bernoulli::new(p).expect("p is in [0, 1]");
+            let mut rng = Replay { words: words.clone(), next: 0 };
+            let mut reference = Replay { words, next: 0 };
+            for _ in 0..rng.words.len() {
+                prop_assert_eq!(coin.sample(&mut rng), float_coin(&mut reference, p));
+            }
+            prop_assert_eq!(&rng, &reference);
+        }
     }
 }
