@@ -9,7 +9,11 @@
 //!   the paper uses 100);
 //! * `--paper` — paper fidelity (100 runs);
 //! * `--quick` — smoke-test sizes for CI;
-//! * `--out=DIR` — output directory (default `results/`).
+//! * `--out=DIR` — output directory (default `results/`);
+//! * `--seed=S` — base seed.
+//!
+//! Any other argument, or a value that does not parse, is an error: the
+//! binary exits with status 2 before it runs or writes anything.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,15 +46,29 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Parses `std::env::args`, ignoring unknown flags.
+    /// Parses `std::env::args`. An unknown flag or an unparsable value
+    /// prints the error and the accepted flags, then exits with status 2
+    /// before the binary does any work or writes any file.
     pub fn from_args() -> Self {
+        RunOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: [--runs=N] [--paper] [--quick] [--out=DIR] [--seed=S]");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses harness flags (without the program name). Flags apply in
+    /// order, so `--quick` caps only the run count set before it.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOpts::default();
-        for arg in std::env::args().skip(1) {
+        for arg in args {
             if let Some(v) = arg.strip_prefix("--runs=") {
-                opts.runs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("warning: bad --runs value {v:?}, keeping {}", opts.runs);
-                    opts.runs
-                });
+                opts.runs = match v.parse() {
+                    Ok(0) | Err(_) => {
+                        return Err(format!("--runs expects a positive integer, got {v:?}"))
+                    }
+                    Ok(n) => n,
+                };
             } else if arg == "--paper" {
                 opts.runs = 100;
             } else if arg == "--quick" {
@@ -59,12 +77,16 @@ impl RunOpts {
             } else if let Some(v) = arg.strip_prefix("--out=") {
                 opts.out_dir = PathBuf::from(v);
             } else if let Some(v) = arg.strip_prefix("--seed=") {
-                opts.seed = v.parse().unwrap_or(opts.seed);
+                opts.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed expects an unsigned integer, got {v:?}"))?;
             } else {
-                eprintln!("warning: unknown argument {arg:?}");
+                return Err(format!(
+                    "unknown argument {arg:?} (value flags take the form --flag=VALUE)"
+                ));
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Prints a rendered table to stdout and writes its CSV twin to
@@ -111,5 +133,37 @@ mod tests {
         let o = RunOpts::default();
         assert_eq!(o.runs, 40);
         assert!(!o.quick);
+    }
+
+    fn parse(args: &[&str]) -> Result<RunOpts, String> {
+        RunOpts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_accepts_every_documented_flag() {
+        let o = parse(&["--runs=12", "--out=/x", "--seed=7"]).unwrap();
+        assert_eq!((o.runs, o.seed, o.quick), (12, 7, false));
+        assert_eq!(o.out_dir, PathBuf::from("/x"));
+        assert_eq!(parse(&["--paper"]).unwrap().runs, 100);
+        assert_eq!(parse(&["--paper", "--quick"]).unwrap().runs, 8);
+        assert_eq!(parse(&["--quick", "--runs=30"]).unwrap().runs, 30);
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags_and_bad_values() {
+        for bad in [
+            &["--runs", "100"][..],
+            &["--seed=abc"],
+            &["--runs=x"],
+            &["--runs=0"],
+            &["--runs=-3"],
+            &["--seed=-1"],
+            &["--quick", "--bogus"],
+            &["fig6"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+        let e = parse(&["--runs", "100"]).unwrap_err();
+        assert!(e.contains("\"--runs\""), "{e}");
     }
 }

@@ -7,7 +7,7 @@ use prlc_cli::{decode, encode, info, DecodeOptions, EncodeOptions};
 use prlc_core::{PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
 use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
-use prlc_obs::baseline::envelope_json;
+use prlc_obs::baseline::{envelope_json, Tolerances};
 use prlc_sim::{
     bench_file_name, every_epoch, fmt_f, results_json, rows_table, run_bench_probe,
     run_probe_and_reset, runner, simulate_decoding_curve_with_threads, CurveConfig, Event, Measure,
@@ -433,11 +433,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let persistence = scheme_flag(args)?;
     let profile = levels_flag(args)?;
     let distribution = PriorityDistribution::uniform(profile.num_levels());
-    let max_blocks = parse_or(
-        args,
-        "--max-blocks",
-        profile.total_blocks().saturating_mul(3),
-    )?;
+    let max_blocks = max_blocks_flag(args, &profile)?;
     let runs: usize = parse_or(args, "--runs", 100)?;
     if runs == 0 {
         return Err("--runs must be at least 1".into());
@@ -585,6 +581,24 @@ fn threads_flag(args: &[String]) -> Result<usize, String> {
     }
 }
 
+/// Most coded blocks a decoding curve (`sim`, `trace`) replays: each run
+/// keeps one sample per block, so an absurd count would only exhaust
+/// memory.
+const MAX_BLOCKS: usize = 10_000_000;
+
+/// `--max-blocks`, defaulting to three times the profile's block count.
+fn max_blocks_flag(args: &[String], profile: &PriorityProfile) -> Result<usize, String> {
+    let max_blocks = parse_or(
+        args,
+        "--max-blocks",
+        profile.total_blocks().saturating_mul(3),
+    )?;
+    if max_blocks > MAX_BLOCKS {
+        return Err(format!("--max-blocks must be at most {MAX_BLOCKS}"));
+    }
+    Ok(max_blocks)
+}
+
 /// `--levels a,b,c` as a priority profile, defaulting to `2,3,5`.
 fn levels_flag(args: &[String]) -> Result<PriorityProfile, String> {
     let sizes = parse_list(flag_value(args, "--levels")?.as_deref().unwrap_or("2,3,5"))
@@ -596,32 +610,14 @@ fn levels_flag(args: &[String]) -> Result<PriorityProfile, String> {
 /// write fresh `BENCH_<probe>.json` baselines (default) or diff the
 /// suite against committed baselines and gate on the result (--check).
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    use prlc_obs::baseline::{diff_envelopes, findings_json, Tolerances};
+    use prlc_obs::baseline::{diff_envelopes, findings_json};
 
-    let check = has_flag(args, "--check");
-    let probes: Vec<String> = match flag_value(args, "--probe")? {
-        Some(v) => {
-            let list: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
-            for p in &list {
-                if !BENCH_PROBES.contains(&p.as_str()) {
-                    return Err(format!(
-                        "unknown probe {p:?} (want one of {})",
-                        BENCH_PROBES.join(", ")
-                    ));
-                }
-            }
-            list
-        }
-        None => BENCH_PROBES.iter().map(|s| s.to_string()).collect(),
-    };
-    let threads = threads_flag(args)?;
-    let mut tol = Tolerances::default();
-    if let Some(v) = flag_value(args, "--tolerance")? {
-        tol.throughput_factor = parse_band_factor(&v, "--tolerance")?;
-    }
-    if let Some(v) = flag_value(args, "--wall-tolerance")? {
-        tol.wall_factor = parse_band_factor(&v, "--wall-tolerance")?;
-    }
+    let BenchOptions {
+        check,
+        probes,
+        threads,
+        tol,
+    } = bench_options(args)?;
 
     // Baseline envelopes always carry the deterministic metrics block
     // and the trace digest, so the check has exact fields to hold.
@@ -708,6 +704,46 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// `prlc bench`'s parsed flags, apart from the paths it reads or writes.
+struct BenchOptions {
+    check: bool,
+    probes: Vec<String>,
+    threads: usize,
+    tol: Tolerances,
+}
+
+fn bench_options(args: &[String]) -> Result<BenchOptions, String> {
+    let probes: Vec<String> = match flag_value(args, "--probe")? {
+        Some(v) => {
+            let list: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
+            for p in &list {
+                if !BENCH_PROBES.contains(&p.as_str()) {
+                    return Err(format!(
+                        "unknown probe {p:?} (want one of {})",
+                        BENCH_PROBES.join(", ")
+                    ));
+                }
+            }
+            list
+        }
+        None => BENCH_PROBES.iter().map(|s| s.to_string()).collect(),
+    };
+    let threads = threads_flag(args)?;
+    let mut tol = Tolerances::default();
+    if let Some(v) = flag_value(args, "--tolerance")? {
+        tol.throughput_factor = parse_band_factor(&v, "--tolerance")?;
+    }
+    if let Some(v) = flag_value(args, "--wall-tolerance")? {
+        tol.wall_factor = parse_band_factor(&v, "--wall-tolerance")?;
+    }
+    Ok(BenchOptions {
+        check: has_flag(args, "--check"),
+        probes,
+        threads,
+        tol,
+    })
+}
+
 /// Parses a tolerance band factor: a finite number >= 1.
 fn parse_band_factor(v: &str, flag: &str) -> Result<f64, String> {
     let f: f64 = v.parse().map_err(|_| format!("bad {flag}"))?;
@@ -788,27 +824,14 @@ fn finish_trace(dest: &str, format: &str) -> Result<String, String> {
 /// causal tracer on and print the per-level decode waterfall (coded
 /// blocks consumed at each level unlock).
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let scheme = match flag_value(args, "--scheme")?
-        .map(|s| s.to_ascii_lowercase())
-        .as_deref()
-    {
-        None | Some("plc") => Scheme::Plc,
-        Some("rlc") => Scheme::Rlc,
-        Some("slc") => Scheme::Slc,
-        Some(_) => return Err("trace: bad --scheme (rlc|slc|plc)".into()),
-    };
-    let profile = levels_flag(args)?;
-    let max_blocks = parse_or(
-        args,
-        "--max-blocks",
-        profile.total_blocks().saturating_mul(3),
-    )?;
-    let seed = parse_or(args, "--seed", 1)?;
-    let out = flag_value(args, "--out")?;
-    let format = flag_value(args, "--format")?.unwrap_or_else(|| "json".to_string());
-    if format != "json" && format != "chrome" {
-        return Err(format!("--format must be json|chrome, got {format:?}"));
-    }
+    let TraceOptions {
+        scheme,
+        profile,
+        max_blocks,
+        seed,
+        out,
+        format,
+    } = trace_options(args)?;
 
     print_kernel_header("trace");
     println!(
@@ -865,6 +888,44 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         finish_trace(&dest, &format)?;
     }
     Ok(())
+}
+
+/// `prlc trace`'s parsed flags.
+struct TraceOptions {
+    scheme: Scheme,
+    profile: PriorityProfile,
+    max_blocks: usize,
+    seed: u64,
+    out: Option<String>,
+    format: String,
+}
+
+fn trace_options(args: &[String]) -> Result<TraceOptions, String> {
+    let scheme = match flag_value(args, "--scheme")?
+        .map(|s| s.to_ascii_lowercase())
+        .as_deref()
+    {
+        None | Some("plc") => Scheme::Plc,
+        Some("rlc") => Scheme::Rlc,
+        Some("slc") => Scheme::Slc,
+        Some(_) => return Err("trace: bad --scheme (rlc|slc|plc)".into()),
+    };
+    let profile = levels_flag(args)?;
+    let max_blocks = max_blocks_flag(args, &profile)?;
+    let seed = parse_or(args, "--seed", 1)?;
+    let out = flag_value(args, "--out")?;
+    let format = flag_value(args, "--format")?.unwrap_or_else(|| "json".to_string());
+    if format != "json" && format != "chrome" {
+        return Err(format!("--format must be json|chrome, got {format:?}"));
+    }
+    Ok(TraceOptions {
+        scheme,
+        profile,
+        max_blocks,
+        seed,
+        out,
+        format,
+    })
 }
 
 /// Most epochs a networked `sim` accepts: a scenario lists each epoch's
@@ -1167,6 +1228,12 @@ mod tests {
         "creep",
         "json",
         "chrome",
+        "text",
+        "kernel",
+        "timeline,sparse",
+        "lossy,",
+        "10000000",
+        "10000001",
         "é",
     ];
 
@@ -1198,9 +1265,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10_000))]
 
-        /// Flag checking and the networked `sim` parser return `Ok` or
-        /// `Err` on any argument vector; none of them panics. Nothing
-        /// runs: `sim_scenario` only builds the scenario.
+        /// Flag checking, the networked `sim` parser and the `trace`
+        /// and `bench` option parsers return `Ok` or `Err` on any
+        /// argument vector; none of them panics. Nothing runs:
+        /// `sim_scenario` only builds the scenario.
         #[test]
         fn argument_parsing_never_panics(
             args in prop::collection::vec(argument(), 0..12),
@@ -1208,6 +1276,15 @@ mod tests {
             for command in COMMANDS {
                 let (values, switches) = accepted_flags(command).unwrap_or_default();
                 let _ = check_flags(command, &args, values, switches);
+            }
+            if let Ok(trace) = trace_options(&args) {
+                prop_assert!(trace.max_blocks <= MAX_BLOCKS);
+                prop_assert!(trace.format == "json" || trace.format == "chrome");
+            }
+            if let Ok(bench) = bench_options(&args) {
+                prop_assert!(bench.threads >= 1);
+                prop_assert!(bench.tol.throughput_factor >= 1.0 && bench.tol.wall_factor >= 1.0);
+                prop_assert!(bench.probes.iter().all(|p| BENCH_PROBES.contains(&p.as_str())));
             }
             let persistence = scheme_flag(&args);
             let profile = levels_flag(&args);
@@ -1281,6 +1358,18 @@ mod tests {
             Ok(Checked::Run(first)) => assert_eq!(first, Some("shards")),
             Ok(Checked::Help) => panic!("no help was asked for"),
             Err(e) => panic!("{e}"),
+        }
+    }
+
+    #[test]
+    fn max_blocks_is_capped_before_anything_allocates() {
+        let args = |v: &str| vec!["--max-blocks".to_string(), v.to_string()];
+        let profile = PriorityProfile::new(vec![2, 3, 5]).unwrap();
+        assert_eq!(max_blocks_flag(&[], &profile), Ok(30));
+        assert_eq!(max_blocks_flag(&args("10000000"), &profile), Ok(MAX_BLOCKS));
+        for bad in ["10000001", "18446744073709551615", "-1", "x"] {
+            assert!(max_blocks_flag(&args(bad), &profile).is_err(), "{bad}");
+            assert!(trace_options(&args(bad)).is_err(), "{bad}");
         }
     }
 }

@@ -468,6 +468,25 @@ fn sim_rejects_zero_runs_without_panicking() {
     }
 }
 
+/// A huge `--max-blocks` is an error, not a capacity-overflow panic in
+/// the curve's sample buffer.
+#[test]
+fn huge_max_blocks_is_rejected_without_panicking() {
+    for command in ["sim", "trace"] {
+        let out = prlc()
+            .args([command, "--max-blocks", "4611686018427387904"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {err}");
+        assert!(
+            err.contains("--max-blocks must be at most"),
+            "{command}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}
+
 /// A lossy-collection grid deploys with `--fanout` (fewer source blocks
 /// per cached block, so different results) and with `--coeff` (a storage
 /// choice only, so identical results).

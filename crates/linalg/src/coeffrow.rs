@@ -212,13 +212,15 @@ impl<F: GfElem> CoeffRow<F> {
         }
     }
 
-    /// The smallest index `>= from` holding a nonzero coefficient.
-    pub fn first_nonzero_at_or_after(&self, from: usize) -> Option<usize> {
+    /// The largest index `< end` holding a nonzero coefficient.
+    pub fn last_nonzero_before(&self, end: usize) -> Option<usize> {
         match &self.repr {
-            Repr::Dense { data, support } => (from..*support).find(|&j| !data[j].is_zero()),
+            Repr::Dense { data, support } => {
+                data[..end.min(*support)].iter().rposition(|c| !c.is_zero())
+            }
             Repr::Sparse { entries, .. } => {
-                let p = entries.partition_point(|&(i, _)| (i as usize) < from);
-                entries.get(p).map(|&(i, _)| i as usize)
+                let p = entries.partition_point(|&(i, _)| (i as usize) < end);
+                p.checked_sub(1).map(|q| entries[q].0 as usize)
             }
         }
     }
@@ -273,21 +275,22 @@ impl<F: GfElem> CoeffRow<F> {
         }
     }
 
-    /// `self[i] += factor · other[i]` for every `i >= start` — the row
-    /// operation of Gauss–Jordan elimination, restricted to the suffix
-    /// the caller knows can change.
+    /// `self[i] += factor · other[i]` for every `i` in `range` — the row
+    /// operation of Gauss–Jordan elimination, restricted to the columns
+    /// the caller knows can change. Entries outside `range` are kept.
     ///
-    /// Dense-into-dense lowers to exactly
-    /// `kernel::axpy(&mut self[start..end], factor, &other[start..end])`
-    /// with `end = max(self.support, other.support)` — byte-for-byte the
-    /// pre-`CoeffRow` elimination kernel call, so dense runs keep their
-    /// pinned `gf.*` byte counters.
+    /// Dense-into-dense lowers to exactly one
+    /// `kernel::axpy(&mut self[lo..hi], factor, &other[lo..hi])` with
+    /// `hi = min(range.end, max(self.support, other.support))` and
+    /// `lo = min(range.start, hi)`: the kernel never reads past either
+    /// row's support.
     ///
     /// # Panics
     ///
-    /// Panics if the row lengths differ.
-    pub fn axpy_from(&mut self, start: usize, factor: F, other: &CoeffRow<F>) {
+    /// Panics if the row lengths differ or `range.end > len`.
+    pub fn axpy_range(&mut self, range: Range<usize>, factor: F, other: &CoeffRow<F>) {
         assert_eq!(self.len(), other.len(), "coefficient width mismatch");
+        assert!(range.end <= self.len(), "axpy range out of bounds");
         if factor.is_zero() {
             return;
         }
@@ -299,26 +302,25 @@ impl<F: GfElem> CoeffRow<F> {
                     support: osupport,
                 },
             ) => {
-                let end = (*support).max(*osupport);
-                let from = start.min(end);
-                kernel::axpy(&mut data[from..end], factor, &odata[from..end]);
-                *support = end;
+                let hi = range.end.min((*support).max(*osupport));
+                let lo = range.start.min(hi);
+                kernel::axpy(&mut data[lo..hi], factor, &odata[lo..hi]);
+                *support = (*support).max(hi);
             }
             (Repr::Dense { data, support }, Repr::Sparse { entries, .. }) => {
-                for &(i, v) in entries {
+                let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
+                let hi = entries.partition_point(|&(i, _)| (i as usize) < range.end);
+                for &(i, v) in &entries[lo..hi] {
                     let i = i as usize;
-                    if i < start {
-                        continue;
-                    }
                     data[i] = data[i].gf_add(factor.gf_mul(v));
                 }
-                *support = (*support).max(other.support());
+                *support = (*support).max(other.support().min(range.end));
             }
             (Repr::Sparse { .. }, Repr::Dense { .. }) => {
                 // Mixed-representation runs are the escape hatch, not the
                 // hot path: fall back to the dense kernel.
                 self.densify();
-                self.axpy_from(start, factor, other);
+                self.axpy_range(range, factor, other);
             }
             (
                 Repr::Sparse { entries, .. },
@@ -326,7 +328,7 @@ impl<F: GfElem> CoeffRow<F> {
                     entries: oentries, ..
                 },
             ) => {
-                *entries = merge_axpy(entries, start as u32, factor, oentries);
+                *entries = merge_axpy(entries, range, factor, oentries);
                 self.maybe_densify();
             }
         }
@@ -338,7 +340,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// Dense-into-dense lowers to one full-length
     /// `kernel::axpy(&mut self[..], factor, &other[..])`, exactly the
     /// pre-`CoeffRow` repair kernel call; other pairings delegate to
-    /// [`axpy_from`](Self::axpy_from).
+    /// [`axpy_range`](Self::axpy_range).
     ///
     /// # Panics
     ///
@@ -351,29 +353,32 @@ impl<F: GfElem> CoeffRow<F> {
             kernel::axpy(data, factor, odata);
             *support = data.len();
         } else {
-            self.axpy_from(0, factor, other);
+            self.axpy_range(0..self.len(), factor, other);
         }
     }
 
-    /// `self[i] *= c` for every `i >= start` — pivot normalisation.
+    /// `self[i] *= c` for every `i` in `range` — pivot normalisation.
     ///
     /// Dense lowers to exactly
-    /// `kernel::scale_slice(&mut self[start..support], c)`.
+    /// `kernel::scale_slice(&mut self[lo..hi], c)` with
+    /// `hi = min(range.end, support)` and `lo = min(range.start, hi)`.
     ///
     /// # Panics
     ///
     /// Panics if `c` is zero (scaling a row by zero is never a valid
     /// elimination step).
-    pub fn scale_from(&mut self, start: usize, c: F) {
+    pub fn scale_range(&mut self, range: Range<usize>, c: F) {
         assert!(!c.is_zero(), "scale by zero");
         match &mut self.repr {
             Repr::Dense { data, support } => {
-                let from = start.min(*support);
-                kernel::scale_slice(&mut data[from..*support], c);
+                let hi = range.end.min(*support);
+                let lo = range.start.min(hi);
+                kernel::scale_slice(&mut data[lo..hi], c);
             }
             Repr::Sparse { entries, .. } => {
-                let p = entries.partition_point(|&(i, _)| (i as usize) < start);
-                for e in &mut entries[p..] {
+                let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
+                let hi = entries.partition_point(|&(i, _)| (i as usize) < range.end);
+                for e in &mut entries[lo..hi] {
                     // c is nonzero, so nonzero values stay nonzero.
                     e.1 = e.1.gf_mul(c);
                 }
@@ -450,55 +455,53 @@ impl<F: GfElem> CoeffRow<F> {
     }
 }
 
-/// Merge-based sparse axpy: `self + factor · other` over indices
-/// `>= start`, with `self`'s entries below `start` kept untouched.
+/// Merge-based sparse axpy: `self + factor · other` over the indices in
+/// `range`, with `self`'s entries outside `range` kept untouched.
 fn merge_axpy<F: GfElem>(
     entries: &[(u32, F)],
-    start: u32,
+    range: Range<usize>,
     factor: F,
     other: &[(u32, F)],
 ) -> Vec<(u32, F)> {
-    let mut i = entries.partition_point(|&(idx, _)| idx < start);
-    let mut j = other.partition_point(|&(idx, _)| idx < start);
-    let mut out = Vec::with_capacity(entries.len() + (other.len() - j));
-    out.extend_from_slice(&entries[..i]);
-    while i < entries.len() || j < other.len() {
-        let si = entries.get(i).map(|&(idx, _)| idx);
-        let oj = other.get(j).map(|&(idx, _)| idx);
-        match (si, oj) {
-            (Some(a), Some(b)) if a == b => {
-                let v = entries[i].1.gf_add(factor.gf_mul(other[j].1));
-                if !v.is_zero() {
-                    out.push((a, v));
-                }
-                i += 1;
-                j += 1;
+    let bounds = |v: &[(u32, F)]| {
+        (
+            v.partition_point(|&(idx, _)| (idx as usize) < range.start),
+            v.partition_point(|&(idx, _)| (idx as usize) < range.end),
+        )
+    };
+    let (lo, hi) = bounds(entries);
+    let (olo, ohi) = bounds(other);
+    let (mut a, mut b) = (&entries[lo..hi], &other[olo..ohi]);
+    let mut out = Vec::with_capacity(entries.len() + b.len());
+    out.extend_from_slice(&entries[..lo]);
+    let mut push = |idx: u32, v: F| {
+        if !v.is_zero() {
+            out.push((idx, v));
+        }
+    };
+    loop {
+        match (a.first(), b.first()) {
+            (Some(&(i, x)), Some(&(j, y))) if i == j => {
+                push(i, x.gf_add(factor.gf_mul(y)));
+                a = &a[1..];
+                b = &b[1..];
             }
-            (Some(a), Some(b)) if a < b => {
-                out.push(entries[i]);
-                i += 1;
+            (Some(&(i, x)), Some(&(j, _))) if i < j => {
+                push(i, x);
+                a = &a[1..];
             }
-            (Some(_), Some(b)) => {
-                let v = factor.gf_mul(other[j].1);
-                if !v.is_zero() {
-                    out.push((b, v));
-                }
-                j += 1;
+            (_, Some(&(j, y))) => {
+                push(j, factor.gf_mul(y));
+                b = &b[1..];
             }
-            (Some(_), None) => {
-                out.push(entries[i]);
-                i += 1;
+            (Some(&(i, x)), None) => {
+                push(i, x);
+                a = &a[1..];
             }
-            (None, Some(b)) => {
-                let v = factor.gf_mul(other[j].1);
-                if !v.is_zero() {
-                    out.push((b, v));
-                }
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
+            (None, None) => break,
         }
     }
+    out.extend_from_slice(&entries[hi..]);
     out
 }
 
@@ -580,7 +583,7 @@ mod tests {
             assert_eq!(r.nnz(), 0);
             assert!(r.is_zero_row());
             assert_eq!(r.support(), 0);
-            assert_eq!(r.first_nonzero_at_or_after(0), None);
+            assert_eq!(r.last_nonzero_before(5), None);
         }
     }
 
@@ -596,18 +599,26 @@ mod tests {
     }
 
     #[test]
-    fn get_and_first_nonzero_agree() {
+    fn get_and_last_nonzero_agree() {
         let vals = [0, 7, 0, 3, 0, 9, 0];
         let d = dense(&vals);
         let s = sparse(7, &vals);
         for i in 0..7 {
             assert_eq!(d.get(i), s.get(i));
-            assert_eq!(
-                d.first_nonzero_at_or_after(i),
-                s.first_nonzero_at_or_after(i)
-            );
             assert_eq!(d.count_nonzeros_from(i), s.count_nonzeros_from(i));
         }
+        for (end, want) in [
+            (0, None),
+            (1, None),
+            (2, Some(1)),
+            (4, Some(3)),
+            (5, Some(3)),
+        ] {
+            assert_eq!(d.last_nonzero_before(end), want, "end={end}");
+            assert_eq!(s.last_nonzero_before(end), want, "end={end}");
+        }
+        assert_eq!(d.last_nonzero_before(7), Some(5));
+        assert_eq!(s.last_nonzero_before(7), Some(5));
         assert_eq!(d.nnz(), 3);
         assert_eq!(s.nnz(), 3);
         assert_eq!(d.support(), 6);
@@ -643,10 +654,10 @@ mod tests {
         let a = [1, 0, 2, 0, 3, 0, 0, 0];
         let b = [0, 0, 4, 5, 0, 6, 0, 0];
         let factor = g(7);
-        for start in [0usize, 2, 4, 8] {
+        for range in [0..8, 2..8, 4..8, 8..8, 0..3, 0..5, 3..6, 0..0] {
             let mut want: Vec<Gf256> = a.iter().map(|&v| g(v)).collect();
             for (i, w) in want.iter_mut().enumerate() {
-                if i >= start {
+                if range.contains(&i) {
                     *w = w.gf_add(factor.gf_mul(g(b[i])));
                 }
             }
@@ -662,28 +673,36 @@ mod tests {
                     } else {
                         sparse(8, &b)
                     };
-                    x.axpy_from(start, factor, &y);
+                    x.axpy_range(range.clone(), factor, &y);
                     assert_eq!(
                         x.to_dense_vec(),
                         want,
-                        "start={start} {self_rep:?}+={other_rep:?}"
+                        "range={range:?} {self_rep:?}+={other_rep:?}"
                     );
+                    assert!(x.support() >= trailing_support(&want));
                 }
             }
         }
     }
 
     #[test]
-    fn scale_from_agrees_across_reps() {
+    fn scale_range_agrees_across_reps() {
         let vals = [1, 0, 2, 3, 0, 4];
         let c = g(11);
-        for start in [0usize, 3, 6] {
+        for range in [0..6, 3..6, 6..6, 0..3, 2..4] {
             let mut d = dense(&vals);
             let mut s = sparse(6, &vals);
-            d.scale_from(start, c);
-            s.scale_from(start, c);
-            assert_eq!(d, s, "start={start}");
-            assert_eq!(d.get(0), if start == 0 { g(1).gf_mul(c) } else { g(1) });
+            d.scale_range(range.clone(), c);
+            s.scale_range(range.clone(), c);
+            assert_eq!(d, s, "range={range:?}");
+            for (i, &v) in vals.iter().enumerate() {
+                let want = if range.contains(&i) {
+                    g(v).gf_mul(c)
+                } else {
+                    g(v)
+                };
+                assert_eq!(d.get(i), want, "range={range:?} i={i}");
+            }
         }
     }
 
@@ -716,8 +735,13 @@ mod tests {
         let mut a = dense(&[1, 0, 0, 0, 0, 0]);
         assert_eq!(a.support(), 1);
         let b = dense(&[0, 0, 0, 5, 0, 0]);
-        a.axpy_from(0, g(2), &b);
+        a.axpy_range(0..6, g(2), &b);
         assert_eq!(a.support(), 4);
+        // A bounded axpy never widens past its range.
+        let mut c = dense(&[1, 0, 0, 0, 0, 0]);
+        c.axpy_range(0..3, g(2), &b);
+        assert_eq!(c.support(), 3);
+        assert_eq!(c.to_dense_vec(), dense(&[1, 0, 0, 0, 0, 0]).to_dense_vec());
         a.normalize_support();
         assert_eq!(a.support(), 4);
     }
@@ -743,6 +767,6 @@ mod tests {
     fn axpy_width_mismatch_panics() {
         let mut a: CoeffRow<Gf256> = CoeffRow::zero(3, CoeffRep::Dense);
         let b: CoeffRow<Gf256> = CoeffRow::zero(4, CoeffRep::Dense);
-        a.axpy_from(0, g(1), &b);
+        a.axpy_range(0..3, g(1), &b);
     }
 }

@@ -1,4 +1,5 @@
-//! The progressive Gauss–Jordan (RREF) partial decoder.
+//! The progressive Gauss–Jordan partial decoder, kept in *reverse*
+//! reduced row-echelon form.
 //!
 //! Implements the decoding algorithm of Sec. 3.2 of the paper: "As each
 //! new coded block is accumulated, the coding coefficients of the coded
@@ -7,12 +8,37 @@
 //! with identical operations performed on the data blocks as well — such
 //! that the matrix is reduced to RREF."
 //!
-//! The machine maintains the invariant that its stored rows are always in
-//! reduced row-echelon form (up to row order). An unknown `x_c` is
-//! *decoded* exactly when the pivot row owning column `c` has a single
-//! nonzero coefficient: in RREF a pivot row's off-pivot nonzeros can only
-//! sit in non-pivot (free) columns, so any such entry means `x_c` still
-//! depends on an undetermined variable.
+//! # Reverse RREF
+//!
+//! The machine keeps its stored rows in reduced echelon form with the
+//! column order reversed: each row pivots on its *last* nonzero, the
+//! pivot is normalised to 1, and every pivot column is zero in every
+//! other row. Rotating the pivot-sorted matrix by 180° gives an ordinary
+//! RREF, so every property of the paper's RREF carries over.
+//!
+//! The reversal is what PLC's structure asks for. A level-`k` block has
+//! support `[0, b_k)`, and Lemma 2 says the first `b_k` unknowns depend
+//! only on rows whose support lies inside `[0, b_k)`. A row pivoting on
+//! its last nonzero is zero right of its pivot, so eliminating column
+//! `c` with the row that owns it touches only `[0, c]`, and
+//! back-eliminating a new pivot `pc` touches only `[0, pc]` of rows
+//! whose pivot is right of `pc`. No row ever gains a nonzero at or past
+//! the support it arrived with: a level-1 row is never widened by an
+//! early level-5 pivot, which a first-nonzero pivot rule would do.
+//!
+//! # Exact solved-tracking
+//!
+//! An unknown `x_c` is *decoded* exactly when `e_c` lies in the row
+//! space, a property of the rows held, not of the echelon form chosen.
+//! In either reduced form a pivot row's off-pivot nonzeros sit only in
+//! non-pivot (free) columns, so `x_c` is determined exactly when the
+//! pivot row owning column `c` has a single nonzero. Determinedness,
+//! [`decoded_count`](ProgressiveRref::decoded_count),
+//! [`is_decoded`](ProgressiveRref::is_decoded),
+//! [`newly_solved`](ProgressiveRref::newly_solved) and
+//! [`recovered`](ProgressiveRref::recovered) are therefore the same as
+//! under forward RREF; only the pivot column reported for an innovative
+//! row names its last nonzero rather than its first.
 //!
 //! # Performance
 //!
@@ -20,18 +46,18 @@
 //! `width = 1000` for thousands of insertions per run, so the hot paths
 //! are engineered:
 //!
-//! * rows are stored as [`CoeffRow`]s: dense rows track their *support*
-//!   (exclusive upper bound of the nonzero region — for PLC a level-`k`
-//!   row has support `b_k`) and all row operations touch only
-//!   `pivot..support`, while sparse rows store only their `(index,
-//!   value)` pairs so elimination costs `O(nnz)` per colliding pivot;
-//! * each row keeps a *witness*: its first nonzero column right of the
-//!   pivot, or none once the row is solved. Back-elimination by a new
-//!   pivot `pc` touches only rows with a nonzero at `pc`, which forces
-//!   `witness <= pc`, and leaves every column left of `pc` unchanged. So
-//!   a row rescans (from `pc + 1`) only when its witness *was* `pc`;
-//!   otherwise solved-tracking costs O(1) per touched row and decoded
-//!   queries are O(1);
+//! * rows are stored as [`CoeffRow`]s: dense rows track their support
+//!   and every row operation is bounded to `[0, c]` for the column `c`
+//!   it clears, while sparse rows store only their `(index, value)`
+//!   pairs so elimination costs `O(nnz)` per colliding pivot;
+//! * each row keeps a *witness*: its last nonzero column left of the
+//!   pivot, or none once the row is solved. A row can hold a new pivot
+//!   column `pc` only if its witness is at least `pc`, so
+//!   back-elimination skips every other row without reading it, and it
+//!   leaves every column right of `pc` unchanged. So a row rescans
+//!   (downward from `pc`) only when its witness *was* `pc`; otherwise
+//!   solved-tracking costs O(1) per touched row and decoded queries are
+//!   O(1);
 //! * dense bulk operations route through the dispatched
 //!   [`kernel`](prlc_gf::kernel) (product table or SIMD nibble-shuffle
 //!   for GF(2⁸), selected once at startup), and payloads are mirrored
@@ -48,7 +74,7 @@ use crate::payload::RowPayload;
 pub enum InsertOutcome {
     /// The block increased the rank; its pivot landed in this column.
     Innovative {
-        /// The column of the new pivot.
+        /// The column of the new pivot: the reduced row's last nonzero.
         pivot: usize,
     },
     /// The block was a linear combination of already-held blocks and was
@@ -68,10 +94,10 @@ struct Row<F, P> {
     coeffs: CoeffRow<F>,
     payload: P,
     pivot: usize,
-    /// The first nonzero column right of `pivot`, or `None` once the row
-    /// is solved (its only nonzero is the pivot). Under the RREF
+    /// The last nonzero column left of `pivot`, or `None` once the row
+    /// is solved (its only nonzero is the pivot). Under the reverse-RREF
     /// invariant this is always a free column, and the row is zero
-    /// strictly between `pivot` and the witness.
+    /// strictly between the witness and `pivot`.
     witness: Option<usize>,
 }
 
@@ -216,7 +242,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// elimination.
     ///
     /// Runs one incremental pass of Gauss–Jordan elimination, after which
-    /// the held rows are again in RREF (up to row order).
+    /// the held rows are again in reverse RREF (up to row order).
     ///
     /// # Panics
     ///
@@ -229,10 +255,10 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// representation — the sparse-aware form of [`insert`](Self::insert).
     ///
     /// The elimination touches only stored nonzeros: pivot lookup walks
-    /// [`CoeffRow::first_nonzero_at_or_after`] and row updates go through
-    /// [`CoeffRow::axpy_from`], so a sparse row with `d` nonzeros costs
-    /// `O(d)` per colliding pivot instead of `O(width)`. Dense rows take
-    /// byte-for-byte the same kernel calls as before `CoeffRow` existed.
+    /// [`CoeffRow::last_nonzero_before`] and row updates go through
+    /// [`CoeffRow::axpy_range`] bounded to `[0, c]`, so a sparse row with
+    /// `d` nonzeros costs `O(d)` per colliding pivot instead of
+    /// `O(width)`, and a dense row never works past its own support.
     ///
     /// # Panics
     ///
@@ -242,29 +268,35 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         self.inserted += 1;
         self.last_solved.clear();
 
-        // Tighten a dense row's support before eliminating, so kernel
-        // call ranges match the historical dense implementation exactly.
+        // Tighten a dense row's support, so the downward walk starts at
+        // its last nonzero.
         coeffs.normalize_support();
 
-        // Fill-in accounting: nonzeros the forward pass *adds* to this
-        // row before it is stored. Logical, so identical across
+        // Fill-in accounting: nonzeros the reduction *adds* to this row
+        // before it is stored. Logical, so identical across
         // representations; only computed when observability is on.
         let original_nnz = if prlc_obs::enabled() { coeffs.nnz() } else { 0 };
 
-        // Forward reduction: eliminate every coefficient that collides
-        // with an existing pivot, across the *whole* support — entries in
-        // pivot columns to the right of the eventual new pivot must also
-        // be cleared, or the stored rows would leave RREF. Scanning left
-        // to right is sound because a pivot row is zero left of its pivot,
-        // so subtracting it never disturbs columns already passed.
-        let mut col = 0usize;
+        // Reduction, top down: clear every coefficient in a pivot column
+        // with the row owning it. That row is zero right of its pivot `c`
+        // and in every other pivot column, so the update touches only
+        // `[0, c]` and never refills a column already passed. The last
+        // nonzero that survives in a free column becomes the pivot; the
+        // walk goes on below it, since the reduced form also needs the
+        // pivot columns left of the pivot cleared. A full-rank decoder
+        // holds every column as a pivot, so any row reduces to zero.
+        let mut end = if self.rows.len() == self.width {
+            0
+        } else {
+            coeffs.support()
+        };
         let mut pivot_col = None;
-        while let Some(c) = coeffs.first_nonzero_at_or_after(col) {
+        while let Some(c) = coeffs.last_nonzero_before(end) {
             match self.pivot_of_col[c] {
                 Some(r) => {
                     let prow = &self.rows[r];
                     let factor = coeffs.get(c);
-                    coeffs.axpy_from(c, factor, &prow.coeffs);
+                    eliminate(&mut coeffs, c, factor, &prow.coeffs, prow.witness.is_none());
                     payload.payload_axpy(&prow.payload, factor);
                     debug_assert!(coeffs.get(c).is_zero());
                 }
@@ -274,7 +306,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
                     }
                 }
             }
-            col = c + 1;
+            end = c;
         }
 
         let Some(pc) = pivot_col else {
@@ -294,27 +326,31 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             return InsertOutcome::Redundant;
         };
 
-        // Normalise the pivot to 1.
+        // Normalise the pivot to 1; the row is zero right of it.
         let inv = coeffs.get(pc).gf_inv().expect("pivot entry is nonzero");
-        coeffs.scale_from(pc, inv);
+        coeffs.scale_range(0..pc + 1, inv);
         payload.payload_scale(inv);
 
-        // Back-eliminate column `pc` from every existing row that has a
-        // nonzero entry there, restoring the RREF invariant. Such a row's
-        // witness is at most `pc`, and the axpy leaves columns left of
-        // `pc` alone, so only a row whose witness *is* `pc` can change
-        // its witness — and only it needs a rescan.
+        // Back-eliminate column `pc` from every stored row holding it,
+        // restoring the invariant. A row is zero between its witness and
+        // its pivot, and right of its pivot, so only a row whose witness
+        // is at least `pc` can hold it (solved rows never do). The update
+        // leaves columns right of `pc` alone, so only a row whose witness
+        // *is* `pc` can change its witness — and only it needs a rescan.
         let new_idx = self.rows.len();
+        let witness = coeffs.last_nonzero_before(pc);
         for row in self.rows.iter_mut() {
+            if row.witness.is_none_or(|w| w < pc) {
+                continue;
+            }
             let factor = row.coeffs.get(pc);
             if factor.is_zero() {
                 continue;
             }
-            debug_assert!(row.witness.is_some_and(|w| w <= pc));
-            row.coeffs.axpy_from(pc, factor, &coeffs);
+            eliminate(&mut row.coeffs, pc, factor, &coeffs, witness.is_none());
             row.payload.payload_axpy(&payload, factor);
             if row.witness == Some(pc) {
-                row.witness = row.coeffs.first_nonzero_at_or_after(pc + 1);
+                row.witness = row.coeffs.last_nonzero_before(pc);
                 if row.witness.is_none() {
                     self.solved[row.pivot] = true;
                     self.solved_count += 1;
@@ -323,7 +359,6 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             }
         }
 
-        let witness = coeffs.first_nonzero_at_or_after(pc + 1);
         if witness.is_none() {
             self.solved[pc] = true;
             self.solved_count += 1;
@@ -337,9 +372,9 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             witness,
         });
 
-        // Advance the decoded-prefix pointer (monotone: a solved column
-        // never becomes unsolved, because a solved pivot row has no entry
-        // in any later pivot column to be back-eliminated).
+        // Advance the decoded-prefix pointer (monotone: a solved row's
+        // only nonzero is its pivot, so no later back-elimination
+        // touches it).
         while self.prefix < self.width && self.solved[self.prefix] {
             self.prefix += 1;
         }
@@ -361,11 +396,11 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             // Rank-vs-rows-consumed trajectory: each innovation records
             // how many rows had been consumed to reach the new rank.
             prlc_obs::histogram!("linalg.rref.rows_per_pivot").observe(self.inserted as u64);
-            // Fill-in of the stored row: nonzeros gained between arrival
-            // and storage (forward elimination can only add structure to
-            // a sparse row). Defined over logical nonzero counts, so the
-            // observed values are representation-independent.
-            let stored_nnz = self.rows[new_idx].coeffs.count_nonzeros_from(pc);
+            // Fill-in of the stored row: nonzeros gained over the whole
+            // row between arrival and storage. Defined over logical
+            // nonzero counts, so the observed values are
+            // representation-independent.
+            let stored_nnz = self.rows[new_idx].coeffs.nnz();
             prlc_obs::histogram!("linalg.rref.fill_in")
                 .observe(stored_nnz.saturating_sub(original_nnz) as u64);
         }
@@ -374,8 +409,8 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     }
 
     /// Snapshot of the held coefficient rows as a matrix (rows in pivot
-    /// order, i.e. sorted by pivot column). Intended for inspection and
-    /// tests; allocates.
+    /// order, i.e. sorted by pivot column), in reverse RREF. Intended for
+    /// inspection and tests; allocates.
     ///
     /// Returns a `rank × width` matrix, or `None` when no rows are held.
     pub fn coefficient_matrix(&self) -> Option<Matrix<F>> {
@@ -398,6 +433,24 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             .iter()
             .enumerate()
             .filter_map(|(i, &s)| s.then_some(i))
+    }
+}
+
+/// Clears column `c` of `row`, which holds `factor` there, with the row
+/// `prow` that pivots on `c`: `row += factor · prow` over `[0, c]`. A
+/// solved `prow` is 1 at `c` and zero elsewhere, so then only that one
+/// coefficient changes and no kernel call is needed.
+fn eliminate<F: GfElem>(
+    row: &mut CoeffRow<F>,
+    c: usize,
+    factor: F,
+    prow: &CoeffRow<F>,
+    solved: bool,
+) {
+    if solved {
+        row.add_assign_at(c, factor);
+    } else {
+        row.axpy_range(0..c + 1, factor, prow);
     }
 }
 
@@ -475,8 +528,8 @@ mod tests {
         assert_eq!(d.decoded_prefix(), 3);
         assert_eq!(d.decoded_count(), 3);
         assert!(!d.is_decoded(3));
-        // The held rows are a valid RREF.
-        assert!(d.coefficient_matrix().unwrap().is_rref());
+        // The held rows are a valid reverse RREF.
+        assert!(d.coefficient_matrix().unwrap().is_reverse_rref());
     }
 
     #[test]
@@ -577,7 +630,7 @@ mod tests {
                 let m = Matrix::from_rows(rows);
                 assert_eq!(d.rank(), crate::elim::rank(&m));
                 if let Some(cm) = d.coefficient_matrix() {
-                    assert!(cm.is_rref());
+                    assert!(cm.is_reverse_rref());
                 }
             }
         }
@@ -666,10 +719,8 @@ mod tests {
                 assert_eq!(dd.decoded_count(), ds.decoded_count());
             }
             assert_eq!(dd.rank(), ds.rank());
-            assert_eq!(
-                dd.coefficient_matrix().map(|m| m.is_rref()),
-                ds.coefficient_matrix().map(|m| m.is_rref())
-            );
+            assert_eq!(dd.coefficient_matrix(), ds.coefficient_matrix());
+            assert!(dd.coefficient_matrix().is_none_or(|m| m.is_reverse_rref()));
         }
     }
 

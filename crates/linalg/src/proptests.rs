@@ -106,6 +106,90 @@ fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: boo
     }
 }
 
+/// Row shapes for [`check_support_never_widens`].
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// PLC-shaped: dense over `[0, b_k)` for a random level boundary.
+    Plc,
+    /// Dense over the whole width.
+    Dense,
+    /// Zero-biased over the whole width, fed as a sparse `CoeffRow`.
+    Sparse,
+}
+
+/// Drives a progressive RREF with seeded rows of one shape and checks,
+/// after *every* insert, that each stored row is zero at and past the
+/// support it arrived with, and still pivots on the column it got on
+/// arrival.
+fn check_support_never_widens<F: GfElem>(seed: u64, width: usize, shape: Shape) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut d: ProgressiveRref<F> = ProgressiveRref::new(width);
+    // Arrival support of the row owning each pivot column.
+    let mut arrival: Vec<Option<usize>> = vec![None; width];
+    let boundaries: Vec<usize> = (1..=4).map(|k| (width * k).div_ceil(4)).collect();
+    for _ in 0..2 * width {
+        let support = match shape {
+            Shape::Plc => boundaries[rng.gen_range(0..boundaries.len())],
+            Shape::Dense | Shape::Sparse => width,
+        };
+        let row: Vec<F> = (0..width)
+            .map(|c| {
+                if c >= support || (matches!(shape, Shape::Sparse) && rng.gen_bool(0.7)) {
+                    F::ZERO
+                } else {
+                    F::random(&mut rng)
+                }
+            })
+            .collect();
+        let tight = row.iter().rposition(|v| !v.is_zero()).map_or(0, |p| p + 1);
+        let coeffs = match shape {
+            Shape::Sparse => {
+                let entries = row
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_zero())
+                    .map(|(i, &v)| (i as u32, v))
+                    .collect();
+                CoeffRow::from_sorted_entries(width, entries)
+            }
+            Shape::Plc | Shape::Dense => CoeffRow::from_dense(row),
+        };
+        if let crate::InsertOutcome::Innovative { pivot } = d.insert_row(coeffs, ()) {
+            prop_assert!(
+                pivot < tight,
+                "pivot {} outside arrival support {}",
+                pivot,
+                tight
+            );
+            arrival[pivot] = Some(tight);
+        }
+        let Some(m) = d.coefficient_matrix() else {
+            continue;
+        };
+        // `coefficient_matrix` sorts rows by pivot.
+        let pivots: Vec<(usize, usize)> = arrival
+            .iter()
+            .enumerate()
+            .filter_map(|(c, s)| s.map(|s| (c, s)))
+            .collect();
+        prop_assert_eq!(pivots.len(), m.rows());
+        for (r, &(pivot, support)) in pivots.iter().enumerate() {
+            let last = m.row(r).iter().rposition(|v| !v.is_zero());
+            prop_assert_eq!(last, Some(pivot), "seed {} row {} moved its pivot", seed, r);
+            prop_assert!(
+                m.row(r)[support..].iter().all(|v| v.is_zero()),
+                "seed {} row {} widened past its arrival support {}:\n{:?}",
+                seed,
+                r,
+                support,
+                m
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -132,6 +216,23 @@ proptest! {
         check_solved_bookkeeping::<Gf256>(seed, width, prefix_rows, sparse);
     }
 
+    /// Lemma 2 in code: elimination never widens a row past the support
+    /// it arrived with, for PLC-shaped, dense and sparse rows. GF(2⁴)
+    /// makes cancellation, and so witness rescans, common.
+    #[test]
+    fn stored_rows_never_widen_past_arrival_support(
+        seed in 0u64..1_000_000,
+        width in 1usize..14,
+        shape in prop_oneof![Just(Shape::Plc), Just(Shape::Dense), Just(Shape::Sparse)],
+        wide_field in any::<bool>(),
+    ) {
+        if wide_field {
+            check_support_never_widens::<Gf256>(seed, width, shape);
+        } else {
+            check_support_never_widens::<Gf16>(seed, width, shape);
+        }
+    }
+
     #[test]
     fn progressive_rank_equals_batch_rank(
         rows in rows_strategy(8, 16)
@@ -156,7 +257,7 @@ proptest! {
         for r in &rows {
             d.insert(r.clone(), ());
             if let Some(m) = d.coefficient_matrix() {
-                prop_assert!(m.is_rref(), "not RREF after insert:\n{:?}", m);
+                prop_assert!(m.is_reverse_rref(), "not reverse RREF after insert:\n{:?}", m);
             }
         }
     }

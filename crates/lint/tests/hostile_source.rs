@@ -1,6 +1,8 @@
 //! No-panic properties on hostile input: the lexer, the token-tree model
 //! and every lint pass take arbitrary bytes and byte-mutated real
-//! sources without panicking, and every token spans a valid slice.
+//! sources without panicking, and every token spans a valid slice. The
+//! allowlist and both registry parsers take arbitrary and mutated
+//! documents the same way.
 //!
 //! The linter depends on nothing but `std`, so the cases come from a
 //! SplitMix64 generator here rather than from the proptest shim.
@@ -12,6 +14,7 @@ use prlc_lint::lexer::lex;
 use prlc_lint::lints;
 use prlc_lint::registry::{parse_metrics_md, parse_rng_domains_md, DomainRegistry, Registry};
 use prlc_lint::tree::{classify, SourceModel};
+use prlc_lint::Allowlist;
 
 /// Cases per property.
 const CASES: usize = 10_000;
@@ -210,4 +213,140 @@ fn mutated_sources_never_panic() {
         let text = String::from_utf8_lossy(&bytes);
         registries.check(&text, PATHS[rng.below(PATHS.len())]);
     }
+}
+
+/// Fragments of the allowlist and registry table syntax.
+const DOC_FRAGMENTS: &[&str] = &[
+    "|",
+    "||",
+    "| `",
+    "`",
+    "``",
+    "` |",
+    "#",
+    "# ",
+    " ",
+    "L1",
+    "L5",
+    "L0-allowlist",
+    "crates/x.rs",
+    "expect",
+    "counter",
+    "histogram",
+    "timer",
+    "span",
+    "instant",
+    "gf.axpy.bytes",
+    "net.*",
+    ".",
+    "*",
+    "0x",
+    "0x50524C_433A4641",
+    "_",
+    "PRLC:",
+    "mix_",
+    "é",
+    "\u{0}",
+    "\n",
+    "\r\n",
+    "\t",
+];
+
+/// The real allowlist and registry documents, plus the lint fixtures'.
+fn doc_corpus() -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    [
+        "../../lint-allowlist.txt",
+        "../../docs/METRICS.md",
+        "../../docs/RNG_DOMAINS.md",
+        "fixtures/METRICS.md",
+        "fixtures/RNG_DOMAINS.md",
+    ]
+    .iter()
+    .map(|rel| fs::read_to_string(root.join(rel)).unwrap())
+    .collect()
+}
+
+/// Runs all three document parsers over `text`, checks what they report
+/// points back into it, and returns how many entries they accepted.
+fn check_documents(text: &str) -> usize {
+    let lines = text.lines().count();
+    let allow = Allowlist::parse("lint-allowlist.txt", text);
+    for e in &allow.entries {
+        assert!((1..=lines).contains(&e.line));
+        assert!(!e.justification.is_empty());
+    }
+    for p in &allow.problems {
+        assert!((1..=lines).contains(&p.line));
+    }
+    // Every entry is stale against no findings.
+    let stale = allow.apply(Vec::new());
+    assert_eq!(stale.len(), allow.entries.len() + allow.problems.len());
+
+    let metrics = parse_metrics_md(text);
+    for e in &metrics.entries {
+        assert!((1..=lines).contains(&e.line));
+    }
+    let domains = parse_rng_domains_md(text);
+    for e in &domains.entries {
+        assert!((1..=lines).contains(&e.line));
+    }
+    for p in metrics.problems.iter().chain(&domains.problems) {
+        assert!((1..=lines).contains(&p.line));
+    }
+    allow.entries.len() + metrics.entries.len() + domains.entries.len()
+}
+
+/// One document line per draw: table rows, allowlist entries and noise
+/// built from the fragments and random bytes.
+#[test]
+fn arbitrary_documents_never_panic() {
+    let mut rng = SplitMix(0x5EED_0003);
+    let mut accepted = 0;
+    for _ in 0..CASES {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.below(12) {
+            for _ in 0..rng.below(10) {
+                if rng.below(3) == 0 {
+                    bytes.extend((0..rng.below(6)).map(|_| rng.next() as u8));
+                } else {
+                    bytes.extend(DOC_FRAGMENTS[rng.below(DOC_FRAGMENTS.len())].as_bytes());
+                }
+            }
+            bytes.push(b'\n');
+        }
+        accepted += check_documents(&String::from_utf8_lossy(&bytes));
+    }
+    assert!(accepted > 0, "no case reached a well-formed entry");
+}
+
+/// Windows of the real documents with bytes overwritten, inserted and
+/// deleted and fragments spliced in.
+#[test]
+fn mutated_documents_never_panic() {
+    let corpus = doc_corpus();
+    let mut rng = SplitMix(0x5EED_0004);
+    let mut accepted = 0;
+    for _ in 0..CASES {
+        let source = corpus[rng.below(corpus.len())].as_bytes();
+        let start = rng.below(source.len());
+        let end = (start + 1 + rng.below(4096)).min(source.len());
+        let mut bytes = source[start..end].to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(bytes.len() + 1);
+            match rng.below(4) {
+                0 if at < bytes.len() => bytes[at] = rng.next() as u8,
+                1 => bytes.insert(at, rng.next() as u8),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {
+                    let fragment = DOC_FRAGMENTS[rng.below(DOC_FRAGMENTS.len())].as_bytes();
+                    bytes.splice(at..at, fragment.iter().copied());
+                }
+            }
+        }
+        accepted += check_documents(&String::from_utf8_lossy(&bytes));
+    }
+    assert!(accepted > 0, "no case reached a well-formed entry");
 }

@@ -83,8 +83,8 @@ pub enum Event {
 /// What one run records after each epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Measure {
-    /// Every surviving block offered to a fresh decoder. Emits the
-    /// `sim.timeline.epoch` trace instant.
+    /// Every surviving block offered to a fresh decoder, stopping once
+    /// it is complete. Emits the `sim.timeline.epoch` trace instant.
     Omniscient,
     /// One collection from the run's collector through the run's fault
     /// session into a fresh decoder: decoded levels plus a survival
@@ -336,11 +336,17 @@ impl Scenario {
     ) {
         match &self.measure {
             Measure::Omniscient => {
+                // A complete decoder decodes every level, so the blocks
+                // left over cannot change the measurement; `collect`
+                // stops at the same point.
                 let mut dec = self.decoder::<F>();
                 for i in dep.surviving_slots(net) {
                     let block = &dep.slots()[i].block;
                     if !block.is_empty() {
                         dec.insert_block(block);
+                        if dec.is_complete() {
+                            break;
+                        }
                     }
                 }
                 let levels = dec.decoded_levels();
