@@ -64,19 +64,19 @@ nodes, then a collector gathers the survivors while each per-node
 query is dropped with probability --loss and retried up to --retries
 times. Both flags take comma-separated lists and form a grid.
 
-With --epochs, `sim` runs a long-horizon persistence timeline on the
-event-driven protocol runtime: one deployment, then E churn epochs
-each killing an alive node with probability --churn (default 0.2),
-optionally followed by an in-network repair pass combining
---repair donor blocks per lost slot. Here --loss and --retries take
-single values and fault-inject the protocol sessions themselves. The
-lazy per-node state of the runtime makes N=10^5 overlays (--nodes
-100000) run in seconds. --fanout log:F routes each source block to
-ceil(F·ln N) of its eligible locations instead of all of them, and
---coeff sparse stores cached coefficient rows as sorted (index, value)
-pairs instead of dense length-N vectors — together they bound both the
-bandwidth and the per-block memory at O(ln N). Results are identical
-between --coeff dense and --coeff sparse for the same seed.
+With --epochs, `sim` runs a long-horizon persistence timeline: one
+deployment, then E churn epochs each killing an alive node with
+probability --churn (default 0.2), optionally followed by an
+in-network repair pass combining --repair donor blocks per lost slot.
+Here --loss and --retries take single values and fault-inject the
+protocol sessions themselves. The array-backed ring and the lazy
+per-node session state make N=10^5 overlays (--nodes 100000) run in
+seconds. --fanout log:F routes each source block to ceil(F·ln N) of
+its eligible locations instead of all of them, and --coeff sparse
+stores cached coefficient rows as sorted (index, value) pairs instead
+of dense length-N vectors — together they bound both the bandwidth and
+the per-block memory at O(ln N). Results are identical between --coeff
+dense and --coeff sparse for the same seed.
 
 With --adversary, `sim` mounts a structured fault adversary on the
 deployed overlay and reports per-epoch decoded

@@ -1,6 +1,6 @@
 //! Structured fault adversaries: seeded, deterministic attack strategies
-//! that compose with [`FaultPlan`]/[`FaultSession`] and the event-driven
-//! runtime.
+//! that compose with [`FaultPlan`](crate::FaultPlan)/[`FaultSession`]
+//! and the protocol sessions that share them.
 //!
 //! Every fault plan in the workspace so far is iid — per-message loss,
 //! per-node churn — which is the friendliest failure model a persistence

@@ -144,68 +144,6 @@ where
     D: PriorityDecoder<F>,
     R: Rng + ?Sized,
 {
-    let mut machine =
-        crate::event::CollectMachine::new(net, deployment, decoder, collector, cfg, faults, rng)?;
-    let start = machine.start_tick();
-    crate::event::run_to_quiescence(&mut machine, start, crate::event::CollectEvent::Visit)
-}
-
-/// Per-session metric and trace emission shared by the synchronous
-/// reference path and the event machine — one call site, so the two
-/// paths' observability output is byte-identical by construction.
-pub(crate) fn emit_collect_obs(
-    report: &CollectionReport,
-    decoded_levels: usize,
-    span_start: u64,
-    span_end: u64,
-) {
-    if prlc_obs::enabled() {
-        // Per-session fault accounting, mirroring the report fields so a
-        // metrics dump can be reconciled against the returned struct.
-        prlc_obs::counter!("net.collect.sessions").incr();
-        prlc_obs::counter!("net.collect.blocks").add(report.blocks_collected as u64);
-        prlc_obs::counter!("net.collect.nodes_queried").add(report.nodes_queried as u64);
-        prlc_obs::counter!("net.collect.lost_messages").add(report.lost_messages as u64);
-        prlc_obs::counter!("net.collect.retries").add(report.retries as u64);
-        prlc_obs::counter!("net.collect.gave_up").add(report.gave_up as u64);
-        prlc_obs::counter!("net.collect.unreachable_nodes").add(report.unreachable_nodes as u64);
-        prlc_obs::histogram!("net.collect.query_hops").observe(report.query_hops as u64);
-    }
-    if prlc_obs::trace::enabled() {
-        // Causal span on the session's message-step clock.
-        prlc_obs::trace_span!(
-            "net.collect.session",
-            span_start,
-            span_end,
-            blocks: report.blocks_collected as u64,
-            nodes: report.nodes_queried as u64,
-            levels: decoded_levels as u64,
-        );
-    }
-}
-
-/// The synchronous reference implementation of [`collect_with_faults`]:
-/// the original monolithic loop, kept verbatim as the ground truth the
-/// event-driven runtime is byte-diffed against (see
-/// `tests/event_equivalence.rs`). Exported as
-/// [`crate::sync::collect_with_faults`].
-///
-/// Returns `None` if `collector` is dead or already crashed.
-pub fn collect_with_faults_sync<N, F, D, R>(
-    net: &N,
-    deployment: &Deployment<F>,
-    decoder: &mut D,
-    collector: NodeId,
-    cfg: &CollectionConfig,
-    faults: &mut FaultSession,
-    rng: &mut R,
-) -> Option<CollectionReport>
-where
-    N: NodeLocator,
-    F: GfElem,
-    D: PriorityDecoder<F>,
-    R: Rng + ?Sized,
-{
     if !net.is_alive(collector) || faults.is_down(collector) {
         return None;
     }
@@ -280,6 +218,38 @@ where
         faults.steps() as u64,
     );
     Some(report)
+}
+
+/// Per-session metric and trace emission of [`collect_with_faults`].
+fn emit_collect_obs(
+    report: &CollectionReport,
+    decoded_levels: usize,
+    span_start: u64,
+    span_end: u64,
+) {
+    if prlc_obs::enabled() {
+        // Per-session fault accounting, mirroring the report fields so a
+        // metrics dump can be reconciled against the returned struct.
+        prlc_obs::counter!("net.collect.sessions").incr();
+        prlc_obs::counter!("net.collect.blocks").add(report.blocks_collected as u64);
+        prlc_obs::counter!("net.collect.nodes_queried").add(report.nodes_queried as u64);
+        prlc_obs::counter!("net.collect.lost_messages").add(report.lost_messages as u64);
+        prlc_obs::counter!("net.collect.retries").add(report.retries as u64);
+        prlc_obs::counter!("net.collect.gave_up").add(report.gave_up as u64);
+        prlc_obs::counter!("net.collect.unreachable_nodes").add(report.unreachable_nodes as u64);
+        prlc_obs::histogram!("net.collect.query_hops").observe(report.query_hops as u64);
+    }
+    if prlc_obs::trace::enabled() {
+        // Causal span on the session's message-step clock.
+        prlc_obs::trace_span!(
+            "net.collect.session",
+            span_start,
+            span_end,
+            blocks: report.blocks_collected as u64,
+            nodes: report.nodes_queried as u64,
+            levels: decoded_levels as u64,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -24,12 +24,12 @@
 //!   layer: correlated regional outages, collector eclipse, an adaptive
 //!   targeted cache killer, and slow compromise across epochs
 //!   ([`Adversary`] / [`AdversaryPlan`]).
-//! * [`event`] — the deterministic discrete-event runtime the faulty
-//!   entry points run on: a `(tick, seq)`-ordered scheduler executing
-//!   poll-based session state machines with lazily instantiated
-//!   per-node state, scaling simulations to N=10⁵ and beyond. The
-//!   original monolithic loops survive in [`sync`] as the byte-exact
-//!   reference the runtime is diffed against.
+//!
+//! Each protocol session is one plain loop on the fault session's
+//! message-step clock. Per-node session state is instantiated lazily on
+//! first touch, so a session's memory is O(active nodes), not O(N); with
+//! the array-backed [`RingNetwork`] that scales simulations to N=10⁵ and
+//! beyond.
 //!
 //! # Example: persist and recover through 40% node failure
 //!
@@ -78,7 +78,6 @@
 
 pub mod adversary;
 pub mod collect;
-pub mod event;
 pub mod fault;
 pub mod network;
 pub mod plane;
@@ -86,7 +85,6 @@ pub mod protocol;
 pub mod refresh;
 pub mod ring;
 pub mod rounds;
-pub mod sync;
 
 pub use adversary::{
     observe_deployment, Adversary, AdversaryPlan, AdversaryStrategy, SlotObservation,

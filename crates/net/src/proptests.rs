@@ -319,10 +319,10 @@ proptest! {
         eligible in 1usize..200,
         total in 2usize..2000,
     ) {
-        let d = SourceFanout::Log { factor }.count_for_test(eligible, total);
+        let d = SourceFanout::Log { factor }.count(eligible, total);
         prop_assert!(d >= 1);
         prop_assert!(d <= eligible);
-        let all = SourceFanout::All.count_for_test(eligible, total);
+        let all = SourceFanout::All.count(eligible, total);
         prop_assert_eq!(all, eligible);
     }
 }

@@ -25,9 +25,9 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::NodeScratch;
 use crate::fault::{DeliveryOutcome, FaultPlan, FaultSession};
 use crate::network::{Network, NodeId};
 
@@ -45,12 +45,6 @@ pub enum SourceFanout {
 }
 
 impl SourceFanout {
-    /// Test-only visibility shim for [`Self::count`].
-    #[cfg(test)]
-    pub(crate) fn count_for_test(self, eligible: usize, n_total: usize) -> usize {
-        self.count(eligible, n_total)
-    }
-
     pub(crate) fn count(self, eligible: usize, n_total: usize) -> usize {
         match self {
             SourceFanout::All => eligible,
@@ -115,10 +109,6 @@ pub enum ProtocolError {
         /// Aggregate capacity of the alive nodes (`W·d`).
         available: usize,
     },
-    /// The event scheduler drained without the session completing — an
-    /// internal-invariant breach (a well-formed session machine yields
-    /// or finishes on every poll), surfaced instead of panicking.
-    Stalled,
 }
 
 impl fmt::Display for ProtocolError {
@@ -135,9 +125,6 @@ impl fmt::Display for ProtocolError {
                 f,
                 "network cache capacity {available} cannot hold {needed} coded blocks"
             ),
-            ProtocolError::Stalled => {
-                write!(f, "event scheduler drained before the session completed")
-            }
         }
     }
 }
@@ -224,20 +211,6 @@ impl<F: GfElem> Deployment<F> {
         Deployment {
             slots,
             metrics: DistributionMetrics::default(),
-            profile,
-        }
-    }
-
-    /// Assembles a deployment from a completed session's parts (the
-    /// event machine's finalize step).
-    pub(crate) fn assemble(
-        slots: Vec<StorageSlot<F>>,
-        metrics: DistributionMetrics,
-        profile: PriorityProfile,
-    ) -> Self {
-        Deployment {
-            slots,
-            metrics,
             profile,
         }
     }
@@ -329,48 +302,11 @@ pub fn predistribute_with_faults<N: Network, F: GfElem, R: Rng + ?Sized>(
     faults: &mut FaultSession,
     rng: &mut R,
 ) -> Result<Deployment<F>, ProtocolError> {
-    let mut machine = crate::event::PredistributeMachine::new(net, cfg, sources, faults, rng)?;
-    let start = machine.start_tick();
-    match crate::event::run_to_quiescence(
-        &mut machine,
-        start,
-        crate::event::ProtocolEvent::NextSource,
-    ) {
-        Some(result) => result,
-        None => Err(ProtocolError::Stalled),
-    }
-}
-
-/// Everything both dissemination paths derive *locally* before any
-/// message is sent: validation, the shared-seed location derivation
-/// (phase 1) and the per-level slot split (phase 2).
-pub(crate) struct SessionSetup<P, F: GfElem> {
-    /// Derived storage points, one per location.
-    pub(crate) points: Vec<P>,
-    /// Storage slots (owner, level, empty block), one per location.
-    pub(crate) slots: Vec<StorageSlot<F>>,
-    /// Part boundaries in slot index space (`counts` prefix sums).
-    pub(crate) part_start: Vec<usize>,
-    /// Lazily instantiated per-node load counters from phase 1.
-    pub(crate) scratch: NodeScratch,
-    /// The message-step tick the session starts at.
-    pub(crate) span_start: u64,
-}
-
-/// Validates `cfg` and runs phases 1–2 of the protocol. Shared by the
-/// synchronous reference path and the event machine so the two can
-/// never drift on the local computation.
-pub(crate) fn session_setup<N: Network, F: GfElem>(
-    net: &N,
-    cfg: &ProtocolConfig,
-    source_count: usize,
-    faults: &FaultSession,
-) -> Result<SessionSetup<N::Point, F>, ProtocolError> {
     let n_blocks = cfg.profile.total_blocks();
-    if source_count != n_blocks {
+    if sources.len() != n_blocks {
         return Err(ProtocolError::SourceCountMismatch {
             expected: n_blocks,
-            got: source_count,
+            got: sources.len(),
         });
     }
     if cfg.profile.num_levels() != cfg.distribution.num_levels() {
@@ -399,11 +335,8 @@ pub(crate) fn session_setup<N: Network, F: GfElem>(
     }
     let capacity = cfg.node_capacity.unwrap_or(usize::MAX);
     // Per-node load is instantiated lazily on first touch: a session
-    // placing M locations touches O(M) nodes, never the full table —
-    // the dense `vec![0; node_count]` this replaces was the O(N) cost
-    // that capped large-N runs. Reads of untouched nodes return 0,
-    // exactly what the dense table held.
-    let mut load = NodeScratch::new();
+    // placing M locations touches O(M) nodes, never the full table.
+    let mut load = NodeScratch::default();
     let mut points: Vec<N::Point> = Vec::with_capacity(cfg.locations);
     let mut owners: Vec<NodeId> = Vec::with_capacity(cfg.locations);
     for _ in 0..cfg.locations {
@@ -447,7 +380,7 @@ pub(crate) fn session_setup<N: Network, F: GfElem>(
     for (level, &c) in counts.iter().enumerate() {
         slot_level.extend(std::iter::repeat_n(level, c));
     }
-    let slots: Vec<StorageSlot<F>> = owners
+    let mut slots: Vec<StorageSlot<F>> = owners
         .iter()
         .zip(&slot_level)
         .map(|(&node, &level)| StorageSlot {
@@ -463,81 +396,9 @@ pub(crate) fn session_setup<N: Network, F: GfElem>(
         part_start[i + 1] = part_start[i] + c;
     }
 
-    Ok(SessionSetup {
-        points,
-        slots,
-        part_start,
-        scratch: load,
-        span_start,
-    })
-}
-
-/// Per-session metric and trace emission shared by the synchronous
-/// reference path and the event machine — one call site, so the two
-/// paths' observability output is byte-identical by construction.
-pub(crate) fn emit_predistribute_obs(
-    metrics: &DistributionMetrics,
-    nodes_touched: usize,
-    span_start: u64,
-    span_end: u64,
-) {
-    if prlc_obs::enabled() {
-        // Per-session fault accounting, mirroring the metrics struct.
-        prlc_obs::counter!("net.predistribute.sessions").incr();
-        prlc_obs::counter!("net.predistribute.messages").add(metrics.messages as u64);
-        prlc_obs::counter!("net.predistribute.failed_deliveries")
-            .add(metrics.failed_deliveries as u64);
-        prlc_obs::counter!("net.predistribute.lost_messages").add(metrics.lost_messages as u64);
-        prlc_obs::counter!("net.predistribute.retries").add(metrics.retries as u64);
-        prlc_obs::counter!("net.predistribute.gave_up").add(metrics.gave_up as u64);
-        prlc_obs::counter!("net.predistribute.unreachable_nodes")
-            .add(metrics.unreachable_nodes as u64);
-        prlc_obs::histogram!("net.predistribute.max_node_load")
-            .observe(metrics.max_node_load as u64);
-        // Lazily instantiated node entries this session — the memory
-        // bound the event runtime guarantees (O(active), not O(N)).
-        prlc_obs::counter!("net.event.nodes_touched").add(nodes_touched as u64);
-    }
-    if prlc_obs::trace::enabled() {
-        // Causal span on the session's message-step clock.
-        prlc_obs::trace_span!(
-            "net.predistribute.session",
-            span_start,
-            span_end,
-            messages: metrics.messages as u64,
-            failed: metrics.failed_deliveries as u64,
-        );
-    }
-}
-
-/// The synchronous reference implementation of
-/// [`predistribute_with_faults`]: the original monolithic call tree,
-/// kept verbatim as the ground truth the event-driven runtime is
-/// byte-diffed against (see `tests/event_equivalence.rs`). Exported as
-/// [`crate::sync::predistribute_with_faults`].
-///
-/// # Errors
-///
-/// Returns a [`ProtocolError`] when the network is empty or the
-/// configuration is inconsistent.
-pub fn predistribute_with_faults_sync<N: Network, F: GfElem, R: Rng + ?Sized>(
-    net: &N,
-    cfg: &ProtocolConfig,
-    sources: &[Vec<F>],
-    faults: &mut FaultSession,
-    rng: &mut R,
-) -> Result<Deployment<F>, ProtocolError> {
-    let SessionSetup {
-        points,
-        mut slots,
-        part_start,
-        scratch,
-        span_start,
-    } = session_setup::<N, F>(net, cfg, sources.len(), faults)?;
-    let n_blocks = cfg.profile.total_blocks();
-
     // Phase 3: disseminate each source block to its eligible locations;
     // each receiving cache folds it in with a fresh random coefficient.
+    // This is the only phase that sends messages.
     let mut metrics = DistributionMetrics::default();
     let n_levels = cfg.profile.num_levels();
     for (j, data) in sources.iter().enumerate() {
@@ -588,19 +449,85 @@ pub fn predistribute_with_faults_sync<N: Network, F: GfElem, R: Rng + ?Sized>(
         }
     }
 
-    metrics.max_node_load = scratch.max_load();
-    emit_predistribute_obs(
-        &metrics,
-        scratch.touched(),
-        span_start,
-        faults.steps() as u64,
-    );
+    metrics.max_node_load = load.max_load();
+    emit_predistribute_obs(&metrics, load.touched(), span_start, faults.steps() as u64);
 
     Ok(Deployment {
         slots,
         metrics,
         profile: cfg.profile.clone(),
     })
+}
+
+/// Per-session metric and trace emission of [`predistribute_with_faults`].
+fn emit_predistribute_obs(
+    metrics: &DistributionMetrics,
+    nodes_touched: usize,
+    span_start: u64,
+    span_end: u64,
+) {
+    if prlc_obs::enabled() {
+        // Per-session fault accounting, mirroring the metrics struct.
+        prlc_obs::counter!("net.predistribute.sessions").incr();
+        prlc_obs::counter!("net.predistribute.messages").add(metrics.messages as u64);
+        prlc_obs::counter!("net.predistribute.failed_deliveries")
+            .add(metrics.failed_deliveries as u64);
+        prlc_obs::counter!("net.predistribute.lost_messages").add(metrics.lost_messages as u64);
+        prlc_obs::counter!("net.predistribute.retries").add(metrics.retries as u64);
+        prlc_obs::counter!("net.predistribute.gave_up").add(metrics.gave_up as u64);
+        prlc_obs::counter!("net.predistribute.unreachable_nodes")
+            .add(metrics.unreachable_nodes as u64);
+        prlc_obs::histogram!("net.predistribute.max_node_load")
+            .observe(metrics.max_node_load as u64);
+        // Lazily instantiated node entries this session — the memory
+        // bound of `NodeScratch` (O(active), not O(N)).
+        prlc_obs::counter!("net.event.nodes_touched").add(nodes_touched as u64);
+    }
+    if prlc_obs::trace::enabled() {
+        // Causal span on the session's message-step clock.
+        prlc_obs::trace_span!(
+            "net.predistribute.session",
+            span_start,
+            span_end,
+            messages: metrics.messages as u64,
+            failed: metrics.failed_deliveries as u64,
+        );
+    }
+}
+
+/// Per-node load counters of one session, instantiated on first
+/// write. Reads of untouched nodes return the zero a dense
+/// `vec![0; node_count]` table would have held without creating an
+/// entry, so session memory is O(active nodes), not O(N). The number of
+/// instantiated entries is reported as the `net.event.nodes_touched`
+/// counter.
+#[derive(Debug, Default)]
+pub(crate) struct NodeScratch {
+    load: BTreeMap<NodeId, usize>,
+}
+
+impl NodeScratch {
+    /// The load of `node`: zero for untouched nodes, without
+    /// instantiating an entry.
+    fn load(&self, node: NodeId) -> usize {
+        self.load.get(&node).copied().unwrap_or(0)
+    }
+
+    /// Increments the load of `node`, instantiating its entry on first
+    /// touch.
+    fn bump(&mut self, node: NodeId) {
+        *self.load.entry(node).or_insert(0) += 1;
+    }
+
+    /// Nodes whose state has been instantiated this session.
+    fn touched(&self) -> usize {
+        self.load.len()
+    }
+
+    /// The maximum per-node load (untouched nodes hold 0).
+    fn max_load(&self) -> usize {
+        self.load.values().copied().max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
@@ -911,5 +838,26 @@ mod tests {
             assert_eq!(sa.node, sb.node);
             assert_eq!(sa.level, sb.level);
         }
+    }
+
+    #[test]
+    fn reads_do_not_instantiate() {
+        let s = NodeScratch::default();
+        assert_eq!(s.load(NodeId::new(123_456)), 0);
+        assert_eq!(s.touched(), 0);
+        assert_eq!(s.max_load(), 0);
+    }
+
+    #[test]
+    fn bumps_instantiate_and_count() {
+        let mut s = NodeScratch::default();
+        s.bump(NodeId::new(3));
+        s.bump(NodeId::new(3));
+        s.bump(NodeId::new(9));
+        assert_eq!(s.load(NodeId::new(3)), 2);
+        assert_eq!(s.load(NodeId::new(9)), 1);
+        assert_eq!(s.load(NodeId::new(4)), 0);
+        assert_eq!(s.touched(), 2);
+        assert_eq!(s.max_load(), 2);
     }
 }

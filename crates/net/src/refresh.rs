@@ -108,57 +108,6 @@ where
     F: GfElem,
     R: Rng + ?Sized,
 {
-    let mut machine = crate::event::RefreshMachine::new(net, deployment, cfg, faults, rng)?;
-    let start = machine.start_tick();
-    crate::event::run_to_quiescence(&mut machine, start, crate::event::RefreshEvent::Repair)
-}
-
-/// Per-session metric and trace emission shared by the synchronous
-/// reference path and the event machine — one call site, so the two
-/// paths' observability output is byte-identical by construction.
-pub(crate) fn emit_refresh_obs(report: &RefreshReport, span_start: u64, span_end: u64) {
-    if prlc_obs::enabled() {
-        // Per-session fault accounting, mirroring the report fields.
-        prlc_obs::counter!("net.refresh.sessions").incr();
-        prlc_obs::counter!("net.refresh.repaired").add(report.repaired as u64);
-        prlc_obs::counter!("net.refresh.unrepairable").add(report.unrepairable as u64);
-        prlc_obs::counter!("net.refresh.messages").add(report.messages as u64);
-        prlc_obs::counter!("net.refresh.lost_messages").add(report.lost_messages as u64);
-        prlc_obs::counter!("net.refresh.retries").add(report.retries as u64);
-        prlc_obs::counter!("net.refresh.gave_up").add(report.gave_up as u64);
-        prlc_obs::counter!("net.refresh.unreachable_nodes").add(report.unreachable_nodes as u64);
-    }
-    if prlc_obs::trace::enabled() {
-        // Causal span on the session's message-step clock.
-        prlc_obs::trace_span!(
-            "net.refresh.session",
-            span_start,
-            span_end,
-            repaired: report.repaired as u64,
-            unrepairable: report.unrepairable as u64,
-        );
-    }
-}
-
-/// The synchronous reference implementation of [`refresh_with_faults`]:
-/// the original monolithic loop, kept verbatim as the ground truth the
-/// event-driven runtime is byte-diffed against (see
-/// `tests/event_equivalence.rs`). Exported as
-/// [`crate::sync::refresh_with_faults`].
-///
-/// Returns `None` when the network has no alive nodes at all.
-pub fn refresh_with_faults_sync<N, F, R>(
-    net: &N,
-    deployment: &mut Deployment<F>,
-    cfg: &RefreshConfig,
-    faults: &mut FaultSession,
-    rng: &mut R,
-) -> Option<RefreshReport>
-where
-    N: NodeLocator,
-    F: GfElem,
-    R: Rng + ?Sized,
-{
     if net.alive_count() == 0 {
         return None;
     }
@@ -200,7 +149,13 @@ where
 
         // Place the repaired block at the owner of a fresh random point.
         let point = net.random_point(rng);
-        let new_node = net.owner_of(point).expect("alive_count > 0");
+        let Some(new_node) = net.owner_of(point) else {
+            // alive_count > 0 was checked on entry and the substrate is
+            // immutable during the session; count the slot unrepairable
+            // rather than panicking if that ever breaks.
+            report.unrepairable += 1;
+            continue;
+        };
 
         let width = deployment.profile().total_blocks();
         // The repaired block inherits the dead slot's coefficient
@@ -252,6 +207,31 @@ where
     }
     emit_refresh_obs(&report, span_start, faults.steps() as u64);
     Some(report)
+}
+
+/// Per-session metric and trace emission of [`refresh_with_faults`].
+fn emit_refresh_obs(report: &RefreshReport, span_start: u64, span_end: u64) {
+    if prlc_obs::enabled() {
+        // Per-session fault accounting, mirroring the report fields.
+        prlc_obs::counter!("net.refresh.sessions").incr();
+        prlc_obs::counter!("net.refresh.repaired").add(report.repaired as u64);
+        prlc_obs::counter!("net.refresh.unrepairable").add(report.unrepairable as u64);
+        prlc_obs::counter!("net.refresh.messages").add(report.messages as u64);
+        prlc_obs::counter!("net.refresh.lost_messages").add(report.lost_messages as u64);
+        prlc_obs::counter!("net.refresh.retries").add(report.retries as u64);
+        prlc_obs::counter!("net.refresh.gave_up").add(report.gave_up as u64);
+        prlc_obs::counter!("net.refresh.unreachable_nodes").add(report.unreachable_nodes as u64);
+    }
+    if prlc_obs::trace::enabled() {
+        // Causal span on the session's message-step clock.
+        prlc_obs::trace_span!(
+            "net.refresh.session",
+            span_start,
+            span_end,
+            repaired: report.repaired as u64,
+            unrepairable: report.unrepairable as u64,
+        );
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! takes the classic `O(log W)` greedy finger steps — `finger[k]` =
 //! successor of `id + 2^k` — over the sorted alive-ID array instead of
 //! materialised finger tables, which keeps memory O(N) rather than
-//! O(N·64) and lets event-driven simulations run at N=10⁵–10⁶:
+//! O(N·64) and lets simulations run at N=10⁵–10⁶:
 //!
 //! - **The ring is two parallel arrays**: the alive IDs in ascending
 //!   order (`u64`) and the dense node index at each position (`u32`),

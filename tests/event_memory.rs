@@ -1,5 +1,5 @@
-//! The memory bound of the event-driven runtime: per-node session state
-//! is lazily instantiated, so a predistribution session over a sparse
+//! The memory bound of the protocol sessions: per-node session state is
+//! lazily instantiated, so a predistribution session over a sparse
 //! deployment touches O(active nodes), not O(N).
 //!
 //! Checked through the `net.event.nodes_touched` counter (documented in
