@@ -317,7 +317,8 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
     /// Panics if `level` is out of range, if `coefficients.len() != N`,
     /// or (debug only) if coefficients stray outside the level's support.
     pub fn insert_parts(&mut self, level: usize, coefficients: &[F], payload: P) -> InsertOutcome {
-        self.insert_row(level, CoeffRow::from_dense(coefficients.to_vec()), payload)
+        let row = CoeffRow::dense_with(coefficients.len(), |d| d.copy_from_slice(coefficients));
+        self.insert_row(level, row, payload)
     }
 
     /// Low-level insertion from a [`CoeffRow`] in either representation;

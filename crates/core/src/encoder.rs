@@ -156,26 +156,22 @@ impl Encoder {
         let support_len = support.len();
         let d = self.degree.nonzeros(support_len, n);
         let row = match (self.degree, self.rep) {
-            (Degree::Full, CoeffRep::Dense) => {
-                let mut coeffs = vec![F::ZERO; n];
+            (Degree::Full, CoeffRep::Dense) => CoeffRow::dense_with(n, |coeffs| {
                 for c in &mut coeffs[support] {
                     *c = F::random_nonzero(rng);
                 }
-                CoeffRow::from_dense(coeffs)
-            }
+            }),
             (Degree::Full, CoeffRep::Sparse) => {
                 let entries = support
                     .map(|i| (i as u32, F::random_nonzero(rng)))
                     .collect();
                 CoeffRow::from_sorted_entries(n, entries)
             }
-            (Degree::Sparse { .. }, CoeffRep::Dense) => {
-                let mut coeffs = vec![F::ZERO; n];
+            (Degree::Sparse { .. }, CoeffRep::Dense) => CoeffRow::dense_with(n, |coeffs| {
                 for idx in sample(rng, support_len, d) {
                     coeffs[support.start + idx] = F::random_nonzero(rng);
                 }
-                CoeffRow::from_dense(coeffs)
-            }
+            }),
             (Degree::Sparse { .. }, CoeffRep::Sparse) => {
                 // Values are drawn in the sample's order (identical to the
                 // dense branch); sorting happens after all draws and never

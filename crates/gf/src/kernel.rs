@@ -59,11 +59,27 @@
 //! they exist for the equivalence property tests and the
 //! backend-comparison benchmarks; production code should use the
 //! dispatched entry points.
+//!
+//! # Whole-block row kernel
+//!
+//! Selection resolves a [`RowKernel`]: the backend, the SIMD level and
+//! the GF(2⁸) tables it reads, once. The dispatched entry points run on
+//! the process's kernel, the `*_with` variants on one resolved per call.
+//! A caller that holds a `RowKernel` — the progressive decoder does —
+//! calls [`RowKernel::axpy`] and [`RowKernel::scale`] on slices that are
+//! a whole number of [`BLOCK`]s, with no per-call dispatch. The caller
+//! names the logical length of the operation, and the operand must be
+//! zero past it, so the SIMD levels run every 64-byte vector with no
+//! masked or product-table tail, the per-symbol backends stop at the
+//! logical length, and the byte counters record that length alone.
+//! Zero-padded dense coefficient rows (`prlc-linalg`'s `CoeffRow`) run
+//! every elimination step through it.
 
 use std::fmt;
 use std::sync::OnceLock;
 
 use crate::element::{gf256_product_table, GfElem};
+use crate::tables::Mul256Table;
 
 /// A slice-arithmetic implementation strategy. See the [module
 /// docs](self) for what each backend does.
@@ -196,29 +212,26 @@ fn choose(request: Option<&str>, simd_available: bool) -> Backend {
     }
 }
 
-fn select() -> (Backend, Option<SimdLevel>) {
-    static ACTIVE: OnceLock<(Backend, Option<SimdLevel>)> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
+fn select() -> &'static RowKernel {
+    static ACTIVE: OnceLock<RowKernel> = OnceLock::new();
+    ACTIVE.get_or_init(|| {
         let level = best_simd_level();
         let request = std::env::var("PRLC_KERNEL").ok();
-        (choose(request.as_deref(), level.is_some()), level)
+        RowKernel::resolve(choose(request.as_deref(), level.is_some()), level)
     })
 }
 
 /// The backend chosen for this process (selected on first use; see the
 /// [module docs](self) for the selection order).
 pub fn active_backend() -> Backend {
-    select().0
+    select().backend
 }
 
 /// Human-readable description of the active backend, including the SIMD
 /// instruction set when relevant — e.g. `"simd(avx2)"` or `"table"`.
 /// Used by run headers and benchmark metadata.
 pub fn active_backend_description() -> String {
-    match select() {
-        (Backend::Simd, Some(level)) => format!("simd({})", level.name()),
-        (backend, _) => backend.name().to_string(),
-    }
+    select().description()
 }
 
 /// The backends this process can actually execute, in increasing order of
@@ -260,16 +273,16 @@ macro_rules! record_bytes {
 ///
 /// Panics if the slices have different lengths.
 pub fn axpy<F: GfElem>(dst: &mut [F], c: F, src: &[F]) {
-    let (backend, level) = select();
-    record_bytes!("axpy", backend, src);
-    axpy_impl(backend, level, dst, c, src);
+    let kernel = select();
+    record_bytes!("axpy", kernel.backend, src);
+    axpy_impl(kernel, dst, c, src);
 }
 
 /// `dst[i] *= c` for all `i`.
 pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
-    let (backend, level) = select();
-    record_bytes!("scale", backend, &*dst);
-    scale_slice_impl(backend, level, dst, c);
+    let kernel = select();
+    record_bytes!("scale", kernel.backend, &*dst);
+    scale_slice_impl(kernel, dst, c);
 }
 
 /// `dst[i] += src[i]` for all `i`. Backend-independent: fields with
@@ -280,7 +293,7 @@ pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
 ///
 /// Panics if the slices have different lengths.
 pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
-    record_bytes!("add", select().0, src);
+    record_bytes!("add", select().backend, src);
     add_slice_impl(dst, src);
 }
 
@@ -290,7 +303,7 @@ pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 ///
 /// Panics if the slices have different lengths.
 pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
-    let backend = select().0;
+    let backend = select().backend;
     record_bytes!("mul", backend, src);
     mul_slice_impl(backend, dst, src);
 }
@@ -301,7 +314,7 @@ pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 ///
 /// Panics if the slices have different lengths.
 pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
-    let backend = select().0;
+    let backend = select().backend;
     record_bytes!("dot", backend, a);
     dot_impl(backend, a, b)
 }
@@ -314,12 +327,12 @@ pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
 /// `Table` when the hardware lacks the features (use
 /// [`available_backends`] to avoid benchmarking the degraded path).
 pub fn axpy_with<F: GfElem>(backend: Backend, dst: &mut [F], c: F, src: &[F]) {
-    axpy_impl(backend, best_simd_level(), dst, c, src);
+    axpy_impl(&RowKernel::with(backend), dst, c, src);
 }
 
 /// [`scale_slice`] forced onto `backend`.
 pub fn scale_slice_with<F: GfElem>(backend: Backend, dst: &mut [F], c: F) {
-    scale_slice_impl(backend, best_simd_level(), dst, c);
+    scale_slice_impl(&RowKernel::with(backend), dst, c);
 }
 
 /// [`mul_slice`] forced onto `backend`.
@@ -333,16 +346,123 @@ pub fn dot_with<F: GfElem>(backend: Backend, a: &[F], b: &[F]) -> F {
 }
 
 // ---------------------------------------------------------------------------
+// The resolved kernel and its whole-block entry points.
+// ---------------------------------------------------------------------------
+
+/// Symbols per block of the [`RowKernel`] entry points: one 64-byte
+/// AVX-512 vector of GF(2⁸) symbols, and a whole number of AVX2, SSSE3
+/// and NEON vectors.
+pub const BLOCK: usize = 64;
+
+/// A kernel with its backend, SIMD level and tables resolved once. Its
+/// [`axpy`](Self::axpy) and [`scale`](Self::scale) take a whole number
+/// of [`BLOCK`]s; see the [module docs](self#whole-block-row-kernel).
+#[derive(Clone, Copy)]
+pub struct RowKernel {
+    backend: Backend,
+    /// The SIMD level; present exactly when `backend` is `Simd`.
+    level: Option<SimdLevel>,
+    table: &'static Mul256Table,
+    #[cfg(target_arch = "x86_64")]
+    matrices: &'static [u64; 256],
+}
+
+impl RowKernel {
+    /// The kernel this process's dispatched entry points run (see
+    /// [`active_backend`]).
+    pub fn active() -> RowKernel {
+        *select()
+    }
+
+    /// The kernel forced onto `backend`; a `Simd` request degrades to
+    /// `Table` without hardware support.
+    pub(crate) fn with(backend: Backend) -> RowKernel {
+        RowKernel::resolve(backend, best_simd_level())
+    }
+
+    fn resolve(backend: Backend, level: Option<SimdLevel>) -> RowKernel {
+        let (backend, level) = match (backend, level) {
+            (Backend::Simd, Some(level)) => (Backend::Simd, Some(level)),
+            (Backend::Simd, None) => (Backend::Table, None),
+            (backend, _) => (backend, None),
+        };
+        RowKernel {
+            backend,
+            level,
+            table: gf256_product_table(),
+            #[cfg(target_arch = "x86_64")]
+            matrices: simd::affine_matrices(),
+        }
+    }
+
+    fn description(&self) -> String {
+        match self.level {
+            Some(level) => format!("simd({})", level.name()),
+            None => self.backend.name().to_string(),
+        }
+    }
+
+    /// `dst[i] += c * src[i]` for all `i`, where `src` is zero past its
+    /// first `len` symbols, so only `dst[..len]` can change. The SIMD
+    /// levels run every block; the per-symbol backends stop at `len`.
+    /// Counts `len` symbols into `gf.axpy.bytes.<backend>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length, are not a whole number of
+    /// [`BLOCK`]s, or are shorter than `len`.
+    #[inline]
+    pub fn axpy<F: GfElem>(&self, dst: &mut [F], c: F, src: &[F], len: usize) {
+        assert!(
+            dst.len() == src.len() && dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
+            "row kernel slices must be equal whole blocks covering the logical length"
+        );
+        record_bytes!("axpy", self.backend, &src[..len]);
+        if let (Some(level), Some(d), Some(s)) =
+            (self.level, plane::gf256_mut(dst), plane::gf256(src))
+        {
+            simd::axpy(self, level, d, s, c.index() as u8);
+            return;
+        }
+        axpy_impl(self, &mut dst[..len], c, &src[..len]);
+    }
+
+    /// `dst[i] *= c` for all `i`, where `dst` is zero past its first
+    /// `len` symbols. Runs and counts (into `gf.scale.bytes.<backend>`)
+    /// as [`axpy`](Self::axpy) does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not a whole number of [`BLOCK`]s or is shorter
+    /// than `len`.
+    #[inline]
+    pub fn scale<F: GfElem>(&self, dst: &mut [F], c: F, len: usize) {
+        assert!(
+            dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
+            "row kernel slice must be whole blocks covering the logical length"
+        );
+        record_bytes!("scale", self.backend, &dst[..len]);
+        if let (Some(level), Some(d)) = (self.level, plane::gf256_mut(dst)) {
+            simd::scale(self, level, d, c.index() as u8);
+            return;
+        }
+        scale_slice_impl(self, &mut dst[..len], c);
+    }
+}
+
+impl fmt::Debug for RowKernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("RowKernel")
+            .field(&self.description())
+            .finish()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Implementations.
 // ---------------------------------------------------------------------------
 
-fn axpy_impl<F: GfElem>(
-    backend: Backend,
-    level: Option<SimdLevel>,
-    dst: &mut [F],
-    c: F,
-    src: &[F],
-) {
+fn axpy_impl<F: GfElem>(kernel: &RowKernel, dst: &mut [F], c: F, src: &[F]) {
     assert_eq!(dst.len(), src.len(), "axpy length mismatch");
     if c.is_zero() {
         return;
@@ -351,9 +471,9 @@ fn axpy_impl<F: GfElem>(
         add_slice_impl(dst, src);
         return;
     }
-    if backend != Backend::Scalar {
+    if kernel.backend != Backend::Scalar {
         if let (Some(s), Some(d)) = (plane::gf256(src), plane::gf256_mut(dst)) {
-            gf256_axpy_bytes(backend, level, d, c.index() as u8, s);
+            gf256_axpy_bytes(kernel, d, c.index() as u8, s);
             return;
         }
     }
@@ -362,13 +482,13 @@ fn axpy_impl<F: GfElem>(
     }
 }
 
-fn scale_slice_impl<F: GfElem>(backend: Backend, level: Option<SimdLevel>, dst: &mut [F], c: F) {
+fn scale_slice_impl<F: GfElem>(kernel: &RowKernel, dst: &mut [F], c: F) {
     if c == F::ONE {
         return;
     }
-    if backend != Backend::Scalar && !c.is_zero() {
+    if kernel.backend != Backend::Scalar && !c.is_zero() {
         if let Some(d) = plane::gf256_mut(dst) {
-            gf256_scale_bytes(backend, level, d, c.index() as u8);
+            gf256_scale_bytes(kernel, d, c.index() as u8);
             return;
         }
     }
@@ -448,29 +568,26 @@ fn xor_slice_u64(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// GF(2⁸) byte-plane `dst ^= c·src` with the requested backend.
-fn gf256_axpy_bytes(backend: Backend, level: Option<SimdLevel>, dst: &mut [u8], c: u8, src: &[u8]) {
-    if backend == Backend::Simd {
-        if let Some(level) = level {
-            simd::axpy(level, dst, src, c);
-            return;
-        }
+/// GF(2⁸) byte-plane `dst ^= c·src` on `kernel`'s SIMD level, or
+/// through its product table.
+fn gf256_axpy_bytes(kernel: &RowKernel, dst: &mut [u8], c: u8, src: &[u8]) {
+    if let Some(level) = kernel.level {
+        simd::axpy(kernel, level, dst, src, c);
+        return;
     }
-    let row = gf256_product_table().row(c);
+    let row = kernel.table.row(c);
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= row[*s as usize];
     }
 }
 
-/// GF(2⁸) byte-plane `dst = c·dst` with the requested backend.
-fn gf256_scale_bytes(backend: Backend, level: Option<SimdLevel>, dst: &mut [u8], c: u8) {
-    if backend == Backend::Simd {
-        if let Some(level) = level {
-            simd::scale(level, dst, c);
-            return;
-        }
+/// GF(2⁸) byte-plane `dst = c·dst`, as [`gf256_axpy_bytes`].
+fn gf256_scale_bytes(kernel: &RowKernel, dst: &mut [u8], c: u8) {
+    if let Some(level) = kernel.level {
+        simd::scale(kernel, level, dst, c);
+        return;
     }
-    let row = gf256_product_table().row(c);
+    let row = kernel.table.row(c);
     for d in dst.iter_mut() {
         *d = row[*d as usize];
     }
@@ -552,18 +669,20 @@ mod plane {
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[allow(unsafe_code)]
 mod simd {
-    use super::SimdLevel;
-    use crate::element::gf256_product_table;
-
-    /// The `GF2P8AFFINEQB` bit matrix of `x ↦ c·x`, looked up in a
-    /// 256-entry table built once from the product table. Byte `7−i` of
-    /// the matrix holds bit `i` of `c·2^j` at bit position `j`, so the
-    /// instruction's output bit `i` — the parity of byte `7−i` ANDed
-    /// with `x` — is bit `i` of `Σ_j x_j·(c·2^j) = c·x`.
+    use super::{RowKernel, SimdLevel};
     #[cfg(target_arch = "x86_64")]
-    pub(super) fn affine_matrix(c: u8) -> u64 {
+    use crate::element::gf256_product_table;
+    use crate::tables::Mul256Table;
+
+    /// The `GF2P8AFFINEQB` bit matrix of `x ↦ c·x` for every `c`, built
+    /// once from the product table. Byte `7−i` of a matrix holds bit `i`
+    /// of `c·2^j` at bit position `j`, so the instruction's output bit
+    /// `i` — the parity of byte `7−i` ANDed with `x` — is bit `i` of
+    /// `Σ_j x_j·(c·2^j) = c·x`.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn affine_matrices() -> &'static [u64; 256] {
         static MATRICES: std::sync::OnceLock<[u64; 256]> = std::sync::OnceLock::new();
-        let matrices = MATRICES.get_or_init(|| {
+        MATRICES.get_or_init(|| {
             let table = gf256_product_table();
             std::array::from_fn(|c| {
                 let row = table.row(c as u8);
@@ -576,62 +695,70 @@ mod simd {
                 }
                 matrix
             })
-        });
-        matrices[usize::from(c)]
+        })
     }
 
     /// The two 16-entry shuffle tables for multiplication by the constant
-    /// `c` whose product row is `row`: `lo[i] = c·i`, `hi[i] = c·(i·16)`.
-    /// Both are contiguous 16-byte runs of product rows: `lo` is
-    /// `row[..16]`, and since `c·(16·i) = (c·16)·i`, `hi` is the head of
-    /// the product row of `c·16 = row[16]`.
-    pub(super) fn nibble_tables(row: &[u8; 256]) -> ([u8; 16], [u8; 16]) {
+    /// `c`: `lo[i] = c·i`, `hi[i] = c·(i·16)`. Both are contiguous 16-byte
+    /// runs of product rows: `lo` heads the row of `c`, and since
+    /// `c·(16·i) = (c·16)·i`, `hi` heads the row of `c·16`.
+    pub(super) fn nibble_tables(table: &Mul256Table, c: u8) -> ([u8; 16], [u8; 16]) {
+        let row = table.row(c);
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
         lo.copy_from_slice(&row[..16]);
-        hi.copy_from_slice(&gf256_product_table().row(row[16])[..16]);
+        hi.copy_from_slice(&table.row(row[16])[..16]);
         (lo, hi)
     }
 
-    /// `dst ^= c·src`: the whole slice on `gfni`; otherwise the
+    /// `dst ^= c·src` with the tables `kernel` resolved: the whole slice
+    /// on `gfni`, its last 1–63 bytes masked; otherwise the
     /// 16-byte-aligned prefix, with a product-table tail of at most 15
-    /// bytes.
-    pub(super) fn axpy(level: SimdLevel, dst: &mut [u8], src: &[u8], c: u8) {
+    /// bytes. A whole number of 64-byte blocks runs no tail on any level.
+    #[inline]
+    pub(super) fn axpy(kernel: &RowKernel, level: SimdLevel, dst: &mut [u8], src: &[u8], c: u8) {
         // SAFETY: `level` came from runtime feature detection, so the
         // matching instruction set is available on this CPU.
         unsafe {
             match level {
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Gfni => x86::axpy_gfni(dst, src, affine_matrix(c)),
+                SimdLevel::Gfni => x86::axpy_gfni(dst, src, kernel.matrices[usize::from(c)]),
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => {
-                    nibble_axpy(dst, src, c, |d, s, lo, hi| x86::axpy_avx2(d, s, lo, hi))
-                }
+                SimdLevel::Avx2 => nibble_axpy(kernel.table, dst, src, c, |d, s, lo, hi| {
+                    x86::axpy_avx2(d, s, lo, hi)
+                }),
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Ssse3 => {
-                    nibble_axpy(dst, src, c, |d, s, lo, hi| x86::axpy_ssse3(d, s, lo, hi))
-                }
+                SimdLevel::Ssse3 => nibble_axpy(kernel.table, dst, src, c, |d, s, lo, hi| {
+                    x86::axpy_ssse3(d, s, lo, hi)
+                }),
                 #[cfg(target_arch = "aarch64")]
-                SimdLevel::Neon => {
-                    nibble_axpy(dst, src, c, |d, s, lo, hi| arm::axpy_neon(d, s, lo, hi))
-                }
+                SimdLevel::Neon => nibble_axpy(kernel.table, dst, src, c, |d, s, lo, hi| {
+                    arm::axpy_neon(d, s, lo, hi)
+                }),
             }
         }
     }
 
     /// `dst = c·dst`, split across levels as in [`axpy`].
-    pub(super) fn scale(level: SimdLevel, dst: &mut [u8], c: u8) {
+    #[inline]
+    pub(super) fn scale(kernel: &RowKernel, level: SimdLevel, dst: &mut [u8], c: u8) {
         // SAFETY: as in `axpy`.
         unsafe {
             match level {
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Gfni => x86::scale_gfni(dst, affine_matrix(c)),
+                SimdLevel::Gfni => x86::scale_gfni(dst, kernel.matrices[usize::from(c)]),
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Avx2 => nibble_scale(dst, c, |d, lo, hi| x86::scale_avx2(d, lo, hi)),
+                SimdLevel::Avx2 => {
+                    nibble_scale(kernel.table, dst, c, |d, lo, hi| x86::scale_avx2(d, lo, hi))
+                }
                 #[cfg(target_arch = "x86_64")]
-                SimdLevel::Ssse3 => nibble_scale(dst, c, |d, lo, hi| x86::scale_ssse3(d, lo, hi)),
+                SimdLevel::Ssse3 => nibble_scale(kernel.table, dst, c, |d, lo, hi| {
+                    x86::scale_ssse3(d, lo, hi)
+                }),
                 #[cfg(target_arch = "aarch64")]
-                SimdLevel::Neon => nibble_scale(dst, c, |d, lo, hi| arm::scale_neon(d, lo, hi)),
+                SimdLevel::Neon => {
+                    nibble_scale(kernel.table, dst, c, |d, lo, hi| arm::scale_neon(d, lo, hi))
+                }
             }
         }
     }
@@ -640,15 +767,16 @@ mod simd {
     /// prefix, then the product table over the tail of at most 15 bytes.
     #[inline(always)]
     fn nibble_axpy(
+        table: &Mul256Table,
         dst: &mut [u8],
         src: &[u8],
         c: u8,
         kernel: impl FnOnce(&mut [u8], &[u8], &[u8; 16], &[u8; 16]),
     ) {
-        let row = gf256_product_table().row(c);
-        let (lo, hi) = nibble_tables(row);
+        let (lo, hi) = nibble_tables(table, c);
         let n = dst.len() - dst.len() % 16;
         kernel(&mut dst[..n], &src[..n], &lo, &hi);
+        let row = table.row(c);
         for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
             *d ^= row[*s as usize];
         }
@@ -656,11 +784,16 @@ mod simd {
 
     /// The scale counterpart of [`nibble_axpy`].
     #[inline(always)]
-    fn nibble_scale(dst: &mut [u8], c: u8, kernel: impl FnOnce(&mut [u8], &[u8; 16], &[u8; 16])) {
-        let row = gf256_product_table().row(c);
-        let (lo, hi) = nibble_tables(row);
+    fn nibble_scale(
+        table: &Mul256Table,
+        dst: &mut [u8],
+        c: u8,
+        kernel: impl FnOnce(&mut [u8], &[u8; 16], &[u8; 16]),
+    ) {
+        let (lo, hi) = nibble_tables(table, c);
         let n = dst.len() - dst.len() % 16;
         kernel(&mut dst[..n], &lo, &hi);
+        let row = table.row(c);
         for d in dst[n..].iter_mut() {
             *d = row[*d as usize];
         }
@@ -875,13 +1008,13 @@ mod simd {
 /// [`SimdLevel`] is uninhabited there, so these never execute.
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod simd {
-    use super::SimdLevel;
+    use super::{RowKernel, SimdLevel};
 
-    pub(super) fn axpy(level: SimdLevel, _dst: &mut [u8], _src: &[u8], _c: u8) {
+    pub(super) fn axpy(_: &RowKernel, level: SimdLevel, _: &mut [u8], _: &[u8], _: u8) {
         match level {}
     }
 
-    pub(super) fn scale(level: SimdLevel, _dst: &mut [u8], _c: u8) {
+    pub(super) fn scale(_: &RowKernel, level: SimdLevel, _: &mut [u8], _: u8) {
         match level {}
     }
 }
@@ -981,16 +1114,82 @@ mod tests {
                 let mut scale_want = base.clone();
                 scale_slice_with(Backend::Scalar, &mut scale_want[window.clone()], c);
                 for (backend, level) in kernels.clone() {
-                    let name = level.map_or(backend.name(), SimdLevel::name);
+                    let kernel = RowKernel::resolve(backend, level);
                     let mut got = base.clone();
-                    axpy_impl(backend, level, &mut got[window.clone()], c, src);
-                    assert_eq!(got, axpy_want, "axpy {name} n={n} offsets=({doff},{soff})");
+                    axpy_impl(&kernel, &mut got[window.clone()], c, src);
+                    assert_eq!(
+                        got, axpy_want,
+                        "axpy {kernel:?} n={n} offsets=({doff},{soff})"
+                    );
                     let mut got = base.clone();
-                    scale_slice_impl(backend, level, &mut got[window.clone()], c);
-                    assert_eq!(got, scale_want, "scale_slice {name} n={n} offset={doff}");
+                    scale_slice_impl(&kernel, &mut got[window.clone()], c);
+                    assert_eq!(
+                        got, scale_want,
+                        "scale_slice {kernel:?} n={n} offset={doff}"
+                    );
                 }
             }
         }
+    }
+
+    /// The row kernel at every level this CPU can run — scalar, table and
+    /// each detected SIMD level — against the scalar slice kernel on the
+    /// logical prefix. The blocks sit at odd offsets inside larger
+    /// buffers, `dst` holds nonzero values past the prefix that axpy must
+    /// keep, and a write past the last block fails the comparison.
+    #[test]
+    fn row_kernel_matches_scalar_at_every_level() {
+        let levels = simd_levels()
+            .iter()
+            .map(|&level| RowKernel::resolve(Backend::Simd, Some(level)));
+        let kernels: Vec<RowKernel> = [Backend::Scalar, Backend::Table]
+            .into_iter()
+            .map(|backend| RowKernel::resolve(backend, None))
+            .chain(levels)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(10);
+        for len in [
+            0usize, 1, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129, 200, 500,
+        ] {
+            for blocks in [len.div_ceil(BLOCK), len.div_ceil(BLOCK) + 1] {
+                let n = blocks * BLOCK;
+                let (doff, soff) = (rng.gen_range(0..64), rng.gen_range(0..64));
+                let mut src: Vec<Gf256> = random_slice(&mut rng, n + soff);
+                src[soff + len..].fill(Gf256::ZERO);
+                let base: Vec<Gf256> = random_slice(&mut rng, n + doff + 64);
+                let mut row = base.clone();
+                row[doff + len..doff + n].fill(Gf256::ZERO);
+                let c = Gf256::random(&mut rng);
+                let (window, src) = (doff..doff + n, &src[soff..]);
+                let mut axpy_want = base.clone();
+                axpy_with(
+                    Backend::Scalar,
+                    &mut axpy_want[doff..doff + len],
+                    c,
+                    &src[..len],
+                );
+                let mut scale_want = row.clone();
+                scale_slice_with(Backend::Scalar, &mut scale_want[doff..doff + len], c);
+                for kernel in &kernels {
+                    let mut got = base.clone();
+                    kernel.axpy(&mut got[window.clone()], c, src, len);
+                    assert_eq!(got, axpy_want, "axpy {kernel:?} len={len} blocks={blocks}");
+                    let mut got = row.clone();
+                    kernel.scale(&mut got[window.clone()], c, len);
+                    assert_eq!(
+                        got, scale_want,
+                        "scale {kernel:?} len={len} blocks={blocks}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole blocks")]
+    fn row_kernel_rejects_a_partial_block() {
+        let mut d = vec![Gf256::ZERO; BLOCK + 1];
+        RowKernel::active().axpy(&mut d, Gf256::ONE, &[Gf256::ZERO; BLOCK + 1], 1);
     }
 
     #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
@@ -999,7 +1198,7 @@ mod tests {
         let table = gf256_product_table();
         for c in 0..=255u8 {
             let row = table.row(c);
-            let (lo, hi) = simd::nibble_tables(row);
+            let (lo, hi) = simd::nibble_tables(table, c);
             for i in 0..16 {
                 assert_eq!(lo[i], row[i], "lo c={c} i={i}");
                 assert_eq!(hi[i], row[i << 4], "hi c={c} i={i}");
@@ -1025,7 +1224,7 @@ mod tests {
     fn affine_matrices_multiply_every_pair() {
         let table = gf256_product_table();
         for c in 0..=255u8 {
-            let matrix = simd::affine_matrix(c);
+            let matrix = simd::affine_matrices()[usize::from(c)];
             let row = table.row(c);
             for x in 0..=255u8 {
                 assert_eq!(

@@ -158,6 +158,46 @@ macro_rules! backend_equiv_tests {
                     }
                 }
 
+                /// The whole-block row kernel on every backend equals that
+                /// backend's slice kernel on the logical prefix. Lengths
+                /// cross multiples of [`kernel::BLOCK`]; `dst` holds `junk`
+                /// past the prefix, which axpy must keep, and `extra`
+                /// appends whole zero blocks past the rounded-up length.
+                #[test]
+                fn row_kernel_matches_slice_kernels_on_the_logical_prefix(
+                    c in elem(),
+                    junk in elem(),
+                    extra in 0usize..2,
+                    data in prop::collection::vec((elem(), elem()), 0..=200)
+                ) {
+                    let len = data.len();
+                    let padded = len.next_multiple_of(kernel::BLOCK) + extra * kernel::BLOCK;
+                    let zero = <$ty as GfElem>::ZERO;
+                    let mut dst: Vec<$ty> = data.iter().map(|&(d, _)| d).collect();
+                    let mut src: Vec<$ty> = data.iter().map(|&(_, s)| s).collect();
+                    let mut row = dst.clone();
+                    dst.resize(padded, junk);
+                    src.resize(padded, zero);
+                    row.resize(padded, zero);
+                    for backend in kernel::available_backends() {
+                        let k = kernel::RowKernel::with(backend);
+
+                        let mut want = dst[..len].to_vec();
+                        kernel::axpy_with(backend, &mut want, c, &src[..len]);
+                        let mut out = dst.clone();
+                        k.axpy(&mut out, c, &src, len);
+                        prop_assert_eq!(&out[..len], &want[..], "axpy {} len {}", backend, len);
+                        prop_assert_eq!(&out[len..], &dst[len..], "axpy {} wrote past {}", backend, len);
+
+                        let mut want = row[..len].to_vec();
+                        kernel::scale_slice_with(backend, &mut want, c);
+                        let mut out = row.clone();
+                        k.scale(&mut out, c, len);
+                        prop_assert_eq!(&out[..len], &want[..], "scale {} len {}", backend, len);
+                        prop_assert!(out[len..].iter().all(|v| v.is_zero()), "scale {} padding", backend);
+                    }
+                }
+
                 #[test]
                 fn mul_slice_identical_across_backends(
                     data in prop::collection::vec((elem(), elem()), 0..130)

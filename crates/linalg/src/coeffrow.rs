@@ -9,6 +9,23 @@
 //! representation every experiment used before sparse rows existed) or
 //! sparsely (sorted `(index, value)` pairs, the peeling-decoder idiom).
 //!
+//! # Padded dense layout
+//!
+//! A dense row keeps its `len` symbols in a buffer zero-padded to a whole
+//! number of [`BLOCK`] = 64 symbols; the padding is always zero, and the
+//! row's logical length is stored beside it. Every dense row operation is
+//! one call into the [`RowKernel`], which runs whole 64-byte vectors with
+//! no masked or table tail: an axpy or scale bounded by a support `s`
+//! runs the blocks covering `[0, s)`, since the operand is zero from `s`
+//! to the block end. The padding is invisible to every observable below
+//! and to [`storage_bytes`](CoeffRow::storage_bytes), which counts the
+//! logical `len`; `gf.axpy.bytes` and `gf.scale.bytes` count `s`.
+//!
+//! The decoder keeps each stored row's support *tight* (its last nonzero
+//! plus one, see [`shrink_support`](CoeffRow::shrink_support)), so every
+//! elimination step's kernel call covers just the blocks up to the
+//! column it clears.
+//!
 //! # Determinism contract
 //!
 //! The two representations are *logically identical*: every observable
@@ -25,16 +42,17 @@
 //!
 //! A sparse row that fills in past `len / 4` nonzeros (fill-in is what
 //! Gauss–Jordan elimination does to sparse rows) switches to the dense
-//! layout, where the dispatched [`kernel`](prlc_gf::kernel) slice ops
-//! are far cheaper per entry. The threshold depends only on the logical
-//! nonzero count, so the switch point is deterministic and identical
-//! across platforms and thread counts.
+//! layout, where the whole-block kernel is far cheaper per entry. The
+//! threshold depends only on the logical nonzero count, so the switch
+//! point is deterministic and identical across platforms and thread
+//! counts.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-use prlc_gf::{kernel, GfElem};
+use prlc_gf::kernel::{RowKernel, BLOCK};
+use prlc_gf::GfElem;
 
 /// Which physical layout a [`CoeffRow`] (or a whole run) stores
 /// coefficient rows in.
@@ -53,7 +71,10 @@ const DENSIFY_DIVISOR: usize = 4;
 #[derive(Clone)]
 enum Repr<F> {
     Dense {
+        /// The coefficients, zero-padded to a whole number of [`BLOCK`]s:
+        /// `data[len..]` is always zero.
         data: Vec<F>,
+        len: usize,
         /// Exclusive upper bound of the nonzero region: `data[support..]`
         /// are all zero (the bound may be loose).
         support: usize,
@@ -80,7 +101,8 @@ impl<F: GfElem> CoeffRow<F> {
     pub fn zero(len: usize, rep: CoeffRep) -> Self {
         let repr = match rep {
             CoeffRep::Dense => Repr::Dense {
-                data: vec![F::ZERO; len],
+                data: vec![F::ZERO; padded(len)],
+                len,
                 support: 0,
             },
             CoeffRep::Sparse => {
@@ -103,10 +125,25 @@ impl<F: GfElem> CoeffRow<F> {
     }
 
     /// Wraps a dense vector, computing its tight trailing support.
-    pub fn from_dense(data: Vec<F>) -> Self {
-        let support = trailing_support(&data);
+    pub fn from_dense(mut data: Vec<F>) -> Self {
+        let len = data.len();
+        data.resize(padded(len), F::ZERO);
+        Self::dense_padded(data, len)
+    }
+
+    /// A dense row of `len` unknowns whose coefficients `fill` writes
+    /// into a zeroed slice, built in its padded buffer directly.
+    pub fn dense_with(len: usize, fill: impl FnOnce(&mut [F])) -> Self {
+        let mut data = vec![F::ZERO; padded(len)];
+        fill(&mut data[..len]);
+        Self::dense_padded(data, len)
+    }
+
+    fn dense_padded(data: Vec<F>, len: usize) -> Self {
+        debug_assert_eq!(data.len(), padded(len));
+        let support = trailing_support(&data[..len]);
         CoeffRow {
-            repr: Repr::Dense { data, support },
+            repr: Repr::Dense { data, len, support },
         }
     }
 
@@ -132,8 +169,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// The number of unknowns (logical row length).
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Dense { data, .. } => data.len(),
-            Repr::Sparse { len, .. } => *len,
+            Repr::Dense { len, .. } | Repr::Sparse { len, .. } => *len,
         }
     }
 
@@ -156,7 +192,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// representation exists to shrink from `O(N)` to `O(ln N)`.
     pub fn storage_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Dense { data, .. } => data.len() * std::mem::size_of::<F>(),
+            Repr::Dense { len, .. } => len * std::mem::size_of::<F>(),
             Repr::Sparse { entries, .. } => entries.len() * std::mem::size_of::<(u32, F)>(),
         }
     }
@@ -174,7 +210,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// for dense rows.
     pub fn nnz(&self) -> usize {
         match &self.repr {
-            Repr::Dense { data, support } => count_nonzeros(&data[..*support]),
+            Repr::Dense { data, support, .. } => count_nonzeros(&data[..*support]),
             Repr::Sparse { entries, .. } => entries.len(),
         }
     }
@@ -182,7 +218,9 @@ impl<F: GfElem> CoeffRow<F> {
     /// Number of nonzero coefficients at index `start` or later.
     pub fn count_nonzeros_from(&self, start: usize) -> usize {
         match &self.repr {
-            Repr::Dense { data, support } => count_nonzeros(&data[start.min(*support)..*support]),
+            Repr::Dense { data, support, .. } => {
+                count_nonzeros(&data[start.min(*support)..*support])
+            }
             Repr::Sparse { entries, .. } => {
                 entries.len() - entries.partition_point(|&(i, _)| (i as usize) < start)
             }
@@ -192,7 +230,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// Whether every coefficient is zero.
     pub fn is_zero_row(&self) -> bool {
         match &self.repr {
-            Repr::Dense { data, support } => data[..*support].iter().all(|c| c.is_zero()),
+            Repr::Dense { data, support, .. } => data[..*support].iter().all(|c| c.is_zero()),
             Repr::Sparse { entries, .. } => entries.is_empty(),
         }
     }
@@ -215,7 +253,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// The largest index `< end` holding a nonzero coefficient.
     pub fn last_nonzero_before(&self, end: usize) -> Option<usize> {
         match &self.repr {
-            Repr::Dense { data, support } => {
+            Repr::Dense { data, support, .. } => {
                 data[..end.min(*support)].iter().rposition(|c| !c.is_zero())
             }
             Repr::Sparse { entries, .. } => {
@@ -229,7 +267,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// ascending index order — identical for both representations.
     pub fn iter_nonzeros(&self) -> impl Iterator<Item = (usize, F)> + '_ {
         let (dense, sparse): (&[F], &[(u32, F)]) = match &self.repr {
-            Repr::Dense { data, support } => (&data[..*support], &[]),
+            Repr::Dense { data, support, .. } => (&data[..*support], &[]),
             Repr::Sparse { entries, .. } => (&[], entries.as_slice()),
         };
         dense
@@ -252,7 +290,7 @@ impl<F: GfElem> CoeffRow<F> {
             return;
         }
         match &mut self.repr {
-            Repr::Dense { data, support } => {
+            Repr::Dense { data, support, .. } => {
                 data[i] = data[i].gf_add(delta);
                 if i >= *support && !data[i].is_zero() {
                     *support = i + 1;
@@ -275,52 +313,88 @@ impl<F: GfElem> CoeffRow<F> {
         }
     }
 
-    /// `self[i] += factor · other[i]` for every `i` in `range` — the row
-    /// operation of Gauss–Jordan elimination, restricted to the columns
-    /// the caller knows can change. Entries outside `range` are kept.
+    /// `self += factor · other` — the row operation of Gauss–Jordan
+    /// elimination.
     ///
-    /// Dense-into-dense lowers to exactly one
-    /// `kernel::axpy(&mut self[lo..hi], factor, &other[lo..hi])` with
-    /// `hi = min(range.end, max(self.support, other.support))` and
-    /// `lo = min(range.start, hi)`: the kernel never reads past either
-    /// row's support.
+    /// Dense-into-dense lowers to exactly one whole-block
+    /// [`RowKernel::axpy`] over the blocks covering `other`'s support `s`,
+    /// counting `s` symbols: `other` is zero from `s` to the block end,
+    /// so nothing past `s` changes. A sparse `self` densifies first.
     ///
     /// # Panics
     ///
-    /// Panics if the row lengths differ or `range.end > len`.
-    pub fn axpy_range(&mut self, range: Range<usize>, factor: F, other: &CoeffRow<F>) {
+    /// Panics if the row lengths differ.
+    pub fn axpy(&mut self, factor: F, other: &CoeffRow<F>, kernel: &RowKernel) {
         assert_eq!(self.len(), other.len(), "coefficient width mismatch");
-        assert!(range.end <= self.len(), "axpy range out of bounds");
         if factor.is_zero() {
             return;
         }
+        self.axpy_counting(factor, other, kernel, other.support());
+    }
+
+    /// `self[i] += factor · other[i]` over the *whole* row — the coded
+    /// block combine primitive behind in-network repair.
+    ///
+    /// Dense-into-dense runs every block and counts the whole logical
+    /// row, exactly the pre-`CoeffRow` repair kernel call, and leaves the
+    /// support bound at `len`; a sparse `self` densifies and counts up to
+    /// the wider of the two supports — a bound a later combine into a
+    /// sparse row therefore counts, so tightening it would move
+    /// `gf.axpy.bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lengths differ.
+    pub fn axpy_full(&mut self, factor: F, other: &CoeffRow<F>) {
+        assert_eq!(self.len(), other.len(), "coefficient width mismatch");
+        let kernel = RowKernel::active();
+        match (&mut self.repr, &other.repr) {
+            (Repr::Dense { data, len, support }, Repr::Dense { data: odata, .. }) => {
+                kernel.axpy(data, factor, odata, *len);
+                *support = *len;
+            }
+            _ if factor.is_zero() => {}
+            _ => {
+                let counted = self.support().max(other.support());
+                self.axpy_counting(factor, other, &kernel, counted);
+            }
+        }
+    }
+
+    /// `self += factor · other`, counting `counted` symbols (at least
+    /// `other`'s support) when both rows end up dense.
+    fn axpy_counting(
+        &mut self,
+        factor: F,
+        other: &CoeffRow<F>,
+        kernel: &RowKernel,
+        counted: usize,
+    ) {
         match (&mut self.repr, &other.repr) {
             (
-                Repr::Dense { data, support },
+                Repr::Dense { data, support, .. },
                 Repr::Dense {
                     data: odata,
                     support: osupport,
+                    ..
                 },
             ) => {
-                let hi = range.end.min((*support).max(*osupport));
-                let lo = range.start.min(hi);
-                kernel::axpy(&mut data[lo..hi], factor, &odata[lo..hi]);
-                *support = (*support).max(hi);
+                let end = counted.next_multiple_of(BLOCK);
+                kernel.axpy(&mut data[..end], factor, &odata[..end], counted);
+                *support = (*support).max(*osupport);
             }
-            (Repr::Dense { data, support }, Repr::Sparse { entries, .. }) => {
-                let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
-                let hi = entries.partition_point(|&(i, _)| (i as usize) < range.end);
-                for &(i, v) in &entries[lo..hi] {
+            (Repr::Dense { data, support, .. }, Repr::Sparse { entries, .. }) => {
+                for &(i, v) in entries {
                     let i = i as usize;
                     data[i] = data[i].gf_add(factor.gf_mul(v));
                 }
-                *support = (*support).max(other.support().min(range.end));
+                *support = (*support).max(other.support());
             }
             (Repr::Sparse { .. }, Repr::Dense { .. }) => {
                 // Mixed-representation runs are the escape hatch, not the
                 // hot path: fall back to the dense kernel.
                 self.densify();
-                self.axpy_range(range, factor, other);
+                self.axpy_counting(factor, other, kernel, counted);
             }
             (
                 Repr::Sparse { entries, .. },
@@ -328,57 +402,30 @@ impl<F: GfElem> CoeffRow<F> {
                     entries: oentries, ..
                 },
             ) => {
-                *entries = merge_axpy(entries, range, factor, oentries);
+                *entries = merge_axpy(entries, factor, oentries);
                 self.maybe_densify();
             }
         }
     }
 
-    /// `self[i] += factor · other[i]` over the *whole* row — the coded
-    /// block combine primitive behind in-network repair.
+    /// `self *= c` — pivot normalisation.
     ///
-    /// Dense-into-dense lowers to one full-length
-    /// `kernel::axpy(&mut self[..], factor, &other[..])`, exactly the
-    /// pre-`CoeffRow` repair kernel call; other pairings delegate to
-    /// [`axpy_range`](Self::axpy_range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row lengths differ.
-    pub fn axpy_full(&mut self, factor: F, other: &CoeffRow<F>) {
-        assert_eq!(self.len(), other.len(), "coefficient width mismatch");
-        if let (Repr::Dense { data, support }, Repr::Dense { data: odata, .. }) =
-            (&mut self.repr, &other.repr)
-        {
-            kernel::axpy(data, factor, odata);
-            *support = data.len();
-        } else {
-            self.axpy_range(0..self.len(), factor, other);
-        }
-    }
-
-    /// `self[i] *= c` for every `i` in `range` — pivot normalisation.
-    ///
-    /// Dense lowers to exactly
-    /// `kernel::scale_slice(&mut self[lo..hi], c)` with
-    /// `hi = min(range.end, support)` and `lo = min(range.start, hi)`.
+    /// Dense lowers to exactly one whole-block [`RowKernel::scale`] over
+    /// the blocks covering the support `s`, counting `s` symbols.
     ///
     /// # Panics
     ///
     /// Panics if `c` is zero (scaling a row by zero is never a valid
     /// elimination step).
-    pub fn scale_range(&mut self, range: Range<usize>, c: F) {
+    pub fn scale(&mut self, c: F, kernel: &RowKernel) {
         assert!(!c.is_zero(), "scale by zero");
         match &mut self.repr {
-            Repr::Dense { data, support } => {
-                let hi = range.end.min(*support);
-                let lo = range.start.min(hi);
-                kernel::scale_slice(&mut data[lo..hi], c);
+            Repr::Dense { data, support, .. } => {
+                let end = support.next_multiple_of(BLOCK);
+                kernel.scale(&mut data[..end], c, *support);
             }
             Repr::Sparse { entries, .. } => {
-                let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
-                let hi = entries.partition_point(|&(i, _)| (i as usize) < range.end);
-                for e in &mut entries[lo..hi] {
+                for e in entries {
                     // c is nonzero, so nonzero values stay nonzero.
                     e.1 = e.1.gf_mul(c);
                 }
@@ -395,7 +442,9 @@ impl<F: GfElem> CoeffRow<F> {
     pub fn project(&self, range: Range<usize>) -> CoeffRow<F> {
         assert!(range.end <= self.len(), "projection range out of bounds");
         match &self.repr {
-            Repr::Dense { data, .. } => CoeffRow::from_dense(data[range].to_vec()),
+            Repr::Dense { data, .. } => {
+                CoeffRow::dense_with(range.len(), |d| d.copy_from_slice(&data[range]))
+            }
             Repr::Sparse { entries, .. } => {
                 let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
                 let hi = entries.partition_point(|&(i, _)| (i as usize) < range.end);
@@ -412,7 +461,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// rows) — the on-disk shard format stays dense.
     pub fn to_dense_vec(&self) -> Vec<F> {
         match &self.repr {
-            Repr::Dense { data, .. } => data.clone(),
+            Repr::Dense { data, len, .. } => data[..*len].to_vec(),
             Repr::Sparse { len, entries } => {
                 let mut v = vec![F::ZERO; *len];
                 for &(i, val) in entries {
@@ -428,19 +477,50 @@ impl<F: GfElem> CoeffRow<F> {
     pub fn densify(&mut self) {
         if let Repr::Sparse { len, entries } = &self.repr {
             let support = entries.last().map_or(0, |&(i, _)| i as usize + 1);
-            let mut data = vec![F::ZERO; *len];
+            let mut data = vec![F::ZERO; padded(*len)];
             for &(i, val) in entries {
                 data[i as usize] = val;
             }
-            self.repr = Repr::Dense { data, support };
+            self.repr = Repr::Dense {
+                data,
+                len: *len,
+                support,
+            };
         }
     }
 
     /// Recomputes the tight trailing support of a dense row (no-op for
     /// sparse rows, whose support is always tight).
     pub fn normalize_support(&mut self) {
-        if let Repr::Dense { data, support } = &mut self.repr {
-            *support = trailing_support(data);
+        if let Repr::Dense { data, len, support } = &mut self.repr {
+            *support = trailing_support(&data[..*len]);
+        }
+    }
+
+    /// Declares every coefficient at or past `end` zero, tightening a
+    /// dense row's support to at most `end` in O(1); the decoder calls it
+    /// with `pivot + 1` once the reduction has cleared everything right
+    /// of the pivot. Sparse rows are always tight.
+    pub fn shrink_support(&mut self, end: usize) {
+        debug_assert!(
+            self.last_nonzero_before(self.len())
+                .is_none_or(|last| last < end),
+            "nonzero coefficient at or past {end}"
+        );
+        if let Repr::Dense { support, .. } = &mut self.repr {
+            *support = (*support).min(end);
+        }
+    }
+
+    /// Whether a dense row's padding past `len` is all zero (always true
+    /// for sparse rows).
+    #[cfg(test)]
+    pub(crate) fn padding_is_zero(&self) -> bool {
+        match &self.repr {
+            Repr::Dense { data, len, .. } => {
+                data.len().is_multiple_of(BLOCK) && data[*len..].iter().all(|v| v.is_zero())
+            }
+            Repr::Sparse { .. } => true,
         }
     }
 
@@ -455,25 +535,11 @@ impl<F: GfElem> CoeffRow<F> {
     }
 }
 
-/// Merge-based sparse axpy: `self + factor · other` over the indices in
-/// `range`, with `self`'s entries outside `range` kept untouched.
-fn merge_axpy<F: GfElem>(
-    entries: &[(u32, F)],
-    range: Range<usize>,
-    factor: F,
-    other: &[(u32, F)],
-) -> Vec<(u32, F)> {
-    let bounds = |v: &[(u32, F)]| {
-        (
-            v.partition_point(|&(idx, _)| (idx as usize) < range.start),
-            v.partition_point(|&(idx, _)| (idx as usize) < range.end),
-        )
-    };
-    let (lo, hi) = bounds(entries);
-    let (olo, ohi) = bounds(other);
-    let (mut a, mut b) = (&entries[lo..hi], &other[olo..ohi]);
-    let mut out = Vec::with_capacity(entries.len() + b.len());
-    out.extend_from_slice(&entries[..lo]);
+/// Merge-based sparse axpy: `self + factor · other` over two sorted
+/// entry lists.
+fn merge_axpy<F: GfElem>(entries: &[(u32, F)], factor: F, other: &[(u32, F)]) -> Vec<(u32, F)> {
+    let (mut a, mut b) = (entries, other);
+    let mut out = Vec::with_capacity(a.len() + b.len());
     let mut push = |idx: u32, v: F| {
         if !v.is_zero() {
             out.push((idx, v));
@@ -501,8 +567,13 @@ fn merge_axpy<F: GfElem>(
             (None, None) => break,
         }
     }
-    out.extend_from_slice(&entries[hi..]);
     out
+}
+
+/// The padded buffer length of a dense row of `len` symbols: a whole
+/// number of kernel blocks.
+fn padded(len: usize) -> usize {
+    len.next_multiple_of(BLOCK)
 }
 
 /// Exclusive upper bound of the nonzero region of `v`.
@@ -654,55 +725,39 @@ mod tests {
         let a = [1, 0, 2, 0, 3, 0, 0, 0];
         let b = [0, 0, 4, 5, 0, 6, 0, 0];
         let factor = g(7);
-        for range in [0..8, 2..8, 4..8, 8..8, 0..3, 0..5, 3..6, 0..0] {
-            let mut want: Vec<Gf256> = a.iter().map(|&v| g(v)).collect();
-            for (i, w) in want.iter_mut().enumerate() {
-                if range.contains(&i) {
-                    *w = w.gf_add(factor.gf_mul(g(b[i])));
-                }
-            }
-            for self_rep in [CoeffRep::Dense, CoeffRep::Sparse] {
-                for other_rep in [CoeffRep::Dense, CoeffRep::Sparse] {
-                    let mut x = if self_rep == CoeffRep::Dense {
-                        dense(&a)
-                    } else {
-                        sparse(8, &a)
-                    };
-                    let y = if other_rep == CoeffRep::Dense {
-                        dense(&b)
-                    } else {
-                        sparse(8, &b)
-                    };
-                    x.axpy_range(range.clone(), factor, &y);
-                    assert_eq!(
-                        x.to_dense_vec(),
-                        want,
-                        "range={range:?} {self_rep:?}+={other_rep:?}"
-                    );
-                    assert!(x.support() >= trailing_support(&want));
-                }
+        let want: Vec<Gf256> = a
+            .iter()
+            .zip(&b)
+            .map(|(&x, &y)| g(x).gf_add(factor.gf_mul(g(y))))
+            .collect();
+        for self_rep in [CoeffRep::Dense, CoeffRep::Sparse] {
+            for other_rep in [CoeffRep::Dense, CoeffRep::Sparse] {
+                let row = |vals: &[usize], rep| match rep {
+                    CoeffRep::Dense => dense(vals),
+                    CoeffRep::Sparse => sparse(8, vals),
+                };
+                let (mut x, y) = (row(&a, self_rep), row(&b, other_rep));
+                x.axpy(factor, &y, &RowKernel::active());
+                assert_eq!(x.to_dense_vec(), want, "{self_rep:?}+={other_rep:?}");
+                assert!(x.support() >= trailing_support(&want));
+                let (mut x, y) = (row(&a, self_rep), row(&b, other_rep));
+                x.axpy_full(factor, &y);
+                assert_eq!(x.to_dense_vec(), want, "full {self_rep:?}+={other_rep:?}");
             }
         }
     }
 
     #[test]
-    fn scale_range_agrees_across_reps() {
+    fn scale_agrees_across_reps() {
         let vals = [1, 0, 2, 3, 0, 4];
         let c = g(11);
-        for range in [0..6, 3..6, 6..6, 0..3, 2..4] {
-            let mut d = dense(&vals);
-            let mut s = sparse(6, &vals);
-            d.scale_range(range.clone(), c);
-            s.scale_range(range.clone(), c);
-            assert_eq!(d, s, "range={range:?}");
-            for (i, &v) in vals.iter().enumerate() {
-                let want = if range.contains(&i) {
-                    g(v).gf_mul(c)
-                } else {
-                    g(v)
-                };
-                assert_eq!(d.get(i), want, "range={range:?} i={i}");
-            }
+        let mut d = dense(&vals);
+        let mut s = sparse(6, &vals);
+        d.scale(c, &RowKernel::active());
+        s.scale(c, &RowKernel::active());
+        assert_eq!(d, s);
+        for (i, &v) in vals.iter().enumerate() {
+            assert_eq!(d.get(i), g(v).gf_mul(c), "i={i}");
         }
     }
 
@@ -735,15 +790,39 @@ mod tests {
         let mut a = dense(&[1, 0, 0, 0, 0, 0]);
         assert_eq!(a.support(), 1);
         let b = dense(&[0, 0, 0, 5, 0, 0]);
-        a.axpy_range(0..6, g(2), &b);
+        a.axpy(g(2), &b, &RowKernel::active());
         assert_eq!(a.support(), 4);
-        // A bounded axpy never widens past its range.
-        let mut c = dense(&[1, 0, 0, 0, 0, 0]);
-        c.axpy_range(0..3, g(2), &b);
-        assert_eq!(c.support(), 3);
-        assert_eq!(c.to_dense_vec(), dense(&[1, 0, 0, 0, 0, 0]).to_dense_vec());
+        // Cancellation leaves the bound loose until it is recomputed.
+        a.axpy(g(2), &b, &RowKernel::active());
+        assert_eq!(a.support(), 4);
         a.normalize_support();
-        assert_eq!(a.support(), 4);
+        assert_eq!(a.support(), 1);
+        // Shrinking is O(1) and tightens only.
+        let mut c = dense(&[1, 2, 0, 0, 0, 0]);
+        c.shrink_support(5);
+        assert_eq!(c.support(), 2);
+        c.shrink_support(2);
+        assert_eq!(c.support(), 2);
+    }
+
+    #[test]
+    fn padding_is_invisible() {
+        for len in [1, 63, 64, 65, 100, 128, 129] {
+            let vals: Vec<usize> = (0..len).map(|i| (i * 7 + 1) % 256).collect();
+            let d = dense(&vals);
+            let s = sparse(len, &vals);
+            assert_eq!(d.len(), len);
+            assert_eq!(d.storage_bytes(), len);
+            assert_eq!(d.to_dense_vec().len(), len);
+            assert_eq!(d, s);
+            assert_eq!(hash_of(&d), hash_of(&s));
+            assert_eq!(format!("{d:?}"), format!("{s:?}"));
+            let Repr::Dense { data, .. } = &d.repr else {
+                unreachable!()
+            };
+            assert_eq!(data.len() % BLOCK, 0);
+            assert!(data[len..].iter().all(|v| v.is_zero()));
+        }
     }
 
     #[test]
@@ -767,6 +846,6 @@ mod tests {
     fn axpy_width_mismatch_panics() {
         let mut a: CoeffRow<Gf256> = CoeffRow::zero(3, CoeffRep::Dense);
         let b: CoeffRow<Gf256> = CoeffRow::zero(4, CoeffRep::Dense);
-        a.axpy_range(0..3, g(1), &b);
+        a.axpy(g(1), &b, &RowKernel::active());
     }
 }

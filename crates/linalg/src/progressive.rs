@@ -46,10 +46,12 @@
 //! `width = 1000` for thousands of insertions per run, so the hot paths
 //! are engineered:
 //!
-//! * rows are stored as [`CoeffRow`]s: dense rows track their support
-//!   and every row operation is bounded to `[0, c]` for the column `c`
-//!   it clears, while sparse rows store only their `(index, value)`
-//!   pairs so elimination costs `O(nnz)` per colliding pivot;
+//! * rows are stored as [`CoeffRow`]s: a dense row is zero-padded to
+//!   whole 64-symbol blocks and stored with support exactly `pivot + 1`,
+//!   so clearing column `c` with the row owning it is one whole-block
+//!   kernel call over the blocks covering `[0, c]`, while sparse rows
+//!   store only their `(index, value)` pairs so elimination costs
+//!   `O(nnz)` per colliding pivot;
 //! * each row keeps a *witness*: its last nonzero column left of the
 //!   pivot, or none once the row is solved. A row can hold a new pivot
 //!   column `pc` only if its witness is at least `pc`, so
@@ -58,11 +60,14 @@
 //!   (downward from `pc`) only when its witness *was* `pc`; otherwise
 //!   solved-tracking costs O(1) per touched row and decoded queries are
 //!   O(1);
-//! * dense bulk operations route through the dispatched
-//!   [`kernel`](prlc_gf::kernel) (product table or SIMD nibble-shuffle
-//!   for GF(2⁸), selected once at startup), and payloads are mirrored
-//!   through the same kernel calls over their contiguous symbol planes.
+//! * the decoder resolves one [`RowKernel`] when it is built (backend,
+//!   SIMD level and GF(2⁸) tables), so a dense row operation — about
+//!   137k per `curve` op, of about 180 bytes each — pays no per-call
+//!   backend dispatch and runs no masked or table tail; payloads are
+//!   mirrored through the dispatched [`kernel`](prlc_gf::kernel) over
+//!   their contiguous symbol planes.
 
+use prlc_gf::kernel::RowKernel;
 use prlc_gf::GfElem;
 
 use crate::coeffrow::CoeffRow;
@@ -122,6 +127,8 @@ impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for Row<F, P> {
 #[derive(Clone)]
 pub struct ProgressiveRref<F, P = ()> {
     width: usize,
+    /// The kernel every dense row operation runs on, resolved once.
+    kernel: RowKernel,
     rows: Vec<Row<F, P>>,
     /// Column -> index into `rows` of the pivot row owning that column.
     pivot_of_col: Vec<Option<usize>>,
@@ -142,6 +149,7 @@ impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for ProgressiveRref<F, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgressiveRref")
             .field("width", &self.width)
+            .field("kernel", &self.kernel)
             .field("rows", &self.rows)
             .field("pivot_of_col", &self.pivot_of_col)
             .field("solved", &self.solved)
@@ -158,6 +166,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     pub fn new(width: usize) -> Self {
         ProgressiveRref {
             width,
+            kernel: RowKernel::active(),
             rows: Vec::new(),
             pivot_of_col: vec![None; width],
             solved: vec![false; width],
@@ -256,9 +265,10 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     ///
     /// The elimination touches only stored nonzeros: pivot lookup walks
     /// [`CoeffRow::last_nonzero_before`] and row updates go through
-    /// [`CoeffRow::axpy_range`] bounded to `[0, c]`, so a sparse row with
-    /// `d` nonzeros costs `O(d)` per colliding pivot instead of
-    /// `O(width)`, and a dense row never works past its own support.
+    /// [`CoeffRow::axpy`] with a row that is zero right of the column
+    /// `c` it clears, so a sparse row with `d` nonzeros costs `O(d)` per
+    /// colliding pivot instead of `O(width)`, and a dense row works only
+    /// on the blocks covering `[0, c]`.
     ///
     /// # Panics
     ///
@@ -296,7 +306,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
                 Some(r) => {
                     let prow = &self.rows[r];
                     let factor = coeffs.get(c);
-                    eliminate(&mut coeffs, c, factor, &prow.coeffs, prow.witness.is_none());
+                    eliminate(&mut coeffs, c, factor, prow, &self.kernel);
                     payload.payload_axpy(&prow.payload, factor);
                     debug_assert!(coeffs.get(c).is_zero());
                 }
@@ -326,9 +336,12 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             return InsertOutcome::Redundant;
         };
 
-        // Normalise the pivot to 1; the row is zero right of it.
+        // Normalise the pivot to 1. The row is zero right of it, so its
+        // support is now exactly `pc + 1` and stays so while it is stored:
+        // every later update of it is bounded by a pivot left of `pc`.
+        coeffs.shrink_support(pc + 1);
         let inv = coeffs.get(pc).gf_inv().expect("pivot entry is nonzero");
-        coeffs.scale_range(0..pc + 1, inv);
+        coeffs.scale(inv, &self.kernel);
         payload.payload_scale(inv);
 
         // Back-eliminate column `pc` from every stored row holding it,
@@ -339,6 +352,12 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         // *is* `pc` can change its witness — and only it needs a rescan.
         let new_idx = self.rows.len();
         let witness = coeffs.last_nonzero_before(pc);
+        let new_row = Row {
+            coeffs,
+            payload,
+            pivot: pc,
+            witness,
+        };
         for row in self.rows.iter_mut() {
             if row.witness.is_none_or(|w| w < pc) {
                 continue;
@@ -347,8 +366,8 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             if factor.is_zero() {
                 continue;
             }
-            eliminate(&mut row.coeffs, pc, factor, &coeffs, witness.is_none());
-            row.payload.payload_axpy(&payload, factor);
+            eliminate(&mut row.coeffs, pc, factor, &new_row, &self.kernel);
+            row.payload.payload_axpy(&new_row.payload, factor);
             if row.witness == Some(pc) {
                 row.witness = row.coeffs.last_nonzero_before(pc);
                 if row.witness.is_none() {
@@ -365,12 +384,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             self.last_solved.push(pc);
         }
         self.pivot_of_col[pc] = Some(new_idx);
-        self.rows.push(Row {
-            coeffs,
-            payload,
-            pivot: pc,
-            witness,
-        });
+        self.rows.push(new_row);
 
         // Advance the decoded-prefix pointer (monotone: a solved row's
         // only nonzero is its pivot, so no later back-elimination
@@ -437,20 +451,22 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
 }
 
 /// Clears column `c` of `row`, which holds `factor` there, with the row
-/// `prow` that pivots on `c`: `row += factor · prow` over `[0, c]`. A
-/// solved `prow` is 1 at `c` and zero elsewhere, so then only that one
-/// coefficient changes and no kernel call is needed.
-fn eliminate<F: GfElem>(
+/// `prow` that pivots on `c`: `row += factor · prow`, which touches only
+/// `[0, c]` since `prow` is zero right of its pivot. A solved `prow` is 1
+/// at `c` and zero elsewhere, so then only that one coefficient changes
+/// and no kernel call is needed.
+fn eliminate<F: GfElem, P>(
     row: &mut CoeffRow<F>,
     c: usize,
     factor: F,
-    prow: &CoeffRow<F>,
-    solved: bool,
+    prow: &Row<F, P>,
+    kernel: &RowKernel,
 ) {
-    if solved {
+    debug_assert_eq!(prow.pivot, c);
+    if prow.witness.is_none() {
         row.add_assign_at(c, factor);
     } else {
-        row.axpy_range(0..c + 1, factor, prow);
+        row.axpy(factor, &prow.coeffs, kernel);
     }
 }
 

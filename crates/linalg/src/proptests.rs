@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use prlc_gf::{Gf16, Gf256, GfElem};
 
-use crate::coeffrow::CoeffRow;
+use crate::coeffrow::{CoeffRep, CoeffRow};
 use crate::elim;
 use crate::matrix::Matrix;
 use crate::progressive::ProgressiveRref;
@@ -190,8 +190,174 @@ fn check_support_never_widens<F: GfElem>(seed: u64, width: usize, shape: Shape) 
     }
 }
 
+/// A random row of `len` unknowns in a random representation, and its
+/// plain-vector model: nonzeros at a random density, half the time only
+/// below a random support bound (the PLC shape).
+fn random_row<F: GfElem>(rng: &mut rand::rngs::StdRng, len: usize) -> (CoeffRow<F>, Vec<F>) {
+    use rand::Rng;
+    let rep = [CoeffRep::Dense, CoeffRep::Sparse][rng.gen_range(0..2usize)];
+    let density = [0.02, 0.2, 0.6, 1.0][rng.gen_range(0..4usize)];
+    let support = if rng.gen_bool(0.5) {
+        rng.gen_range(0..=len)
+    } else {
+        len
+    };
+    let model: Vec<F> = (0..len)
+        .map(|i| {
+            if i < support && rng.gen_bool(density) {
+                F::random_nonzero(rng)
+            } else {
+                F::ZERO
+            }
+        })
+        .collect();
+    (row_of(&model, rep), model)
+}
+
+fn row_of<F: GfElem>(model: &[F], rep: CoeffRep) -> CoeffRow<F> {
+    match rep {
+        CoeffRep::Dense => CoeffRow::dense_with(model.len(), |d| d.copy_from_slice(model)),
+        CoeffRep::Sparse => {
+            let entries = model
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| !v.is_zero())
+                .map(|(i, &v)| (i as u32, v))
+                .collect();
+            CoeffRow::from_sorted_entries(model.len(), entries)
+        }
+    }
+}
+
+fn hash_of<F: GfElem>(row: &CoeffRow<F>) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    row.hash(&mut h);
+    h.finish()
+}
+
+/// Every logical observable of `row` equals the model's, in both
+/// representations; a dense row's padding is zero.
+fn check_against_model<F: GfElem>(rng: &mut rand::rngs::StdRng, row: &CoeffRow<F>, model: &[F]) {
+    use rand::Rng;
+    let len = model.len();
+    let nonzeros: Vec<(usize, F)> = model
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| !v.is_zero())
+        .map(|(i, &v)| (i, v))
+        .collect();
+    prop_assert_eq!(row.len(), len);
+    prop_assert!(row.padding_is_zero(), "nonzero padding in {:?}", row);
+    prop_assert_eq!(row.to_dense_vec(), model.to_vec());
+    prop_assert_eq!(row.iter_nonzeros().collect::<Vec<_>>(), nonzeros.clone());
+    prop_assert_eq!(row.nnz(), nonzeros.len());
+    prop_assert_eq!(row.is_zero_row(), nonzeros.is_empty());
+    let tight = nonzeros.last().map_or(0, |&(i, _)| i + 1);
+    prop_assert!(tight <= row.support() && row.support() <= len);
+    let storage = match row.rep() {
+        CoeffRep::Dense => std::mem::size_of_val(model),
+        CoeffRep::Sparse => nonzeros.len() * std::mem::size_of::<(u32, F)>(),
+    };
+    prop_assert_eq!(row.storage_bytes(), storage);
+    let (i, end) = (rng.gen_range(0..len), rng.gen_range(0..=len));
+    prop_assert_eq!(row.get(i), model[i]);
+    prop_assert_eq!(
+        row.last_nonzero_before(end),
+        model[..end].iter().rposition(|v| !v.is_zero())
+    );
+    prop_assert_eq!(
+        row.count_nonzeros_from(end),
+        model[end..].iter().filter(|v| !v.is_zero()).count()
+    );
+    for rep in [CoeffRep::Dense, CoeffRep::Sparse] {
+        let fresh = row_of(model, rep);
+        prop_assert_eq!(row, &fresh);
+        prop_assert_eq!(hash_of(row), hash_of(&fresh));
+        prop_assert_eq!(format!("{:?}", row), format!("{:?}", fresh));
+    }
+}
+
+/// Drives one row through a random sequence of every `CoeffRow`
+/// operation, against a plain `Vec<F>` model, checking every logical
+/// observable after each step. Lengths cross multiples of the kernel
+/// block, so the whole-block lowering runs on one to four blocks, and
+/// the operand rows come in both representations.
+fn check_row_ops_match_model<F: GfElem>(seed: u64, len: usize) {
+    use prlc_gf::kernel::RowKernel;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kernel = RowKernel::active();
+    let (mut row, mut model) = random_row::<F>(&mut rng, len);
+    check_against_model(&mut rng, &row, &model);
+    for _ in 0..16 {
+        match rng.gen_range(0..8) {
+            0 => {
+                let (i, delta) = (rng.gen_range(0..len), F::random(&mut rng));
+                row.add_assign_at(i, delta);
+                model[i] = model[i].gf_add(delta);
+            }
+            op @ (1 | 2) => {
+                let (other, omodel) = random_row::<F>(&mut rng, len);
+                let factor = F::random(&mut rng);
+                if op == 1 {
+                    row.axpy(factor, &other, &kernel);
+                } else {
+                    row.axpy_full(factor, &other);
+                }
+                for (m, o) in model.iter_mut().zip(&omodel) {
+                    *m = m.gf_add(factor.gf_mul(*o));
+                }
+            }
+            3 => {
+                let c = F::random_nonzero(&mut rng);
+                row.scale(c, &kernel);
+                for m in &mut model {
+                    *m = m.gf_mul(c);
+                }
+            }
+            4 => row.densify(),
+            5 => row.normalize_support(),
+            6 => {
+                let tight = model
+                    .iter()
+                    .rposition(|v| !v.is_zero())
+                    .map_or(0, |p| p + 1);
+                row.shrink_support(tight + rng.gen_range(0..3usize));
+            }
+            _ => {
+                let start = rng.gen_range(0..=len);
+                let end = rng.gen_range(start..=len);
+                let part = row.project(start..end);
+                prop_assert_eq!(part.rep(), row.rep());
+                if start < end {
+                    check_against_model(&mut rng, &part, &model[start..end]);
+                }
+            }
+        }
+        check_against_model(&mut rng, &row, &model);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `CoeffRow` against a plain-vector model over lengths 1..=200, on
+    /// GF(2⁸) (the whole-block SIMD lowering) and GF(2⁴) (the generic
+    /// per-symbol lowering, where cancellation is common).
+    #[test]
+    fn coeff_row_ops_match_a_vec_model(
+        seed in 0u64..1_000_000,
+        len in 1usize..=200,
+        wide_field in any::<bool>(),
+    ) {
+        if wide_field {
+            check_row_ops_match_model::<Gf256>(seed, len);
+        } else {
+            check_row_ops_match_model::<Gf16>(seed, len);
+        }
+    }
 
     /// GF(2⁴): entries cancel with probability 1/16, so back-elimination
     /// often zeroes a row's witness column, forcing the rescan, and

@@ -174,7 +174,7 @@ pub fn l1_determinism(files: &[SourceModel], out: &mut Vec<Finding>) {
 const SAFETY_WINDOW: usize = 3;
 
 /// L2a: every `unsafe` keyword needs a `SAFETY:` comment within
-/// [`SAFETY_WINDOW`] lines above (or on the same line). Applies to test
+/// `SAFETY_WINDOW` (3) lines above (or on the same line). Applies to test
 /// code too — an unsound test is still unsound.
 pub fn l2_unsafe_comments(files: &[SourceModel], out: &mut Vec<Finding>) {
     for f in files {

@@ -25,6 +25,10 @@
 //! * counters and histograms are commutative sums — merge order cannot
 //!   be observed;
 //! * snapshot output is sorted by metric name;
+//! * the JSON renderings list only metrics that recorded something
+//!   since the last [`reset`]: the registry keeps every name ever
+//!   registered in the process, so zero entries would make one
+//!   workload's output depend on what ran before it;
 //! * **no wall-clock values are recorded** in counters or histograms.
 //!   Wall-clock time lives exclusively in span timers, which
 //!   [`Snapshot::to_deterministic_json`] omits (and
@@ -350,8 +354,10 @@ impl Registry {
             .or_insert_with(|| &*Box::leak(Box::new(SpanTimer::new())))
     }
 
-    /// Zero every metric. Registered names
-    /// survive (they reappear in snapshots with zero values).
+    /// Zero every metric. Registrations survive, so handles cached by the
+    /// [`counter!`]/[`histogram!`]/[`timer!`] call sites keep recording;
+    /// a zeroed metric stays in [`Snapshot`]'s lists but drops out of its
+    /// JSON until it records again.
     pub fn reset(&self) {
         let metrics = lock(&self.metrics);
         for c in metrics.counters.values() {
@@ -533,10 +539,12 @@ pub(crate) fn json_escape(s: &str, out: &mut String) {
 
 impl Snapshot {
     /// JSON without any wall-clock content: byte-identical across
-    /// thread counts for a fixed workload.
+    /// thread counts for a fixed workload. Counters at zero and empty
+    /// histograms are left out.
     pub fn to_deterministic_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
+        let counters = self.counters.iter().filter(|&&(_, v)| v > 0);
+        for (i, (name, v)) in counters.enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -552,7 +560,8 @@ impl Snapshot {
             s.push_str(&b.to_string());
         }
         s.push_str("],\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
+        let histograms = self.histograms.iter().filter(|(_, h)| h.count > 0);
+        for (i, (name, h)) in histograms.enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -584,12 +593,14 @@ impl Snapshot {
     /// Full JSON. The non-deterministic `"timers"` object is emitted as
     /// the **final** key, so `to_json()` is exactly
     /// [`Self::to_deterministic_json`] with `,"timers":{...}` spliced
-    /// in before the closing brace — trivially strippable.
+    /// in before the closing brace — trivially strippable. Timers that
+    /// timed no span are left out.
     pub fn to_json(&self) -> String {
         let mut s = self.to_deterministic_json();
         s.pop(); // closing brace
         s.push_str(",\"timers\":{");
-        for (i, (name, t)) in self.timers.iter().enumerate() {
+        let timers = self.timers.iter().filter(|(_, t)| t.count > 0);
+        for (i, (name, t)) in timers.enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -709,7 +720,8 @@ mod tests {
         r.histogram("h").observe(3);
         let det = r.snapshot().to_deterministic_json();
         assert!(det.contains("\"p50\":4,\"p90\":4,\"p99\":4"));
-        r.reset();
+        // Overflow-only: the rank has no finite bound.
+        r.histogram("o").observe(u64::MAX);
         let det = r.snapshot().to_deterministic_json();
         assert!(det.contains("\"p50\":null,\"p90\":null,\"p99\":null"));
         disable();
@@ -727,13 +739,42 @@ mod tests {
     }
 
     #[test]
+    fn json_leaves_out_what_an_earlier_workload_registered() {
+        let _g = guarded();
+        enable();
+        let r = Registry::new();
+        let (early, hist, timer) = (r.counter("early"), r.histogram("h"), r.timer("t"));
+        early.add(7);
+        hist.observe(3);
+        drop(timer.span());
+        r.reset();
+        let late = r.counter("late");
+        late.incr();
+        let json = r.snapshot().to_json();
+        assert!(
+            json.starts_with("{\"counters\":{\"late\":1},")
+                && json.ends_with("\"histograms\":{},\"timers\":{}}"),
+            "{json}"
+        );
+        // The handles cached before the reset still record by name.
+        early.add(2);
+        hist.observe(5);
+        drop(timer.span());
+        let json = r.snapshot().to_json();
+        assert!(json.contains("{\"early\":2,\"late\":1}"), "{json}");
+        assert!(json.contains("\"h\":{\"counts\":[0,0,0,1,"), "{json}");
+        assert!(json.contains("\"timers\":{\"t\":{\"count\":1,"), "{json}");
+        disable();
+    }
+
+    #[test]
     fn json_shapes() {
         let _g = guarded();
         enable();
         let r = Registry::new();
         r.counter("n").add(1);
         r.histogram("h").observe(3);
-        let _ = r.timer("t"); // registered, zero
+        let _ = r.timer("t"); // registered, never timed: left out
         let snap = r.snapshot();
         let det = snap.to_deterministic_json();
         let full = snap.to_json();
@@ -744,7 +785,7 @@ mod tests {
         assert!(full.starts_with(&det[..det.len() - 1]));
         let stripped = &full[..full.find(",\"timers\":").unwrap()];
         assert_eq!(format!("{stripped}}}"), det);
-        assert!(full.ends_with("\"timers\":{\"t\":{\"count\":0,\"total_ns\":0}}}"));
+        assert!(full.ends_with("\"timers\":{}}"));
         disable();
     }
 

@@ -78,26 +78,17 @@ pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
 /// histograms (with their percentile fields), no timers (wall-clock).
 /// The per-backend `gf.<op>.bytes.<backend>` counters are merged to
 /// `gf.<op>.bytes`: the byte volume is recorded at dispatch entry and is
-/// identical whichever backend runs, only the key differs. Zero-valued
-/// counters and empty histograms are dropped: the global registry keeps
-/// names registered by *earlier* probes (reset zeroes values but not
-/// names), so including them would make an envelope depend on which
-/// probes ran before it in the same process.
+/// identical whichever backend runs, only the key differs. The renderer
+/// leaves out zero-valued counters and empty histograms, which earlier
+/// probes in the same process may have registered.
 fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
     let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
     for &(name, v) in &snap.counters {
-        if v != 0 {
-            *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
-        }
+        *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
     }
     prlc_obs::Snapshot {
         counters: counters.into_iter().collect(),
-        histograms: snap
-            .histograms
-            .iter()
-            .filter(|(_, h)| h.count > 0)
-            .cloned()
-            .collect(),
+        histograms: snap.histograms.clone(),
         timers: Vec::new(),
     }
     .to_deterministic_json()

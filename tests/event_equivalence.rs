@@ -537,15 +537,12 @@ fn run_pipeline(case: Case) -> [String; 8] {
     .map(|field| digest64(&field))
 }
 
-/// The deterministic metrics snapshot, minus entries no event touched
-/// (the registry is process-global, so which zero entries exist depends
-/// on the cases run before), with each `gf.<op>.bytes.<backend>` counter
-/// merged under `gf.<op>.bytes`: the digest pins the byte volume the
-/// kernels moved, not which backend moved it.
+/// The deterministic metrics snapshot, with each
+/// `gf.<op>.bytes.<backend>` counter merged under `gf.<op>.bytes`: the
+/// digest pins the byte volume the kernels moved, not which backend
+/// moved it.
 fn metrics_json() -> String {
     let mut snap = obs::snapshot();
-    snap.counters.retain(|&(_, value)| value > 0);
-    snap.histograms.retain(|(_, h)| h.count > 0);
     for (name, _) in &mut snap.counters {
         if name.starts_with("gf.") {
             if let Some(stem) = [".scalar", ".table", ".simd"]
