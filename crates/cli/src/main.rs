@@ -118,18 +118,19 @@ number of coded blocks consumed when each priority level unlocked.
 
 `bench` runs the canonical pinned-seed probe suite (GF kernel
 throughput per backend, the lossy-collection sweep, the N=10^5
-timeline, the targeted-adversary sweep, sparse-row bytes vs ln N) and
-writes one versioned BENCH_<probe>.json envelope per probe into --out
-(default: the current directory) — the files committed at the repo
-root as perf baselines. With --check it instead re-runs the probes and
-diffs each envelope against --baseline-dir (default: the current
-directory): deterministic fields (results, metrics, trace digests, RNG
-end states) must match exactly, environmental measurements (MB/s,
-wall-clock ms) must sit inside a multiplicative tolerance band
-(--tolerance, default 25; --wall-tolerance, default 100). It prints
-the run-delta table, writes machine-readable findings JSON to --report
-if given, and exits nonzero on any finding. --probe restricts the
-suite to a comma-separated subset.
+timeline, the targeted-adversary sweep, sparse-row bytes vs ln N,
+per-layer micro-benchmarks) and writes one versioned
+BENCH_<probe>.json envelope per probe into --out (default: the current
+directory) — the files committed at the repo root as perf baselines.
+With --check it instead re-runs the probes and diffs each envelope
+against --baseline-dir (default: the current directory): deterministic
+fields (results, metrics, trace digests, RNG end states) must match
+exactly, environmental measurements (MB/s, wall-clock ms) must sit
+inside a multiplicative tolerance band (--tolerance, default 25;
+--wall-tolerance, default 100). It prints the run-delta table, writes
+machine-readable findings JSON to --report if given, and exits nonzero
+on any finding. --probe restricts the suite to a comma-separated
+subset.
 
 `lint` runs the workspace invariant lints (determinism, unsafe-audit,
 metric-key registry, RNG domain separation, panic hygiene, RNG-domain

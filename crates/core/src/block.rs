@@ -1,5 +1,6 @@
 //! Coded blocks: coefficients plus payload.
 
+use prlc_gf::kernel::RowKernel;
 use prlc_gf::GfElem;
 use prlc_linalg::{CoeffRep, CoeffRow};
 
@@ -74,7 +75,8 @@ impl<F: GfElem> CodedBlock<F> {
             other.coefficients.len(),
             "combine: coefficient width mismatch"
         );
-        self.coefficients.axpy_full(beta, &other.coefficients);
+        self.coefficients
+            .axpy(beta, &other.coefficients, &RowKernel::active());
         if other.payload.is_empty() {
             return;
         }

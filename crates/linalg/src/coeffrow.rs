@@ -329,47 +329,6 @@ impl<F: GfElem> CoeffRow<F> {
         if factor.is_zero() {
             return;
         }
-        self.axpy_counting(factor, other, kernel, other.support());
-    }
-
-    /// `self[i] += factor · other[i]` over the *whole* row — the coded
-    /// block combine primitive behind in-network repair.
-    ///
-    /// Dense-into-dense runs every block and counts the whole logical
-    /// row, exactly the pre-`CoeffRow` repair kernel call, and leaves the
-    /// support bound at `len`; a sparse `self` densifies and counts up to
-    /// the wider of the two supports — a bound a later combine into a
-    /// sparse row therefore counts, so tightening it would move
-    /// `gf.axpy.bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row lengths differ.
-    pub fn axpy_full(&mut self, factor: F, other: &CoeffRow<F>) {
-        assert_eq!(self.len(), other.len(), "coefficient width mismatch");
-        let kernel = RowKernel::active();
-        match (&mut self.repr, &other.repr) {
-            (Repr::Dense { data, len, support }, Repr::Dense { data: odata, .. }) => {
-                kernel.axpy(data, factor, odata, *len);
-                *support = *len;
-            }
-            _ if factor.is_zero() => {}
-            _ => {
-                let counted = self.support().max(other.support());
-                self.axpy_counting(factor, other, &kernel, counted);
-            }
-        }
-    }
-
-    /// `self += factor · other`, counting `counted` symbols (at least
-    /// `other`'s support) when both rows end up dense.
-    fn axpy_counting(
-        &mut self,
-        factor: F,
-        other: &CoeffRow<F>,
-        kernel: &RowKernel,
-        counted: usize,
-    ) {
         match (&mut self.repr, &other.repr) {
             (
                 Repr::Dense { data, support, .. },
@@ -379,8 +338,8 @@ impl<F: GfElem> CoeffRow<F> {
                     ..
                 },
             ) => {
-                let end = counted.next_multiple_of(BLOCK);
-                kernel.axpy(&mut data[..end], factor, &odata[..end], counted);
+                let end = osupport.next_multiple_of(BLOCK);
+                kernel.axpy(&mut data[..end], factor, &odata[..end], *osupport);
                 *support = (*support).max(*osupport);
             }
             (Repr::Dense { data, support, .. }, Repr::Sparse { entries, .. }) => {
@@ -394,7 +353,7 @@ impl<F: GfElem> CoeffRow<F> {
                 // Mixed-representation runs are the escape hatch, not the
                 // hot path: fall back to the dense kernel.
                 self.densify();
-                self.axpy_counting(factor, other, kernel, counted);
+                self.axpy(factor, other, kernel);
             }
             (
                 Repr::Sparse { entries, .. },
@@ -740,9 +699,6 @@ mod tests {
                 x.axpy(factor, &y, &RowKernel::active());
                 assert_eq!(x.to_dense_vec(), want, "{self_rep:?}+={other_rep:?}");
                 assert!(x.support() >= trailing_support(&want));
-                let (mut x, y) = (row(&a, self_rep), row(&b, other_rep));
-                x.axpy_full(factor, &y);
-                assert_eq!(x.to_dense_vec(), want, "full {self_rep:?}+={other_rep:?}");
             }
         }
     }

@@ -298,14 +298,10 @@ fn check_row_ops_match_model<F: GfElem>(seed: u64, len: usize) {
                 row.add_assign_at(i, delta);
                 model[i] = model[i].gf_add(delta);
             }
-            op @ (1 | 2) => {
+            1 | 2 => {
                 let (other, omodel) = random_row::<F>(&mut rng, len);
                 let factor = F::random(&mut rng);
-                if op == 1 {
-                    row.axpy(factor, &other, &kernel);
-                } else {
-                    row.axpy_full(factor, &other);
-                }
+                row.axpy(factor, &other, &kernel);
                 for (m, o) in model.iter_mut().zip(&omodel) {
                     *m = m.gf_add(factor.gf_mul(*o));
                 }

@@ -25,7 +25,7 @@ pub enum FileKind {
     /// Binary / example code (CLI front-ends, bench drivers): exempt
     /// from the panic-hygiene lint, everything else applies.
     Bin,
-    /// Test-only code (`tests/`, `benches/`, `proptests.rs`): exempt
+    /// Test-only code (`tests/`, `proptests.rs`): exempt
     /// from determinism, metric-registry, RNG and panic lints.
     TestOnly,
 }
@@ -34,7 +34,7 @@ pub enum FileKind {
 pub fn classify(rel: &str) -> FileKind {
     let parts: Vec<&str> = rel.split('/').collect();
     let name = parts.last().copied().unwrap_or("");
-    if parts.contains(&"tests") || parts.contains(&"benches") || name == "proptests.rs" {
+    if parts.contains(&"tests") || name == "proptests.rs" {
         return FileKind::TestOnly;
     }
     if parts.contains(&"examples") || parts.contains(&"bin") || name == "main.rs" {
@@ -268,10 +268,6 @@ mod tests {
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Bin);
         assert_eq!(classify("tests/end_to_end.rs"), FileKind::TestOnly);
         assert_eq!(classify("crates/net/src/proptests.rs"), FileKind::TestOnly);
-        assert_eq!(
-            classify("crates/bench/benches/gf_ops.rs"),
-            FileKind::TestOnly
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! baselines and re-checked by `prlc bench --check` (the differ lives in
 //! [`prlc_obs::baseline`]).
 //!
-//! Five probes cover the claims the paper makes quantitatively:
+//! Six probes cover the claims the paper makes quantitatively:
 //!
 //! * `kernel` — GF(2⁸) `axpy` throughput per backend (scalar, table,
 //!   and whatever the dispatcher picks). Purely environmental.
@@ -16,6 +16,10 @@
 //!   (the adversary-smoke CI workload).
 //! * `sparse` — per-row coefficient memory vs `ln N` on the encoder
 //!   path, with the generator's end state pinned.
+//! * `layers` — one micro-benchmark row per hot path of each layer
+//!   (GF arithmetic, encoding, decoding, analysis, protocol): a fixed
+//!   iteration count, an exact-gated digest of the outputs and a banded
+//!   wall time (throughput for the GF slice kernels).
 //!
 //! Every probe resets the global recorders through
 //! [`run_probe_and_reset`] — the same helper `prlc sim` uses — so its
@@ -25,10 +29,18 @@
 //! `gf.<op>.bytes` so envelopes agree across `PRLC_KERNEL` settings.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use prlc_core::{Encoder, PriorityDistribution, PriorityProfile, Scheme};
-use prlc_gf::{kernel, Gf256};
-use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
+use prlc_analysis::{conv, curves, AnalysisOptions};
+use prlc_core::baseline::GrowthEncoder;
+use prlc_core::{
+    Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SlcDecoder,
+};
+use prlc_gf::{kernel, Gf16, Gf256, Gf64k, GfElem};
+use prlc_net::{
+    predistribute, AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, Network, PlaneNetwork,
+    ProtocolConfig, RetryPolicy, RingNetwork, SourceFanout,
+};
 use prlc_obs::baseline::{digest64, envelope_json, Json};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -40,7 +52,14 @@ use crate::metadata::{
 use crate::scenario::{every_epoch, results_json, Event, Measure, Scenario, TimelineConfig};
 
 /// The canonical probe names, in suite order.
-pub const BENCH_PROBES: &[&str] = &["kernel", "lossy", "timeline", "adversary", "sparse"];
+pub const BENCH_PROBES: &[&str] = &[
+    "kernel",
+    "lossy",
+    "timeline",
+    "adversary",
+    "sparse",
+    "layers",
+];
 
 /// The committed baseline file for a probe: `BENCH_<probe>.json` at the
 /// repository root.
@@ -63,6 +82,7 @@ pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
         "timeline" => probe_timeline(threads),
         "adversary" => probe_adversary(threads),
         "sparse" => probe_sparse(threads),
+        "layers" => probe_layers(threads),
         other => Err(format!(
             "unknown probe {other:?} (want one of {})",
             BENCH_PROBES.join(", ")
@@ -346,6 +366,257 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
     })
 }
 
+/// One row per hot-path case of every layer the paper's claims cross —
+/// GF arithmetic, encoding, progressive decoding, the analysis kernels
+/// and the protocol — each running its body a fixed number of times on
+/// pinned inputs. A row's `digest` covers everything its body produced:
+/// it is exact-gated and keeps the work observable to the optimiser. Its
+/// `wall_ms` (`mb_s` for the GF slice kernels, see [`slice_row`]) is
+/// banded. GF rows name their backend (`scalar`, `table`,
+/// `dispatched`), never a SIMD level, so the row set is the same on
+/// every machine.
+fn probe_layers(threads: usize) -> Result<String, String> {
+    const SLICE: usize = 4096;
+    const SEED: u64 = 0x1A7E;
+    let config_json = format!("{{\"slice_len\":{SLICE},\"seed\":{SEED}}}");
+    run_probe("layers", config_json, threads, true, || {
+        let profile = |levels, per| {
+            PriorityProfile::uniform(levels, per).map_err(|e| format!("layers probe: {e}"))
+        };
+        let rng = |salt: u64| StdRng::seed_from_u64(SEED ^ salt);
+        let mut rows = Vec::new();
+
+        // GF arithmetic: per-field scalar multiply chains, the slice
+        // kernels at 4 KiB per backend (axpy lives in the kernel probe),
+        // and GF(2⁸) inversion.
+        let mut r = rng(1);
+        let a16: Vec<Gf16> = (0..1024).map(|_| Gf16::random(&mut r)).collect();
+        let a256: Vec<Gf256> = (0..1024).map(|_| Gf256::random(&mut r)).collect();
+        let a64k: Vec<Gf64k> = (0..1024).map(|_| Gf64k::random(&mut r)).collect();
+        rows.push(layer_row("gf/mul_chain_gf16", 200, || mul_chain(&a16)));
+        rows.push(layer_row("gf/mul_chain_gf256", 200, || mul_chain(&a256)));
+        rows.push(layer_row("gf/mul_chain_gf64k", 200, || mul_chain(&a64k)));
+        let src: Vec<Gf256> = (0..SLICE).map(|_| Gf256::random_nonzero(&mut r)).collect();
+        let dst: Vec<Gf256> = (0..SLICE).map(|_| Gf256::random(&mut r)).collect();
+        let c = Gf256::from_index(0xA7);
+        for (name, backend, iters) in [
+            ("scalar", Some(kernel::Backend::Scalar), 400),
+            ("table", Some(kernel::Backend::Table), 1000),
+            ("dispatched", None, 4000),
+        ] {
+            rows.push(slice_row(
+                &format!("gf/scale_{SLICE}_{name}"),
+                iters,
+                dst.clone(),
+                |d| match backend {
+                    Some(b) => kernel::scale_slice_with(b, d, c),
+                    None => kernel::scale_slice(d, c),
+                },
+            ));
+            rows.push(slice_row(
+                &format!("gf/mul_slice_{SLICE}_{name}"),
+                iters,
+                dst.clone(),
+                |d| match backend {
+                    Some(b) => kernel::mul_slice_with(b, d, &src),
+                    None => kernel::mul_slice(d, &src),
+                },
+            ));
+        }
+        rows.push(layer_row("gf/inv_gf256_1024", 1000, || {
+            a256.iter()
+                .filter_map(|x| x.gf_inv())
+                .fold(Gf256::ONE, GfElem::gf_add)
+        }));
+
+        // Encoding: one coded block of a 5×40 code with 64-symbol
+        // payloads, dense, sparse and coefficients-only, and the Growth
+        // baseline at degree 4.
+        let code = profile(5, 40)?;
+        let mut r = rng(2);
+        let sources: Vec<Vec<Gf256>> = (0..code.total_blocks())
+            .map(|_| (0..64).map(|_| Gf256::random(&mut r)).collect())
+            .collect();
+        for (name, enc) in [
+            ("plc_dense", Encoder::new(Scheme::Plc, code.clone())),
+            (
+                "plc_sparse_2lnN",
+                Encoder::sparse(Scheme::Plc, code.clone(), 2.0),
+            ),
+            ("slc_dense", Encoder::new(Scheme::Slc, code.clone())),
+        ] {
+            rows.push(layer_row(&format!("encode/n200_{name}"), 1000, || {
+                enc.encode(4, &sources, &mut r)
+            }));
+        }
+        let enc = Encoder::new(Scheme::Plc, code.clone());
+        rows.push(layer_row("encode/n200_plc_coefficients_only", 1000, || {
+            enc.encode_unpayloaded::<Gf256, _>(4, &mut r)
+        }));
+        let growth = GrowthEncoder::new(code.total_blocks());
+        rows.push(layer_row("encode/growth_d4", 1000, || {
+            growth.encode_with_degree(4, &sources, &mut r)
+        }));
+
+        // Decoding: a full decode of 2N blocks per scheme, and one
+        // insertion into a half-full PLC decoder (the clones are made
+        // before the clock starts).
+        let dist = PriorityDistribution::uniform(code.num_levels());
+        let blocks = |scheme, salt| {
+            let enc = Encoder::new(scheme, code.clone());
+            let mut r = rng(salt);
+            (0..2 * code.total_blocks())
+                .map(|_| enc.encode_unpayloaded::<Gf256, _>(dist.sample_level(&mut r), &mut r))
+                .collect::<Vec<_>>()
+        };
+        for (name, scheme) in [
+            ("rlc", Scheme::Rlc),
+            ("slc", Scheme::Slc),
+            ("plc", Scheme::Plc),
+        ] {
+            let blocks = blocks(scheme, 3);
+            rows.push(layer_row(&format!("decode/full_n200_{name}"), 4, || {
+                let mut dec: Box<dyn PriorityDecoder<Gf256>> = match scheme {
+                    Scheme::Slc => {
+                        Box::new(SlcDecoder::<Gf256, ()>::coefficients_only(code.clone()))
+                    }
+                    _ => Box::new(PlcDecoder::<Gf256, ()>::coefficients_only(code.clone())),
+                };
+                for b in &blocks {
+                    dec.insert_block(b);
+                }
+                dec.decoded_levels()
+            }));
+        }
+        let plc_blocks = blocks(Scheme::Plc, 4);
+        let mut half = PlcDecoder::<Gf256, ()>::coefficients_only(code.clone());
+        for b in &plc_blocks[..code.total_blocks()] {
+            half.insert_block(b);
+        }
+        let probe = &plc_blocks[plc_blocks.len() - 1];
+        const INSERTS: usize = 200;
+        let mut clones = vec![half; INSERTS];
+        rows.push(layer_row("decode/plc_insert_half_full", INSERTS, || {
+            clones.pop().map(|mut d| d.insert_block(probe))
+        }));
+
+        // Analysis: E(X) for SLC and PLC at 5×200 and 50×20 with
+        // m = 1000, and both convolution kernels on 2000 terms — the two
+        // sides of the FFT threshold.
+        let opts = AnalysisOptions::sharp();
+        for (name, levels, per) in [("5x200", 5, 200), ("50x20", 50, 20)] {
+            let p = profile(levels, per)?;
+            let d = PriorityDistribution::uniform(levels);
+            for (sname, scheme) in [("slc", Scheme::Slc), ("plc", Scheme::Plc)] {
+                rows.push(layer_row(
+                    &format!("analysis/expected_levels_{sname}_{name}_m1000"),
+                    1,
+                    || Rounded(vec![curves::expected_levels(scheme, &p, &d, 1000, &opts)]),
+                ));
+            }
+        }
+        let xa: Vec<f64> = (0..2000).map(|i| 1.0 / (i + 1) as f64).collect();
+        let xb: Vec<f64> = (0..2000).map(|i| 1.0 / (2 * i + 1) as f64).collect();
+        rows.push(layer_row("analysis/convolve_2000_naive", 4, || {
+            Rounded(conv::convolve_naive(&xa, &xb, 2001))
+        }));
+        rows.push(layer_row("analysis/convolve_2000_fft", 4, || {
+            Rounded(conv::convolve_fft(&xa, &xb, 2001))
+        }));
+
+        // Protocol: one route on each substrate at 1000 nodes, and a
+        // whole pre-distribution of a 5×20 code onto a 200-node ring.
+        let mut r = rng(5);
+        let ring = RingNetwork::new(1000, &mut r);
+        let plane = PlaneNetwork::with_connectivity_radius(1000, &mut r);
+        rows.push(layer_row("protocol/route_ring_1000", 2000, || {
+            let from = ring.random_alive_node(&mut r);
+            from.and_then(|from| ring.route(from, ring.random_point(&mut r)))
+        }));
+        rows.push(layer_row("protocol/route_plane_1000", 2000, || {
+            let from = plane.random_alive_node(&mut r);
+            from.and_then(|from| plane.route(from, plane.random_point(&mut r)))
+        }));
+        let ring = RingNetwork::new(200, &mut r);
+        let small = profile(5, 20)?;
+        let sources: Vec<Vec<Gf256>> = (0..small.total_blocks())
+            .map(|_| (0..32).map(|_| Gf256::random(&mut r)).collect())
+            .collect();
+        for (name, fanout) in [
+            ("dense", SourceFanout::All),
+            ("sparse_1.5lnN", SourceFanout::Log { factor: 1.5 }),
+        ] {
+            let cfg = ProtocolConfig {
+                scheme: Scheme::Plc,
+                profile: small.clone(),
+                distribution: PriorityDistribution::uniform(5),
+                locations: 200,
+                fanout,
+                coeff_rep: CoeffRep::Dense,
+                two_choices: true,
+                node_capacity: None,
+                shared_seed: 9,
+            };
+            rows.push(layer_row(
+                &format!("protocol/predistribute_ring200_{name}"),
+                4,
+                || predistribute(&ring, &cfg, &sources, &mut r),
+            ));
+        }
+        Ok((format!("[{}]", rows.join(",")), None))
+    })
+}
+
+/// Runs `body` `iters` times and renders the row: its name, the
+/// iteration count, the digest of every output and the wall time.
+fn layer_row<T: fmt::Debug>(name: &str, iters: usize, mut body: impl FnMut() -> T) -> String {
+    let (outs, wall_ms) = measure_wall_ms(|| (0..iters).map(|_| body()).collect::<Vec<T>>());
+    format!(
+        "{{\"row\":{},\"iters\":{iters},\"digest\":{},\"wall_ms\":{}}}",
+        Json::Str(name.to_string()).render(),
+        Json::Str(digest64(&format!("{outs:?}"))).render(),
+        Json::fixed(wall_ms, 3).render()
+    )
+}
+
+/// A GF(2⁸) slice-kernel row: `step` runs `iters` times in place on
+/// `dst`, and the digest covers the slice it ends as. Like the kernel
+/// probe's rows it reports throughput (`mb_s`), not wall time, so the
+/// scalar leg's widened throughput band covers the `dispatched` row
+/// changing backend under `PRLC_KERNEL`.
+fn slice_row(
+    name: &str,
+    iters: usize,
+    mut dst: Vec<Gf256>,
+    mut step: impl FnMut(&mut [Gf256]),
+) -> String {
+    let ((), wall_ms) = measure_wall_ms(|| (0..iters).for_each(|_| step(&mut dst)));
+    let mb_s = (iters * dst.len()) as f64 / wall_ms / 1e3;
+    format!(
+        "{{\"row\":{},\"iters\":{iters},\"digest\":{},\"mb_s\":{}}}",
+        Json::Str(name.to_string()).render(),
+        Json::Str(digest64(&format!("{dst:?}"))).render(),
+        Json::fixed(mb_s, 1).render()
+    )
+}
+
+/// `acc ← acc·x + 1` over `xs`: a dependent chain of scalar multiplies.
+fn mul_chain<F: GfElem>(xs: &[F]) -> F {
+    xs.iter()
+        .fold(F::ONE, |acc, &x| acc.gf_mul(x).gf_add(F::ONE))
+}
+
+/// Floating-point results digested at nine significant digits, so a
+/// last-place difference in a platform's `libm` (the FFT twiddles, the
+/// analysis's `ln`/`exp`) cannot move an exact-gated digest.
+struct Rounded(Vec<f64>);
+
+impl fmt::Debug for Rounded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|x| write!(f, "{x:.8e},"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +624,7 @@ mod tests {
     #[test]
     fn file_names_and_probe_list() {
         assert_eq!(bench_file_name("kernel"), "BENCH_kernel.json");
-        assert_eq!(BENCH_PROBES.len(), 5);
+        assert_eq!(BENCH_PROBES.len(), 6);
         assert!(run_bench_probe("nope", 1).is_err());
     }
 

@@ -89,3 +89,52 @@ fn lossy_probe_is_thread_count_invariant() {
         report.findings
     );
 }
+
+#[test]
+fn layers_probe_is_thread_count_invariant() {
+    let _recorder = recorder_lock();
+    // Recorders on, as under `prlc bench`: the metrics block and the
+    // trace digest are deterministic fields too. Restored afterwards,
+    // so the other probes here keep the `PRLC_OBS` setting.
+    let was_on = (prlc_obs::enabled(), prlc_obs::trace::enabled());
+    prlc_obs::enable();
+    prlc_obs::trace::enable();
+    let a = run_bench_probe("layers", 1);
+    let b = run_bench_probe("layers", 4);
+    if !was_on.0 {
+        prlc_obs::disable();
+    }
+    if !was_on.1 {
+        prlc_obs::trace::disable();
+    }
+    let (a, b) = (a.expect("layers probe"), b.expect("layers probe"));
+    // Only the deterministic fields are under test: the wall-clock and
+    // throughput bands are opened all the way.
+    let any_speed = Tolerances {
+        throughput_factor: f64::INFINITY,
+        wall_factor: f64::INFINITY,
+    };
+    let report = diff_envelopes("layers", &a, &b, &any_speed).expect("diff");
+    assert!(
+        report.clean(),
+        "layers probe differs across thread counts: {:?}",
+        report.findings
+    );
+    let doc = parse_json(&a).expect("parse");
+    assert!(doc.get("metrics").is_some() && doc.get("trace_digest").is_some());
+    let Some(Json::Arr(rows)) = doc.get("results") else {
+        panic!("layers results are not an array")
+    };
+    let names: Vec<String> = rows
+        .iter()
+        .map(|r| match r.get("row") {
+            Some(Json::Str(name)) => name.clone(),
+            other => panic!("row without a name: {other:?}"),
+        })
+        .collect();
+    for layer in ["gf/", "encode/", "decode/", "analysis/", "protocol/"] {
+        assert!(names.iter().any(|n| n.starts_with(layer)), "{names:?}");
+    }
+    // The row set must not depend on the machine's SIMD level.
+    assert!(names.iter().all(|n| !n.contains("simd")), "{names:?}");
+}

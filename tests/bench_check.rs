@@ -121,6 +121,28 @@ fn perturbed_deterministic_field_fails_with_drift() {
 }
 
 #[test]
+fn drifted_work_counter_fails_at_its_path() {
+    // The metrics block is gated exactly like results: one bumped
+    // counter is one deterministic-drift finding, named by its path.
+    let text = baseline_text("timeline");
+    let mut doc = parse_json(&text).expect("parses");
+    let Some(Json::Num(n)) = doc
+        .get_mut("metrics")
+        .and_then(|m| m.get_mut("counters"))
+        .and_then(|c| c.get_mut("gf.axpy.bytes"))
+    else {
+        panic!("timeline baseline has no gf.axpy.bytes counter")
+    };
+    n.value += 1.0;
+    n.raw = format!("{}", n.value);
+    let mutant = doc.render();
+    let report = diff_envelopes("timeline", &text, &mutant, &Tolerances::default()).expect("diff");
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].kind, FindingKind::DeterministicDrift);
+    assert_eq!(report.findings[0].path, "metrics.counters.gf.axpy.bytes");
+}
+
+#[test]
 fn out_of_band_throughput_fails_with_its_own_kind() {
     let text = baseline_text("kernel");
     let mut doc = parse_json(&text).expect("parses");
@@ -294,7 +316,7 @@ proptest! {
 
     #[test]
     fn parse_json_never_panics_on_mutated_baselines(
-        file in 0usize..5,
+        file in 0..BENCH_PROBES.len(),
         edits in prop::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..6),
     ) {
         let original = &baseline_texts()[file];

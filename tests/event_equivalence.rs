@@ -45,7 +45,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:0ba5e8e9be7fb40a",
             "fnv1a:eea0492df5c23a5e",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:72614876f388c67f",
+            "fnv1a:fc484019d9855f2d",
             "fnv1a:900aab76000d4a69",
             "fnv1a:7a7ca55f7e0e35f7",
         ],
@@ -58,7 +58,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:5fde39827219c664",
             "fnv1a:5080610c9e170121",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:b252f36ce3266591",
+            "fnv1a:ee50db2743c98ba3",
             "fnv1a:3c78736f2e2eae38",
             "fnv1a:165375fc5cca99f9",
         ],
@@ -84,7 +84,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:94ad73f3970fe916",
             "fnv1a:e1e987af48a2119c",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:c3c41fdfb0b57a5e",
+            "fnv1a:4615845c7d6058eb",
             "fnv1a:66e30c156c270a78",
             "fnv1a:8f0fb30ef121aa87",
         ],
@@ -97,7 +97,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:93e8f056e5e42aad",
             "fnv1a:9c56ebd97b4fdd69",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:900f0cd757b36379",
+            "fnv1a:a47fea30f46deee2",
             "fnv1a:69ca004bef3f4935",
             "fnv1a:88b7ea53dc22c724",
         ],
@@ -123,7 +123,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7b644201d96d8423",
             "fnv1a:ce20186e3cbe1c24",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:a481782c1ddb7b40",
+            "fnv1a:02beeb76d66aef57",
             "fnv1a:5d870e29b074e48f",
             "fnv1a:05d6ab71b656db45",
         ],
@@ -136,7 +136,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:afb1f46c91db4e40",
             "fnv1a:23496cb163c34e71",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:1af629c4433636a4",
+            "fnv1a:8dc12dacfe586bec",
             "fnv1a:21fbbf1e01249525",
             "fnv1a:30d77cc11bd89286",
         ],
@@ -162,7 +162,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:31128bab0c30c3f5",
             "fnv1a:94ebf08b73f60967",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:f6dcf3780362cac3",
+            "fnv1a:c0f3b9e4d42222b8",
             "fnv1a:ce59c5c5ae1a423e",
             "fnv1a:58a8a696136d2ec8",
         ],
@@ -175,7 +175,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:0be30b949086100c",
             "fnv1a:710e60d4e2f1617b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:6649c8ccb8b264a4",
+            "fnv1a:cdd71512d2fc1768",
             "fnv1a:dbedd4f9eed4530b",
             "fnv1a:44608cf037615aac",
         ],
@@ -188,7 +188,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:a74fd2134edef819",
             "fnv1a:58a55621e96bca9b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:47ba12cba0545d81",
+            "fnv1a:fa8e02a7b366dd5b",
             "fnv1a:56292c9de24e2189",
             "fnv1a:ca95c921de2c468c",
         ],
@@ -201,7 +201,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7bd23884923a9727",
             "fnv1a:f2c5c5da2b859fe0",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:cbe739620f7c40fd",
+            "fnv1a:b3253aad1a53696d",
             "fnv1a:862e57729509e7d5",
             "fnv1a:ecc2176e46868e67",
         ],
@@ -214,7 +214,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:2e669a4c8412f341",
             "fnv1a:8b8c1887f502cb40",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:4fbbcae038be2fe3",
+            "fnv1a:f2097cd31223f359",
             "fnv1a:85d7d49bacb0f0ba",
             "fnv1a:b1254913231f057b",
         ],
@@ -240,7 +240,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:e3c8ee098ba1d472",
             "fnv1a:2e3196672c89092f",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:d50d0a2d9589e171",
+            "fnv1a:bc1cadf440a3027c",
             "fnv1a:42ae45495de2f4f8",
             "fnv1a:ecc2176e46868e67",
         ],
@@ -253,7 +253,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:6bd9bab6f1722627",
             "fnv1a:6ca870a101f4a0f5",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:feb05dd38066f84b",
+            "fnv1a:40402e63147357c4",
             "fnv1a:c9eab3197ab572a3",
             "fnv1a:8c9e28a24ed7fa89",
         ],
@@ -279,7 +279,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:69fef41205cd98b7",
             "fnv1a:c0943d9ff9040aa6",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:d97900480b4438c7",
+            "fnv1a:7dc5ef4ec76bc001",
             "fnv1a:04a18b308564ed12",
             "fnv1a:224cfe57cb12b638",
         ],
@@ -292,7 +292,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:ab01192217c47ee4",
             "fnv1a:84bad8f440199cbb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:968c8b18d7743917",
+            "fnv1a:5dbbf3aa750dfd50",
             "fnv1a:4c0c707056ee6701",
             "fnv1a:948ad25e321661f9",
         ],
@@ -305,7 +305,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:98cf96c89ad65cdc",
             "fnv1a:669b18c6d2d9c95b",
             "fnv1a:af63ad4c86019caf",
-            "fnv1a:b368fe24e378f199",
+            "fnv1a:cd7ca03aa57483d1",
             "fnv1a:70411088d3c8c468",
             "fnv1a:07c1694d3eac06e7",
         ],
@@ -318,7 +318,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:b61f49fad34617fc",
             "fnv1a:54b6ebcee2b9086c",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:dc7f4d8fca9ca9b1",
+            "fnv1a:b50d43d7d690e9cd",
             "fnv1a:fb8787d9121aa95e",
             "fnv1a:36b6f0f518eef293",
         ],
@@ -331,7 +331,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7e482061eedb7000",
             "fnv1a:669b18c6d2d9c95b",
             "fnv1a:af63ad4c86019caf",
-            "fnv1a:cb55347672c396ed",
+            "fnv1a:ac59df456d8f6e03",
             "fnv1a:088b15b52c4b6562",
             "fnv1a:95f45fb0d56dccd8",
         ],
@@ -344,7 +344,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:26dbfe649fcad62d",
             "fnv1a:669b18c6d2d9c95b",
             "fnv1a:af63ad4c86019caf",
-            "fnv1a:b720f5823663d832",
+            "fnv1a:26aa101d057b9916",
             "fnv1a:16f1b7abdfe7554c",
             "fnv1a:d9a758bf9546d1a2",
         ],

@@ -159,3 +159,31 @@ fn perfect_link_records_no_losses() {
     assert_eq!(sent, delivered);
     assert_eq!((lost, retried, gave_up, unreachable), (0, 0, 0, 0));
 }
+
+/// A repair combine runs and counts only the operand's support: two
+/// dense level-1 PLC blocks at N = 1000 touch the first b_1 = 100
+/// columns, so `gf.axpy.bytes` moves by the operand's support, not by N.
+#[test]
+fn combine_counts_operand_support_not_row_length() {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    obs::enable();
+    let axpy_bytes = |snap: &obs::Snapshot| -> u64 {
+        snap.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("gf.axpy.bytes"))
+            .map(|(_, v)| *v)
+            .sum()
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let profile = PriorityProfile::uniform(10, 100).unwrap();
+    let enc = Encoder::new(Scheme::Plc, profile);
+    let mut a = enc.encode_unpayloaded::<Gf256, _>(0, &mut rng);
+    let b = enc.encode_unpayloaded::<Gf256, _>(0, &mut rng);
+    let support = b.coefficients.support();
+    assert!(support <= 100, "level-1 support {support}");
+
+    let before = axpy_bytes(&obs::snapshot());
+    a.combine(&b, Gf256::new(7));
+    let counted = axpy_bytes(&obs::snapshot()) - before;
+    assert_eq!(counted, support as u64);
+}
