@@ -5,8 +5,16 @@
 //! Myllymäki DP+FFT technique for exactly these multinomial sums). Both a
 //! quadratic schoolbook path and an `O(M log M)` FFT path are provided
 //! and cross-checked in tests; the dispatcher picks by size.
+//!
+//! One query multiplies the same few Poisson factors into many running
+//! products, so each factor is prepared once — its FFT spectrum built a
+//! single time — and applied to each product. Applying it performs the
+//! same float operations on the same inputs as [`convolve`], so the
+//! result is bit-identical to an unprepared call.
 
 use std::f64::consts::PI;
+
+use prlc_core::prlc_obs;
 
 /// Size threshold above which convolution switches to FFT.
 const FFT_THRESHOLD: usize = 96;
@@ -29,6 +37,7 @@ pub fn convolve(a: &[f64], b: &[f64], max_len: usize) -> Vec<f64> {
 
 /// Schoolbook truncated convolution.
 pub fn convolve_naive(a: &[f64], b: &[f64], max_len: usize) -> Vec<f64> {
+    count_convolution();
     let mut out = vec![0.0; max_len];
     for (i, &ai) in a.iter().enumerate() {
         if i >= max_len {
@@ -47,28 +56,119 @@ pub fn convolve_naive(a: &[f64], b: &[f64], max_len: usize) -> Vec<f64> {
 
 /// FFT truncated convolution (clamps tiny negative round-off to 0).
 pub fn convolve_fft(a: &[f64], b: &[f64], max_len: usize) -> Vec<f64> {
-    let need = (a.len() + b.len() - 1).min(max_len.max(1));
-    let size = (a.len() + b.len() - 1).next_power_of_two();
+    Spectrum::new(b, a.len()).convolve(a, max_len)
+}
 
-    let mut fa: Vec<(f64, f64)> = a.iter().map(|&x| (x, 0.0)).collect();
-    fa.resize(size, (0.0, 0.0));
-    let mut fb: Vec<(f64, f64)> = b.iter().map(|&x| (x, 0.0)).collect();
-    fb.resize(size, (0.0, 0.0));
+/// A right-hand factor `b` prepared for many truncated products `a * b`
+/// with vectors `a` of its own length: its FFT spectrum is built once
+/// when [`convolve`] would take the FFT path at that length.
+pub(crate) struct Factor {
+    coeffs: Vec<f64>,
+    spectrum: Option<Spectrum>,
+}
 
-    fft(&mut fa, false);
-    fft(&mut fb, false);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        let re = x.0 * y.0 - x.1 * y.1;
-        let im = x.0 * y.1 + x.1 * y.0;
-        *x = (re, im);
+impl Factor {
+    pub(crate) fn new(coeffs: Vec<f64>) -> Self {
+        let spectrum = (coeffs.len() > FFT_THRESHOLD).then(|| Spectrum::new(&coeffs, coeffs.len()));
+        Factor { coeffs, spectrum }
     }
-    fft(&mut fa, true);
 
-    let mut out = vec![0.0; max_len];
-    for (o, &(re, _)) in out.iter_mut().take(need).zip(&fa) {
-        *o = if re < 0.0 { 0.0 } else { re };
+    /// `convolve(a, b, max_len)`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not as long as the factor.
+    pub(crate) fn convolve(&self, a: &[f64], max_len: usize) -> Vec<f64> {
+        assert_eq!(
+            a.len(),
+            self.coeffs.len(),
+            "factor prepared for another length"
+        );
+        match &self.spectrum {
+            Some(spectrum) => spectrum.convolve(a, max_len),
+            None => convolve_naive(a, &self.coeffs, max_len),
+        }
     }
-    out
+}
+
+/// The factors of one query, each built once per key on first use.
+pub(crate) struct Factors<K> {
+    built: Vec<(K, Factor)>,
+}
+
+impl<K: PartialEq> Factors<K> {
+    pub(crate) fn new() -> Self {
+        Factors { built: Vec::new() }
+    }
+
+    /// The factor for `key`, prepared from `coeffs()` the first time
+    /// the key is asked for.
+    pub(crate) fn get(&mut self, key: K, coeffs: impl FnOnce() -> Vec<f64>) -> &Factor {
+        let at = match self.built.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                self.built.push((key, Factor::new(coeffs())));
+                self.built.len() - 1
+            }
+        };
+        &self.built[at].1
+    }
+}
+
+/// The FFT of a zero-padded factor `b`, sized for products with vectors
+/// of one length.
+struct Spectrum {
+    /// `b.len()`.
+    len: usize,
+    bins: Vec<(f64, f64)>,
+}
+
+impl Spectrum {
+    fn new(b: &[f64], other_len: usize) -> Self {
+        let size = (other_len + b.len() - 1).next_power_of_two();
+        let mut bins: Vec<(f64, f64)> = b.iter().map(|&x| (x, 0.0)).collect();
+        bins.resize(size, (0.0, 0.0));
+        fft(&mut bins, false);
+        Spectrum { len: b.len(), bins }
+    }
+
+    /// The first `max_len` coefficients of `a * b`, clamping tiny
+    /// negative round-off to 0.
+    fn convolve(&self, a: &[f64], max_len: usize) -> Vec<f64> {
+        count_convolution();
+        let full = a.len() + self.len - 1;
+        let size = self.bins.len();
+        assert_eq!(
+            full.next_power_of_two(),
+            size,
+            "spectrum sized for another length"
+        );
+        let need = full.min(max_len.max(1));
+
+        let mut fa: Vec<(f64, f64)> = a.iter().map(|&x| (x, 0.0)).collect();
+        fa.resize(size, (0.0, 0.0));
+        fft(&mut fa, false);
+        for (x, y) in fa.iter_mut().zip(&self.bins) {
+            let re = x.0 * y.0 - x.1 * y.1;
+            let im = x.0 * y.1 + x.1 * y.0;
+            *x = (re, im);
+        }
+        fft(&mut fa, true);
+
+        let mut out = vec![0.0; max_len];
+        for (o, &(re, _)) in out.iter_mut().take(need).zip(&fa) {
+            *o = if re < 0.0 { 0.0 } else { re };
+        }
+        out
+    }
+}
+
+/// Counts one full convolution, naive or FFT, in the analysis layer's
+/// work counter.
+fn count_convolution() {
+    if prlc_obs::enabled() {
+        prlc_obs::counter!("analysis.convolutions").incr();
+    }
 }
 
 /// Only the `at`-th coefficient of `a * b` — the `[z^M]` extraction of
@@ -113,21 +213,28 @@ fn fft(buf: &mut [(f64, f64)], inverse: bool) {
     }
 
     let sign = if inverse { 1.0 } else { -1.0 };
+    // One stage's twiddles, computed once per stage by the rotation
+    // recurrence every butterfly group would otherwise repeat.
+    let mut twiddles: Vec<(f64, f64)> = Vec::with_capacity(n / 2);
     let mut len = 2;
     while len <= n {
         let ang = sign * 2.0 * PI / len as f64;
         let (wr, wi) = (ang.cos(), ang.sin());
-        for start in (0..n).step_by(len) {
-            let (mut cr, mut ci) = (1.0f64, 0.0f64);
-            for k in 0..len / 2 {
-                let (ur, ui) = buf[start + k];
-                let (vr, vi) = buf[start + k + len / 2];
+        twiddles.clear();
+        let (mut cr, mut ci) = (1.0f64, 0.0f64);
+        for _ in 0..len / 2 {
+            twiddles.push((cr, ci));
+            let ncr = cr * wr - ci * wi;
+            ci = cr * wi + ci * wr;
+            cr = ncr;
+        }
+        for group in buf.chunks_exact_mut(len) {
+            let (lo, hi) = group.split_at_mut(len / 2);
+            for ((u, v), &(cr, ci)) in lo.iter_mut().zip(hi.iter_mut()).zip(&twiddles) {
+                let ((ur, ui), (vr, vi)) = (*u, *v);
                 let (tr, ti) = (vr * cr - vi * ci, vr * ci + vi * cr);
-                buf[start + k] = (ur + tr, ui + ti);
-                buf[start + k + len / 2] = (ur - tr, ui - ti);
-                let ncr = cr * wr - ci * wi;
-                ci = cr * wi + ci * wr;
-                cr = ncr;
+                *u = (ur + tr, ui + ti);
+                *v = (ur - tr, ui - ti);
             }
         }
         len <<= 1;

@@ -31,15 +31,15 @@
 
 use prlc_core::{PriorityDistribution, PriorityProfile};
 
-use crate::conv::{convolution_coefficient, convolve};
+use crate::conv::{convolution_coefficient, convolve, Factors};
 use crate::model::{AnalysisOptions, DecodabilityModel};
-use crate::numeric::{poisson_pmf, poisson_point};
+use crate::numeric::{full_rank_probability, poisson_pmf, poisson_point};
 
 /// The probability distribution of `X`, the number of decoded levels:
 /// returns `probs` with `probs[k] = Pr(X = k)` for `k = 0..=n`.
 ///
 /// The vector sums to 1 (up to floating point; a useful self-check since
-/// each entry is an independent DP evaluation).
+/// each entry evaluates its own event).
 ///
 /// # Panics
 ///
@@ -56,15 +56,14 @@ pub fn distribution(
         n,
         "distribution level count does not match profile"
     );
-    // m_lvl = argmax { b_i <= m }: the longest prefix countably decodable.
-    let m_lvl = (0..=n).rev().find(|&i| profile.bound(i) <= m).unwrap_or(0);
+    let mut theorem = Theorem1::new(profile, dist, m, opts);
 
     let mut probs = vec![0.0; n + 1];
     // Work from the likeliest end (large k) down, stopping once the mass
     // is exhausted — for large M only a handful of k carry weight.
     let mut captured = 0.0;
-    for k in (0..=m_lvl).rev() {
-        let p = decode_exactly_raw(profile, dist, m, k, m_lvl, opts);
+    for k in (0..=theorem.m_lvl).rev() {
+        let p = theorem.decode_exactly(k);
         probs[k] = p;
         captured += p;
         if captured >= 1.0 - 1e-12 {
@@ -84,11 +83,10 @@ pub fn decode_exactly(
 ) -> f64 {
     let n = profile.num_levels();
     assert!(k <= n, "k={k} exceeds {n} levels");
-    let m_lvl = (0..=n).rev().find(|&i| profile.bound(i) <= m).unwrap_or(0);
-    if k > m_lvl {
+    if k > decodable_levels(profile, m) {
         return 0.0;
     }
-    decode_exactly_raw(profile, dist, m, k, m_lvl, opts)
+    Theorem1::new(profile, dist, m, opts).decode_exactly(k)
 }
 
 /// `Pr(X ≥ k)`.
@@ -122,67 +120,179 @@ pub fn expected_levels(
         .sum()
 }
 
-/// Evaluates Theorem 1's event probability for exactly-`k`, given the
-/// precomputed level cap `m_lvl`. Caller guarantees `k <= m_lvl`.
-fn decode_exactly_raw(
-    profile: &PriorityProfile,
-    dist: &PriorityDistribution,
+/// `m_lvl = argmax { b_i <= m }`: the longest prefix countably
+/// decodable from `m` blocks.
+fn decodable_levels(profile: &PriorityProfile, m: usize) -> usize {
+    (0..=profile.num_levels())
+        .rev()
+        .find(|&i| profile.bound(i) <= m)
+        .unwrap_or(0)
+}
+
+/// Theorem 1 at one block count `M`, evaluated for any number of `k`.
+///
+/// Each level's Poisson factor is built once per distinct mean, and the
+/// rest factor and the Poissonization denominator once per `M`. The two
+/// event groups are [`Chain`]s memoised across `k`: when consecutive
+/// levels repeat their size and probability, the chain for `k` is a
+/// prefix of the chain for `k + 1` (and the other way round for group
+/// two), so a whole [`distribution`] costs `O(n)` convolutions instead
+/// of `O(n²)`.
+struct Theorem1<'a> {
+    profile: &'a PriorityProfile,
+    dist: &'a PriorityDistribution,
+    opts: &'a AnalysisOptions,
     m: usize,
-    k: usize,
     m_lvl: usize,
-    opts: &AnalysisOptions,
-) -> f64 {
-    let n = profile.num_levels();
-    let len = m + 1;
-    let b_k = profile.bound(k);
+    /// `Poisson(M·p_i)` factors, keyed by the mean's bits.
+    factors: Factors<u64>,
+    /// Group 1: suffix sums clamped from below.
+    lower: Chain,
+    /// Group 2: prefix sums clamped from above.
+    upper: Chain,
+    /// The lumped Poisson factor of the unconstrained levels
+    /// `m_lvl+1..n`.
+    rest: Vec<f64>,
+    /// `Pois(M; M)`.
+    denominator: f64,
+}
 
-    // Group 1 (Lemma 2): process levels k..1, clamping suffix sums
-    // D_{i,k} >= b_k - b_{i-1} from below.
-    let mut v = vec![0.0; len];
-    v[0] = 1.0;
-    for level in (0..k).rev() {
-        let g = poisson_pmf(m as f64 * dist.p(level), len);
-        v = convolve(&v, &g, len);
-        let threshold = b_k - profile.bound(level);
-        for s in v.iter_mut().take(threshold.min(len)) {
-            *s = 0.0;
-        }
-        if v.iter().all(|&x| x == 0.0) {
-            return 0.0;
+impl<'a> Theorem1<'a> {
+    fn new(
+        profile: &'a PriorityProfile,
+        dist: &'a PriorityDistribution,
+        m: usize,
+        opts: &'a AnalysisOptions,
+    ) -> Self {
+        let len = m + 1;
+        let m_lvl = decodable_levels(profile, m);
+        let n = profile.num_levels();
+        Theorem1 {
+            profile,
+            dist,
+            opts,
+            m,
+            m_lvl,
+            factors: Factors::new(),
+            lower: Chain::new(len, clamp_below),
+            upper: Chain::new(len, clamp_above),
+            rest: poisson_pmf(m as f64 * dist.mass(m_lvl..n), len),
+            denominator: poisson_point(m as f64, m),
         }
     }
-    // Optional rank refinement on the row count covering the decoded
-    // prefix.
-    if k > 0 {
-        if let DecodabilityModel::RankExact { q } = opts.model {
-            for (s, vs) in v.iter_mut().enumerate() {
-                *vs *= crate::numeric::full_rank_probability(q, s, b_k);
+
+    /// Theorem 1's event probability for exactly-`k`. Caller guarantees
+    /// `k <= m_lvl`.
+    fn decode_exactly(&mut self, k: usize) -> f64 {
+        let (profile, dist, m) = (self.profile, self.dist, self.m);
+        let b_k = profile.bound(k);
+        let mean = |level: usize| m as f64 * dist.p(level);
+
+        // Group 1 (Lemma 2): process levels k..1, clamping suffix sums
+        // D_{i,k} >= b_k - b_{i-1} from below.
+        let steps = (0..k)
+            .rev()
+            .map(|level| (mean(level), b_k - profile.bound(level)));
+        let Some(v) = self.lower.run(steps, &mut self.factors) else {
+            return 0.0;
+        };
+        // Optional rank refinement on the row count covering the decoded
+        // prefix.
+        let refined: Vec<f64>;
+        let v = match self.opts.model {
+            DecodabilityModel::RankExact { q } if k > 0 => {
+                refined = v
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &vs)| vs * full_rank_probability(q, s, b_k))
+                    .collect();
+                &refined
             }
-        }
-    }
+            _ => v,
+        };
 
-    // Group 2 (Lemma 3): process levels k+1..m_lvl, clamping prefix sums
-    // D_{k+1,j} <= b_j - b_k - 1 from above.
-    let mut w = vec![0.0; len];
-    w[0] = 1.0;
-    for level in k..m_lvl {
-        let g = poisson_pmf(m as f64 * dist.p(level), len);
-        w = convolve(&w, &g, len);
-        let cap = profile.bound(level + 1) - b_k - 1;
-        for s in w.iter_mut().skip(cap + 1) {
-            *s = 0.0;
-        }
-        if w.iter().all(|&x| x == 0.0) {
+        // Group 2 (Lemma 3): process levels k+1..m_lvl, clamping prefix
+        // sums D_{k+1,j} <= b_j - b_k - 1 from above.
+        let steps = (k..self.m_lvl).map(|level| (mean(level), profile.bound(level + 1) - b_k - 1));
+        let Some(w) = self.upper.run(steps, &mut self.factors) else {
             return 0.0;
+        };
+
+        let vw = convolve(v, w, m + 1);
+        let numerator = convolution_coefficient(&vw, &self.rest, m);
+        numerator / self.denominator
+    }
+}
+
+/// One event group of Theorem 1 as a chain of clamped running products,
+/// memoised across `k`. A step convolves the running product with one
+/// level's Poisson factor and clamps it at a bound; `states[i]` is the
+/// product after the steps `keys[..i]`, each keyed by the factor's mean
+/// (as bits) and the bound. A query reuses the longest stored prefix
+/// whose keys match its own steps and computes only the rest, so it
+/// performs exactly the float operations a fresh chain would.
+struct Chain {
+    keys: Vec<(u64, usize)>,
+    states: Vec<Vec<f64>>,
+    clamp: fn(&mut [f64], usize),
+}
+
+impl Chain {
+    /// An empty chain over polynomials of `len` coefficients: its only
+    /// state is the point mass at 0.
+    fn new(len: usize, clamp: fn(&mut [f64], usize)) -> Self {
+        let mut start = vec![0.0; len];
+        start[0] = 1.0;
+        Chain {
+            keys: Vec::new(),
+            states: vec![start],
+            clamp,
         }
     }
 
-    // Levels m_lvl+1..n are unconstrained; lump their Poisson mass.
-    let rest = poisson_pmf(m as f64 * dist.mass(m_lvl..n), len);
+    /// The product after `steps` (`(mean, bound)` pairs), or `None` once
+    /// a step leaves it all zero — the event then has probability 0. An
+    /// all-zero state is never stored: a query that reaches it recomputes
+    /// that one step and ends there, as a fresh chain would.
+    fn run(
+        &mut self,
+        steps: impl Iterator<Item = (f64, usize)>,
+        factors: &mut Factors<u64>,
+    ) -> Option<&[f64]> {
+        let len = self.states[0].len();
+        let mut depth = 0;
+        for (mean, bound) in steps {
+            let key = (mean.to_bits(), bound);
+            if self.keys.get(depth) != Some(&key) {
+                self.keys.truncate(depth);
+                self.states.truncate(depth + 1);
+                let factor = factors.get(mean.to_bits(), || poisson_pmf(mean, len));
+                let mut next = factor.convolve(&self.states[depth], len);
+                (self.clamp)(&mut next, bound);
+                if next.iter().all(|&x| x == 0.0) {
+                    return None;
+                }
+                self.keys.push(key);
+                self.states.push(next);
+            }
+            depth += 1;
+        }
+        Some(&self.states[depth])
+    }
+}
 
-    let vw = convolve(&v, &w, len);
-    let numerator = convolution_coefficient(&vw, &rest, m);
-    numerator / poisson_point(m as f64, m)
+/// Zeroes the sums below `threshold` (group 1's lower clamp).
+fn clamp_below(v: &mut [f64], threshold: usize) {
+    for s in v.iter_mut().take(threshold) {
+        *s = 0.0;
+    }
+}
+
+/// Zeroes the sums above `cap` (group 2's upper clamp).
+fn clamp_above(w: &mut [f64], cap: usize) {
+    for s in w.iter_mut().skip(cap + 1) {
+        *s = 0.0;
+    }
 }
 
 #[cfg(test)]

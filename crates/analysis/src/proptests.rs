@@ -11,12 +11,44 @@ use prlc_gf::Gf256;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::curves;
 use crate::model::AnalysisOptions;
+use crate::{curves, plc, slc};
 
 fn profile_strategy() -> impl Strategy<Value = PriorityProfile> {
     prop::collection::vec(1usize..6, 1..5)
         .prop_map(|sizes| PriorityProfile::new(sizes).expect("nonzero sizes"))
+}
+
+/// Up to eight levels whose sizes repeat often (multiples of 5), so the
+/// memoised DP chains share prefixes across `k`; paired with block
+/// counts on both sides of the FFT threshold.
+fn repeating_profile_strategy() -> impl Strategy<Value = PriorityProfile> {
+    prop::collection::vec(1usize..4, 1..9)
+        .prop_map(|units| PriorityProfile::new(units.iter().map(|u| 5 * u).collect()).unwrap())
+}
+
+/// Uniform, repeating (weights from {1, 2}) or irregular priority laws.
+fn law(n: usize, kind: u8, seed: u64) -> PriorityDistribution {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let weights: Vec<f64> = match kind {
+        0 => return PriorityDistribution::uniform(n),
+        1 => (0..n)
+            .map(|_| rand::Rng::gen_range(&mut rng, 1..3) as f64)
+            .collect(),
+        _ => (0..n)
+            .map(|_| rand::Rng::gen_range(&mut rng, 0.1..1.0))
+            .collect(),
+    };
+    PriorityDistribution::from_weights(weights).unwrap()
+}
+
+/// The paper's sharp model and the rank-exact model over GF(2), GF(2⁸).
+fn model(kind: u8) -> AnalysisOptions {
+    match kind {
+        0 => AnalysisOptions::sharp(),
+        1 => AnalysisOptions::rank_exact(2.0),
+        _ => AnalysisOptions::rank_exact(256.0),
+    }
 }
 
 proptest! {
@@ -53,6 +85,56 @@ proptest! {
                 .sum();
             prop_assert!((e - e2).abs() < 1e-7, "{scheme}: {e} vs {e2}");
         }
+    }
+
+    #[test]
+    fn plc_distribution_entries_are_decode_exactly_bit_for_bit(
+        profile in repeating_profile_strategy(),
+        m in 0usize..160,
+        law_kind in 0u8..3,
+        model_kind in 0u8..3,
+        seed in 0u64..100,
+    ) {
+        let n = profile.num_levels();
+        let dist = law(n, law_kind, seed);
+        let o = model(model_kind);
+        let probs = plc::distribution(&profile, &dist, m, &o);
+        // The entries `distribution` evaluated: from the longest
+        // countable prefix down, until the captured mass reaches
+        // 1 − 1e-12 — its own order and stop.
+        let m_lvl = (0..=n).rev().find(|&i| profile.bound(i) <= m).unwrap_or(0);
+        let mut captured = 0.0;
+        for k in (0..=m_lvl).rev() {
+            let exact = plc::decode_exactly(&profile, &dist, m, k, &o);
+            prop_assert_eq!(probs[k].to_bits(), exact.to_bits(), "k={} m={}", k, m);
+            captured += probs[k];
+            if captured >= 1.0 - 1e-12 {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn slc_expected_levels_is_the_survival_sum_bit_for_bit(
+        profile in repeating_profile_strategy(),
+        m in 0usize..160,
+        law_kind in 0u8..3,
+        model_kind in 0u8..3,
+        seed in 0u64..100,
+    ) {
+        let n = profile.num_levels();
+        let dist = law(n, law_kind, seed);
+        let o = model(model_kind);
+        let mut sum = 0.0;
+        for k in 1..=n {
+            let s = slc::survival(&profile, &dist, m, k, &o);
+            sum += s;
+            if s < 1e-12 {
+                break;
+            }
+        }
+        let e = slc::expected_levels(&profile, &dist, m, &o);
+        prop_assert_eq!(e.to_bits(), sum.to_bits(), "m={}: {} vs {}", m, e, sum);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use prlc_core::{PriorityDistribution, PriorityProfile};
 
-use crate::conv::{convolution_coefficient, convolve};
+use crate::conv::{convolution_coefficient, Factors};
 use crate::model::AnalysisOptions;
 use crate::numeric::{poisson_pmf, poisson_point};
 
@@ -49,34 +49,7 @@ pub fn survival(
     if k == 0 {
         return 1.0;
     }
-    // Decoding k levels needs at least b_k blocks in levels 1..k alone.
-    if profile.bound(k) > m {
-        return 0.0;
-    }
-
-    let len = m + 1;
-    // Running product of the constrained per-level generating
-    // polynomials.
-    let mut acc = vec![0.0; len];
-    acc[0] = 1.0;
-    for level in 0..k {
-        let lambda = m as f64 * dist.p(level);
-        let a = profile.size(level);
-        let mut g = poisson_pmf(lambda, len);
-        for (d, gd) in g.iter_mut().enumerate() {
-            *gd *= opts.decode_weight(d, a);
-        }
-        acc = convolve(&acc, &g, len);
-        if acc.iter().all(|&x| x == 0.0) {
-            return 0.0;
-        }
-    }
-
-    // Levels k+1..n are unconstrained; their Poisson counts lump into a
-    // single Poisson with the remaining mass.
-    let rest = poisson_pmf(m as f64 * dist.mass(k..n), len);
-    let numerator = convolution_coefficient(&acc, &rest, m);
-    numerator / poisson_point(m as f64, m)
+    Survivals::new(profile, dist, m, opts).at(k)
 }
 
 /// `Pr(X = k)`: probability of decoding *exactly* the first `k` levels
@@ -107,15 +80,98 @@ pub fn expected_levels(
     m: usize,
     opts: &AnalysisOptions,
 ) -> f64 {
+    let n = profile.num_levels();
+    assert_eq!(
+        dist.num_levels(),
+        n,
+        "distribution level count does not match profile"
+    );
+    let mut survivals = Survivals::new(profile, dist, m, opts);
     let mut e = 0.0;
-    for k in 1..=profile.num_levels() {
-        let s = survival(profile, dist, m, k, opts);
+    for k in 1..=n {
+        let s = survivals.at(k);
         e += s;
         if s < 1e-12 {
             break;
         }
     }
     e
+}
+
+/// `Pr(X ≥ k)` at one block count `M` for non-decreasing `k`, from one
+/// running product of the constrained per-level generating polynomials
+/// that each `k` extends rather than rebuilds. A level's factor is built
+/// once per distinct (mean, size) pair, and the denominator once per
+/// `M`.
+struct Survivals<'a> {
+    profile: &'a PriorityProfile,
+    dist: &'a PriorityDistribution,
+    opts: &'a AnalysisOptions,
+    m: usize,
+    /// The product over levels `0..levels`, or `None` once it is all
+    /// zero.
+    acc: Option<Vec<f64>>,
+    levels: usize,
+    /// Weighted `Poisson(M·p_i)` factors, keyed by the mean's bits and
+    /// the level size.
+    factors: Factors<(u64, usize)>,
+    /// `Pois(M; M)`.
+    denominator: f64,
+}
+
+impl<'a> Survivals<'a> {
+    fn new(
+        profile: &'a PriorityProfile,
+        dist: &'a PriorityDistribution,
+        m: usize,
+        opts: &'a AnalysisOptions,
+    ) -> Self {
+        let mut acc = vec![0.0; m + 1];
+        acc[0] = 1.0;
+        Survivals {
+            profile,
+            dist,
+            opts,
+            m,
+            acc: Some(acc),
+            levels: 0,
+            factors: Factors::new(),
+            denominator: poisson_point(m as f64, m),
+        }
+    }
+
+    /// `Pr(X ≥ k)` for `k ≥ 1`, at least the `k` of the previous call.
+    fn at(&mut self, k: usize) -> f64 {
+        let (profile, dist, m) = (self.profile, self.dist, self.m);
+        // Decoding k levels needs at least b_k blocks in levels 1..k alone.
+        if profile.bound(k) > m {
+            return 0.0;
+        }
+        let len = m + 1;
+        while self.levels < k {
+            let Some(acc) = &self.acc else { break };
+            let lambda = m as f64 * dist.p(self.levels);
+            let a = profile.size(self.levels);
+            let opts = self.opts;
+            let factor = self.factors.get((lambda.to_bits(), a), || {
+                let mut g = poisson_pmf(lambda, len);
+                for (d, gd) in g.iter_mut().enumerate() {
+                    *gd *= opts.decode_weight(d, a);
+                }
+                g
+            });
+            let next = factor.convolve(acc, len);
+            self.acc = (!next.iter().all(|&x| x == 0.0)).then_some(next);
+            self.levels += 1;
+        }
+        let Some(acc) = &self.acc else { return 0.0 };
+
+        // Levels k+1..n are unconstrained; their Poisson counts lump into
+        // a single Poisson with the remaining mass.
+        let rest = poisson_pmf(m as f64 * dist.mass(k..profile.num_levels()), len);
+        let numerator = convolution_coefficient(acc, &rest, m);
+        numerator / self.denominator
+    }
 }
 
 #[cfg(test)]

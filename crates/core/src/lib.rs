@@ -88,5 +88,10 @@ pub use utility::{UtilityError, UtilityFunction};
 // directly.
 pub use prlc_linalg::{CoeffRep, CoeffRow, InsertOutcome};
 
+// Re-exported so the analysis crate records its work counters into the
+// same metrics registry through the dependency it already has.
+#[doc(hidden)]
+pub use prlc_obs;
+
 #[cfg(test)]
 mod proptests;

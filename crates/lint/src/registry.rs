@@ -84,7 +84,9 @@ pub struct Registry {
 }
 
 /// The layer prefixes a key may start with (`layer.op[.unit][.backend]`).
-pub const KNOWN_LAYERS: &[&str] = &["gf", "linalg", "core", "net", "sim", "cli", "obs"];
+pub const KNOWN_LAYERS: &[&str] = &[
+    "gf", "linalg", "core", "analysis", "net", "sim", "cli", "obs",
+];
 
 /// Checks a key against the `layer.op[.unit][.backend]` naming scheme:
 /// 2–4 dot-separated segments of `[a-z][a-z0-9_]*`, first segment a

@@ -143,6 +143,34 @@ fn drifted_work_counter_fails_at_its_path() {
 }
 
 #[test]
+fn moved_layers_row_is_reported_under_its_name() {
+    // Layer rows carry a `row` name; findings and deltas address the row
+    // by it, not by its position in the results array.
+    const ROW: &str = "gf/scale_4096_dispatched";
+    let text = baseline_text("layers");
+    let mut doc = parse_json(&text).expect("parses");
+    let Some(Json::Arr(rows)) = doc.get_mut("results") else {
+        panic!("layers baseline has no results array")
+    };
+    let row = rows
+        .iter_mut()
+        .find(|r| r.get("row") == Some(&Json::Str(ROW.to_string())))
+        .unwrap_or_else(|| panic!("layers baseline has no {ROW} row"));
+    let Some(Json::Num(n)) = row.get_mut("mb_s") else {
+        panic!("{ROW} has no mb_s")
+    };
+    n.value /= 1000.0;
+    n.raw = format!("{}", n.value);
+    let mutant = doc.render();
+    let report = diff_envelopes("layers", &text, &mutant, &Tolerances::default()).expect("diff");
+    let path = format!("results[{ROW}].mb_s");
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].kind, FindingKind::ThroughputOutOfBand);
+    assert_eq!(report.findings[0].path, path);
+    assert!(report.deltas.iter().any(|d| d.path == path && !d.in_band));
+}
+
+#[test]
 fn out_of_band_throughput_fails_with_its_own_kind() {
     let text = baseline_text("kernel");
     let mut doc = parse_json(&text).expect("parses");

@@ -10,6 +10,7 @@
 //! zero value), so presence in the snapshot is exactly "the
 //! instrumented block ran".
 
+use prlc::analysis::{curves, AnalysisOptions};
 use prlc::gf::kernel;
 use prlc::obs;
 use prlc::prelude::*;
@@ -241,6 +242,17 @@ fn timeline_round(seed: u64) {
     assert_eq!(summaries.len(), 3);
 }
 
+/// The SLC and PLC closed forms at one block count — executes the
+/// convolution counter in the analysis layer.
+fn analysis_rounds() {
+    let profile = PriorityProfile::new(vec![2, 3]).expect("valid profile");
+    let dist = PriorityDistribution::uniform(2);
+    for scheme in [Scheme::Slc, Scheme::Plc] {
+        let e = curves::expected_levels(scheme, &profile, &dist, 6, &AnalysisOptions::sharp());
+        assert!((0.0..=2.0).contains(&e), "{scheme}: E(X) = {e}");
+    }
+}
+
 /// Directly exercise all five dispatched GF kernel entry points so the
 /// active backend's `gf.<op>.bytes.*` counters register even if the
 /// decoding path above happens to skip one.
@@ -273,6 +285,7 @@ fn every_documented_key_registers_at_runtime() {
     obs::trace::reset();
 
     curve_rounds(0xC0FFEE);
+    analysis_rounds();
     kernel_rounds();
     // Delivered traffic plus heavy churn: unreachable targets and
     // crashed nodes.
