@@ -633,6 +633,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 
     if !check {
         let out_dir = flag_value(args, "--out")?.unwrap_or_else(|| ".".to_string());
+        std::fs::create_dir_all(&out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
         for probe in &probes {
             let env = run_bench_probe(probe, threads)?;
             let path = std::path::Path::new(&out_dir).join(bench_file_name(probe));

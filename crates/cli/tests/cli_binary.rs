@@ -726,6 +726,32 @@ fn bench_write_check_and_negative_roundtrip() {
     fs::remove_dir_all(dir).unwrap();
 }
 
+/// `bench --out DIR` creates a missing `DIR` (parents included) before
+/// any probe runs, instead of failing on the write after the whole run.
+#[test]
+fn bench_out_creates_a_fresh_nested_directory() {
+    let dir = temp_dir("bench-out");
+    let nested = dir.join("fresh").join("baselines");
+    let out = prlc()
+        .args([
+            "bench",
+            "--probe",
+            "kernel",
+            "--out",
+            nested.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "bench write failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let baseline = fs::read_to_string(nested.join("BENCH_kernel.json")).unwrap();
+    assert!(baseline.contains("\"probe\":\"kernel\""), "{baseline}");
+    fs::remove_dir_all(dir).unwrap();
+}
+
 /// A misspelt flag is an error naming it, not a silent default: before
 /// flags were checked, `sim --chrun 0.3` ran with no churn at all.
 #[test]

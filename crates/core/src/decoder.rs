@@ -93,8 +93,9 @@ impl<F: GfElem, D: PriorityDecoder<F> + ?Sized> PriorityDecoder<F> for Box<D> {
 /// Progressive decoder for PLC (and RLC) blocks.
 ///
 /// See the [module documentation](self) and the paper's Sec. 3.2: the
-/// decoding matrix is maintained in reduced row-echelon form, and source
-/// blocks become available as soon as the accumulated rows pin them down.
+/// decoding matrix is maintained in (reverse) row-echelon form, and
+/// source blocks become available as soon as the accumulated rows pin
+/// them down.
 #[derive(Debug, Clone)]
 pub struct PlcDecoder<F: GfElem, P: BlockPayload<F> = Vec<F>> {
     rref: ProgressiveRref<F, P>,
@@ -185,7 +186,7 @@ impl<F: GfElem, P: BlockPayload<F>> PlcDecoder<F, P> {
             // and any strict-priority levels it thereby unlocked. The tick
             // is the rows-consumed logical clock (`blocks_processed`).
             let tick = self.rref.inserted() as u64;
-            for &idx in self.rref.newly_solved() {
+            for idx in self.rref.newly_solved() {
                 prlc_obs::trace_instant!(
                     "core.decode.solved",
                     tick,
@@ -371,7 +372,7 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
             // per-level (levels complete independently).
             let tick = self.processed as u64;
             let base = self.profile.bound(level) as u64;
-            for &off in self.levels[level].newly_solved() {
+            for off in self.levels[level].newly_solved() {
                 prlc_obs::trace_instant!(
                     "core.decode.solved",
                     tick,

@@ -8,12 +8,12 @@
 //!   row-echelon form, [rank](elim::rank()), [inversion](elim::invert()) and
 //!   [linear solving](elim::solve).
 //! * [`ProgressiveRref`] — the paper's *progressive* decoder: coded blocks
-//!   arrive one at a time, each is folded into a maintained reverse RREF
-//!   (rows pivot on their last nonzero, so PLC rows keep their level's
-//!   support), and the
-//!   longest decodable prefix of unknowns is available after every
-//!   insertion ("the decoding process starts as soon as the first coded
-//!   block has arrived").
+//!   arrive one at a time, each is folded into a maintained reverse
+//!   echelon form (rows pivot on their last nonzero, so PLC rows keep
+//!   their level's support), and the longest decodable prefix of
+//!   unknowns — the run of pivot columns from the first — is available
+//!   after every insertion ("the decoding process starts as soon as the
+//!   first coded block has arrived").
 //!
 //! The two paths are implemented independently and cross-checked against
 //! each other in the test suite.

@@ -264,20 +264,19 @@ impl<F: GfElem> Matrix<F> {
         true
     }
 
-    /// Whether the matrix is in *reverse* reduced row-echelon form, the
-    /// shape [`ProgressiveRref`](crate::ProgressiveRref) keeps: each row
-    /// pivots on its last nonzero, rows are sorted by pivot, and the
-    /// matrix turned by 180° (rows and columns both reversed) is in RREF.
+    /// Whether the matrix is in *reverse* row-echelon form, the shape
+    /// [`ProgressiveRref`](crate::ProgressiveRref) keeps: every row
+    /// pivots on its last nonzero, which is 1, and no two rows share a
+    /// pivot column.
     #[cfg(test)]
-    pub(crate) fn is_reverse_rref(&self) -> bool {
-        if self.rows == 0 {
-            return true;
-        }
-        let turned = (0..self.rows)
-            .rev()
-            .map(|r| self.row(r).iter().rev().copied().collect())
-            .collect();
-        Matrix::from_rows(turned).is_rref()
+    pub(crate) fn is_reverse_echelon(&self) -> bool {
+        let mut pivots = std::collections::HashSet::new();
+        (0..self.rows).all(|r| {
+            let row = self.row(r);
+            row.iter()
+                .rposition(|v| !v.is_zero())
+                .is_some_and(|p| row[p] == F::ONE && pivots.insert(p))
+        })
     }
 }
 
@@ -454,21 +453,24 @@ mod tests {
     }
 
     #[test]
-    fn is_reverse_rref_detects_violations() {
+    fn is_reverse_echelon_detects_violations() {
         // Pivots on the last nonzero, with a free column left of them.
         let m = Matrix::from_rows(vec![vec![g(1), g(0), g(0)], vec![g(0), g(9), g(1)]]);
-        assert!(m.is_reverse_rref());
+        assert!(m.is_reverse_echelon());
         assert!(!m.is_rref());
-        // Rows not sorted by pivot.
-        let m = Matrix::from_rows(vec![vec![g(0), g(9), g(1)], vec![g(1), g(0), g(0)]]);
-        assert!(!m.is_reverse_rref());
-        // Pivot column nonzero in another row.
+        // Not reduced: a pivot column is nonzero in another row.
         let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(5), g(1)]]);
-        assert!(!m.is_reverse_rref());
+        assert!(m.is_reverse_echelon());
+        // Two rows share a pivot column.
+        let m = Matrix::from_rows(vec![vec![g(0), g(9), g(1)], vec![g(1), g(0), g(1)]]);
+        assert!(!m.is_reverse_echelon());
         // Pivot not 1.
         let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(2)]]);
-        assert!(!m.is_reverse_rref());
-        assert!(Matrix::<Gf256>::identity(3).is_reverse_rref());
+        assert!(!m.is_reverse_echelon());
+        // A zero row has no pivot.
+        let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(0)]]);
+        assert!(!m.is_reverse_echelon());
+        assert!(Matrix::<Gf256>::identity(3).is_reverse_echelon());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The progressive Gauss–Jordan partial decoder, kept in *reverse*
-//! reduced row-echelon form.
+//! The progressive partial decoder, kept in *reverse* row-echelon form.
 //!
 //! Implements the decoding algorithm of Sec. 3.2 of the paper: "As each
 //! new coded block is accumulated, the coding coefficients of the coded
@@ -8,37 +7,57 @@
 //! with identical operations performed on the data blocks as well — such
 //! that the matrix is reduced to RREF."
 //!
-//! # Reverse RREF
+//! # Reverse echelon form
 //!
-//! The machine keeps its stored rows in reduced echelon form with the
-//! column order reversed: each row pivots on its *last* nonzero, the
-//! pivot is normalised to 1, and every pivot column is zero in every
-//! other row. Rotating the pivot-sorted matrix by 180° gives an ordinary
-//! RREF, so every property of the paper's RREF carries over.
+//! The machine keeps its stored rows in echelon form with the column
+//! order reversed: each row pivots on its *last* nonzero, the pivot is
+//! normalised to 1, and no two rows share a pivot column. An arriving row
+//! is walked top down: every nonzero in a pivot column is cleared with
+//! the row owning that column, and the first nonzero that survives in a
+//! free column becomes its pivot. The walk stops there. Stored rows are
+//! never updated again — there is no back-elimination — so the paper's
+//! reduced form is not kept, only a form with the same row space.
 //!
 //! The reversal is what PLC's structure asks for. A level-`k` block has
 //! support `[0, b_k)`, and Lemma 2 says the first `b_k` unknowns depend
 //! only on rows whose support lies inside `[0, b_k)`. A row pivoting on
 //! its last nonzero is zero right of its pivot, so eliminating column
-//! `c` with the row that owns it touches only `[0, c]`, and
-//! back-eliminating a new pivot `pc` touches only `[0, pc]` of rows
-//! whose pivot is right of `pc`. No row ever gains a nonzero at or past
-//! the support it arrived with: a level-1 row is never widened by an
-//! early level-5 pivot, which a first-nonzero pivot rule would do.
+//! `c` with the row that owns it touches only `[0, c]`: no row ever gains
+//! a nonzero at or past the support it arrived with, and a level-1 row is
+//! never widened by an early level-5 pivot, which a first-nonzero pivot
+//! rule would do.
 //!
-//! # Exact solved-tracking
+//! # The decoded prefix
+//!
+//! What the decoded levels need is exactly what the echelon form shows.
+//! A vector of the row space has its last nonzero on a pivot column, so
+//! no free column is ever determined; and if columns `0 … j-1` all hold
+//! pivots, their rows form a triangular system in `x_0 … x_{j-1}`. The
+//! [`decoded_prefix`](ProgressiveRref::decoded_prefix) is therefore the
+//! run of pivot columns from 0, read off in O(1) per column it advances.
+//! When it advances over column `c`, the row owning `c` has its payload
+//! back-substituted once over the prefix — it becomes `(e_c, x_c)`, so
+//! [`recovered`](ProgressiveRref::recovered) returns it directly and a
+//! later elimination by it is a single coefficient update. From the next
+//! insert on, its coefficients are released: only the payload is kept.
+//!
+//! # Exact answers beyond the prefix, on request
 //!
 //! An unknown `x_c` is *decoded* exactly when `e_c` lies in the row
-//! space, a property of the rows held, not of the echelon form chosen.
-//! In either reduced form a pivot row's off-pivot nonzeros sit only in
-//! non-pivot (free) columns, so `x_c` is determined exactly when the
-//! pivot row owning column `c` has a single nonzero. Determinedness,
-//! [`decoded_count`](ProgressiveRref::decoded_count),
+//! space: for a pivot column, when the owning row, reduced over the
+//! pivot columns left of `c`, has no free nonzero. That is a property of
+//! the reduced form, so [`decoded_count`](ProgressiveRref::decoded_count),
 //! [`is_decoded`](ProgressiveRref::is_decoded),
-//! [`newly_solved`](ProgressiveRref::newly_solved) and
-//! [`recovered`](ProgressiveRref::recovered) are therefore the same as
-//! under forward RREF; only the pivot column reported for an innovative
-//! row names its last nonzero rather than its first.
+//! [`newly_solved`](ProgressiveRref::newly_solved),
+//! [`decoded_columns`](ProgressiveRref::decoded_columns) and
+//! [`recovered`](ProgressiveRref::recovered) past the prefix consult a
+//! reverse-RREF view of the coefficients. The view is built from the
+//! stored rows with the same elimination step, only when one of these
+//! queries asks, and then incrementally: each request folds in just the
+//! rows stored since the last one, so tracing, which asks for
+//! `newly_solved` after every insert, pays one fold per row. The view
+//! carries no payloads; a decoded column past the prefix has its payload
+//! solved from the stored rows on its first `recovered` request.
 //!
 //! # Performance
 //!
@@ -48,29 +67,31 @@
 //!
 //! * rows are stored as [`CoeffRow`]s: a dense row is zero-padded to
 //!   whole 64-symbol blocks and stored with support exactly `pivot + 1`,
-//!   so clearing column `c` with the row owning it is one whole-block
-//!   kernel call over the blocks covering `[0, c]`, while sparse rows
-//!   store only their `(index, value)` pairs so elimination costs
-//!   `O(nnz)` per colliding pivot;
-//! * each row keeps a *witness*: its last nonzero column left of the
-//!   pivot, or none once the row is solved. A row can hold a new pivot
-//!   column `pc` only if its witness is at least `pc`, so
-//!   back-elimination skips every other row without reading it, and it
-//!   leaves every column right of `pc` unchanged. So a row rescans
-//!   (downward from `pc`) only when its witness *was* `pc`; otherwise
-//!   solved-tracking costs O(1) per touched row and decoded queries are
-//!   O(1);
+//!   its buffer cut to the blocks covering it, so clearing column `c`
+//!   with the row owning it is one whole-block kernel call over the
+//!   blocks covering `[0, c]`, while sparse rows store only their
+//!   `(index, value)` pairs so elimination costs `O(nnz)` per colliding
+//!   pivot;
+//! * the walk stops at the pivot and stored rows are immutable, so an
+//!   insert costs at most one row operation per pivot column between its
+//!   arrival support and its pivot, with no walk below the pivot and no
+//!   back-elimination;
+//! * payloads follow the coefficient pass: it records its `(factor, row)`
+//!   terms in a buffer the decoder reuses, and only an innovative row
+//!   replays them on its payload, so a redundant row costs no payload
+//!   work; a zero-sized payload (`()`) records and replays nothing;
 //! * the decoder resolves one [`RowKernel`] when it is built (backend,
-//!   SIMD level and GF(2⁸) tables), so a dense row operation — about
-//!   137k per `curve` op, of about 180 bytes each — pays no per-call
-//!   backend dispatch and runs no masked or table tail; payloads are
-//!   mirrored through the dispatched [`kernel`](prlc_gf::kernel) over
-//!   their contiguous symbol planes.
+//!   SIMD level and GF(2⁸) tables), so a dense row operation pays no
+//!   per-call backend dispatch and runs no masked or table tail;
+//!   payloads are mirrored through the dispatched
+//!   [`kernel`](prlc_gf::kernel) over their contiguous symbol planes.
+
+use std::cell::{OnceCell, Ref, RefCell};
 
 use prlc_gf::kernel::RowKernel;
 use prlc_gf::GfElem;
 
-use crate::coeffrow::CoeffRow;
+use crate::coeffrow::{CoeffRep, CoeffRow};
 use crate::matrix::Matrix;
 use crate::payload::RowPayload;
 
@@ -79,7 +100,7 @@ use crate::payload::RowPayload;
 pub enum InsertOutcome {
     /// The block increased the rank; its pivot landed in this column.
     Innovative {
-        /// The column of the new pivot: the reduced row's last nonzero.
+        /// The column of the new pivot: the stored row's last nonzero.
         pivot: usize,
     },
     /// The block was a linear combination of already-held blocks and was
@@ -96,14 +117,16 @@ impl InsertOutcome {
 
 #[derive(Clone)]
 struct Row<F, P> {
+    /// Zero right of `pivot` and 1 at it; never changes once stored,
+    /// until the row is released (see `released`) and left all zero.
     coeffs: CoeffRow<F>,
+    /// The payload mirrored through the walk, replaced by the solution
+    /// `x_pivot` once the decoded prefix covers `pivot`.
     payload: P,
     pivot: usize,
-    /// The last nonzero column left of `pivot`, or `None` once the row
-    /// is solved (its only nonzero is the pivot). Under the reverse-RREF
-    /// invariant this is always a free column, and the row is zero
-    /// strictly between the witness and `pivot`.
-    witness: Option<usize>,
+    /// The solution of a decoded column past the prefix, solved on the
+    /// first [`recovered`](ProgressiveRref::recovered) request.
+    solution: OnceCell<P>,
 }
 
 // Hand-written (not derived) because `CoeffRow`'s logical `Debug`
@@ -114,12 +137,11 @@ impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for Row<F, P> {
             .field("coeffs", &self.coeffs)
             .field("payload", &self.payload)
             .field("pivot", &self.pivot)
-            .field("witness", &self.witness)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-/// An incremental Gauss–Jordan elimination machine over `width` unknowns.
+/// An incremental elimination machine over `width` unknowns.
 ///
 /// `P` is the payload mirrored through every row operation: use
 /// `Vec<F>` to decode real data blocks, or `()` to track decodability
@@ -132,16 +154,21 @@ pub struct ProgressiveRref<F, P = ()> {
     rows: Vec<Row<F, P>>,
     /// Column -> index into `rows` of the pivot row owning that column.
     pivot_of_col: Vec<Option<usize>>,
-    /// Columns whose unknown is fully determined.
-    solved: Vec<bool>,
-    solved_count: usize,
-    /// First column not yet solved (the decoded prefix length). Monotone:
-    /// solved rows can never become unsolved.
+    /// The run of pivot columns from 0: the decoded prefix length.
     prefix: usize,
+    /// The rows owning columns `0 … released-1` hold no coefficients:
+    /// they act as `e_c` everywhere, so only their payloads are kept.
+    /// Trails `prefix` by one insert, so the reduced view, when it folds
+    /// rows later, still sees what the last insert solved.
+    released: usize,
     inserted: usize,
-    /// Columns whose unknown became determined during the most recent
-    /// [`insert`](Self::insert), ascending. Cleared on every insert.
-    last_solved: Vec<usize>,
+    /// Whether the most recent [`insert`](Self::insert) stored a row.
+    last_stored: bool,
+    /// `(factor, row)` terms of the payload update in progress; kept so
+    /// its capacity is reused from insert to insert.
+    terms: Vec<(F, usize)>,
+    /// The reverse-RREF view behind the exact queries.
+    reduced: RefCell<Reduced<F>>,
 }
 
 // Hand-written for the same `F: GfElem` bound reason as `Row`.
@@ -152,16 +179,17 @@ impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for ProgressiveRref<F, P> {
             .field("kernel", &self.kernel)
             .field("rows", &self.rows)
             .field("pivot_of_col", &self.pivot_of_col)
-            .field("solved", &self.solved)
-            .field("solved_count", &self.solved_count)
             .field("prefix", &self.prefix)
             .field("inserted", &self.inserted)
-            .field("last_solved", &self.last_solved)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
+    /// Whether payloads carry data: a zero-sized payload has nothing to
+    /// mirror, so its term lists are never recorded or replayed.
+    const MIRRORED: bool = std::mem::size_of::<P>() != 0;
+
     /// Creates a decoder for a system with `width` unknowns.
     pub fn new(width: usize) -> Self {
         ProgressiveRref {
@@ -169,11 +197,12 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             kernel: RowKernel::active(),
             rows: Vec::new(),
             pivot_of_col: vec![None; width],
-            solved: vec![false; width],
-            solved_count: 0,
             prefix: 0,
+            released: 0,
             inserted: 0,
-            last_solved: Vec::new(),
+            last_stored: false,
+            terms: Vec::new(),
+            reduced: RefCell::new(Reduced::default()),
         }
     }
 
@@ -196,13 +225,16 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// Columns whose unknown became determined during the most recent
     /// [`insert`](Self::insert), in ascending order. Empty when the last
     /// insert was redundant or solved nothing new.
-    pub fn newly_solved(&self) -> &[usize] {
-        &self.last_solved
+    pub fn newly_solved(&self) -> Vec<usize> {
+        if !self.last_stored {
+            return Vec::new();
+        }
+        self.reduced().last.clone()
     }
 
     /// Number of unknowns currently determined (not necessarily a prefix).
     pub fn decoded_count(&self) -> usize {
-        self.solved_count
+        self.reduced().count
     }
 
     /// Length of the longest decoded *prefix* of unknowns: the largest
@@ -221,37 +253,42 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// Panics if `col >= width`.
     pub fn is_decoded(&self, col: usize) -> bool {
         assert!(col < self.width, "column {col} out of range");
-        self.solved[col]
+        col < self.prefix || (self.pivot_of_col[col].is_some() && self.reduced().solved[col])
     }
 
     /// Whether all unknowns are determined.
     pub fn is_complete(&self) -> bool {
-        self.solved_count == self.width
+        self.rows.len() == self.width
     }
 
     /// The recovered payload for unknown `col`, if it is determined.
     ///
-    /// When `P = Vec<F>`, this is the decoded source block itself (the
-    /// pivot row has been normalised, so the payload *is* the solution).
+    /// When `P = Vec<F>`, this is the decoded source block itself.
     ///
     /// # Panics
     ///
     /// Panics if `col >= width`.
-    pub fn recovered(&self, col: usize) -> Option<&P> {
-        assert!(col < self.width, "column {col} out of range");
-        if !self.solved[col] {
+    pub fn recovered(&self, col: usize) -> Option<&P>
+    where
+        P: Clone,
+    {
+        if !self.is_decoded(col) {
             return None;
         }
-        let r = self.pivot_of_col[col].expect("solved column has a pivot row");
-        Some(&self.rows[r].payload)
+        let r = self.pivot_of_col[col].expect("a decoded column has a pivot row");
+        let row = &self.rows[r];
+        if col < self.prefix {
+            return Some(&row.payload);
+        }
+        Some(row.solution.get_or_init(|| self.solve(r)))
     }
 
     /// Inserts one coded block: `coeffs` are its coding coefficients over
     /// the `width` unknowns, `payload` the data mirrored through the
     /// elimination.
     ///
-    /// Runs one incremental pass of Gauss–Jordan elimination, after which
-    /// the held rows are again in reverse RREF (up to row order).
+    /// Walks the row down to its pivot, after which the held rows are
+    /// again in reverse echelon form.
     ///
     /// # Panics
     ///
@@ -273,13 +310,18 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != width`.
-    pub fn insert_row(&mut self, mut coeffs: CoeffRow<F>, mut payload: P) -> InsertOutcome {
+    pub fn insert_row(&mut self, mut coeffs: CoeffRow<F>, payload: P) -> InsertOutcome {
         assert_eq!(coeffs.len(), self.width, "coefficient width mismatch");
         self.inserted += 1;
-        self.last_solved.clear();
+        self.last_stored = false;
+        while self.released < self.prefix {
+            let r = self.pivot_of_col[self.released].expect("prefix column");
+            self.rows[r].coeffs = CoeffRow::zero(self.width, CoeffRep::Sparse);
+            self.released += 1;
+        }
 
-        // Tighten a dense row's support, so the downward walk starts at
-        // its last nonzero.
+        // Tighten a dense row's support, so the walk starts at its last
+        // nonzero.
         coeffs.normalize_support();
 
         // Fill-in accounting: nonzeros the reduction *adds* to this row
@@ -287,39 +329,35 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         // representations; only computed when observability is on.
         let original_nnz = if prlc_obs::enabled() { coeffs.nnz() } else { 0 };
 
-        // Reduction, top down: clear every coefficient in a pivot column
-        // with the row owning it. That row is zero right of its pivot `c`
-        // and in every other pivot column, so the update touches only
-        // `[0, c]` and never refills a column already passed. The last
-        // nonzero that survives in a free column becomes the pivot; the
-        // walk goes on below it, since the reduced form also needs the
-        // pivot columns left of the pivot cleared. A full-rank decoder
-        // holds every column as a pivot, so any row reduces to zero.
+        // The walk, top down: clear every coefficient in a pivot column
+        // with the row owning it. That row is zero right of its pivot `c`,
+        // so the update touches only `[0, c]` and never refills a column
+        // already passed. The first nonzero in a free column is the
+        // pivot, and the walk ends there. A full-rank decoder holds every
+        // column as a pivot, so any row reduces to zero.
+        self.terms.clear();
         let mut end = if self.rows.len() == self.width {
             0
         } else {
             coeffs.support()
         };
-        let mut pivot_col = None;
+        let mut pivot = None;
         while let Some(c) = coeffs.last_nonzero_before(end) {
-            match self.pivot_of_col[c] {
-                Some(r) => {
-                    let prow = &self.rows[r];
-                    let factor = coeffs.get(c);
-                    eliminate(&mut coeffs, c, factor, prow, &self.kernel);
-                    payload.payload_axpy(&prow.payload, factor);
-                    debug_assert!(coeffs.get(c).is_zero());
-                }
-                None => {
-                    if pivot_col.is_none() {
-                        pivot_col = Some(c);
-                    }
-                }
+            let Some(r) = self.pivot_of_col[c] else {
+                pivot = Some(c);
+                break;
+            };
+            let prow = &self.rows[r];
+            let factor = coeffs.get(c);
+            eliminate(&mut coeffs, c, factor, self.open(prow), &self.kernel);
+            debug_assert!(coeffs.get(c).is_zero());
+            if Self::MIRRORED {
+                self.terms.push((factor, r));
             }
             end = c;
         }
 
-        let Some(pc) = pivot_col else {
+        let Some(pc) = pivot else {
             if prlc_obs::enabled() {
                 prlc_obs::counter!("linalg.rref.rows").incr();
                 prlc_obs::counter!("linalg.rref.redundant").incr();
@@ -336,71 +374,57 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             return InsertOutcome::Redundant;
         };
 
-        // Normalise the pivot to 1. The row is zero right of it, so its
-        // support is now exactly `pc + 1` and stays so while it is stored:
-        // every later update of it is bounded by a pivot left of `pc`.
+        // Normalise the pivot to 1 and store the row at its tight width:
+        // it is zero right of `pc`, and nothing widens it again.
         coeffs.shrink_support(pc + 1);
         let inv = coeffs.get(pc).gf_inv().expect("pivot entry is nonzero");
         coeffs.scale(inv, &self.kernel);
-        payload.payload_scale(inv);
-
-        // Back-eliminate column `pc` from every stored row holding it,
-        // restoring the invariant. A row is zero between its witness and
-        // its pivot, and right of its pivot, so only a row whose witness
-        // is at least `pc` can hold it (solved rows never do). The update
-        // leaves columns right of `pc` alone, so only a row whose witness
-        // *is* `pc` can change its witness — and only it needs a rescan.
         let new_idx = self.rows.len();
-        let witness = coeffs.last_nonzero_before(pc);
-        let new_row = Row {
+        self.rows.push(Row {
             coeffs,
             payload,
             pivot: pc,
-            witness,
-        };
-        for row in self.rows.iter_mut() {
-            if row.witness.is_none_or(|w| w < pc) {
-                continue;
-            }
-            let factor = row.coeffs.get(pc);
-            if factor.is_zero() {
-                continue;
-            }
-            eliminate(&mut row.coeffs, pc, factor, &new_row, &self.kernel);
-            row.payload.payload_axpy(&new_row.payload, factor);
-            if row.witness == Some(pc) {
-                row.witness = row.coeffs.last_nonzero_before(pc);
-                if row.witness.is_none() {
-                    self.solved[row.pivot] = true;
-                    self.solved_count += 1;
-                    self.last_solved.push(row.pivot);
-                }
-            }
-        }
-
-        if witness.is_none() {
-            self.solved[pc] = true;
-            self.solved_count += 1;
-            self.last_solved.push(pc);
-        }
+            solution: OnceCell::new(),
+        });
         self.pivot_of_col[pc] = Some(new_idx);
-        self.rows.push(new_row);
+        self.last_stored = true;
 
-        // Advance the decoded-prefix pointer (monotone: a solved row's
-        // only nonzero is its pivot, so no later back-elimination
-        // touches it).
-        while self.prefix < self.width && self.solved[self.prefix] {
+        // The payload follows the walk, now that the row is innovative.
+        replay(&mut self.rows, new_idx, &self.terms);
+        self.rows[new_idx].payload.payload_scale(inv);
+
+        // Advance the decoded prefix over the run of pivot columns,
+        // back-substituting each newly covered row's payload over the
+        // columns before it, which are all solved.
+        while let Some(r) = self.pivot_of_col.get(self.prefix).copied().flatten() {
+            if Self::MIRRORED {
+                self.terms.clear();
+                self.terms.extend(
+                    self.rows[r]
+                        .coeffs
+                        .iter_nonzeros()
+                        .take_while(|&(i, _)| i < self.prefix)
+                        .map(|(i, v)| (v, self.pivot_of_col[i].expect("prefix column"))),
+                );
+                replay(&mut self.rows, r, &self.terms);
+                self.rows[r].solution.take();
+            }
             self.prefix += 1;
         }
-        self.last_solved.sort_unstable();
 
         if prlc_obs::trace::enabled() {
+            let solved = self
+                .reduced
+                .get_mut()
+                .fold(&self.rows, &self.pivot_of_col, &self.kernel)
+                .last
+                .len();
             prlc_obs::trace_instant!(
                 "linalg.rref.pivot",
                 self.inserted as u64,
                 pivot: pc as u64,
                 rank: self.rows.len() as u64,
-                solved: self.last_solved.len() as u64,
+                solved: solved as u64,
             );
         }
 
@@ -423,8 +447,9 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     }
 
     /// Snapshot of the held coefficient rows as a matrix (rows in pivot
-    /// order, i.e. sorted by pivot column), in reverse RREF. Intended for
-    /// inspection and tests; allocates.
+    /// order, i.e. sorted by pivot column), in reverse echelon form. A
+    /// row the decoded prefix has released shows as `e_pivot`. Intended
+    /// for inspection and tests; allocates.
     ///
     /// Returns a `rank × width` matrix, or `None` when no rows are held.
     pub fn coefficient_matrix(&self) -> Option<Matrix<F>> {
@@ -436,37 +461,206 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         Some(Matrix::from_rows(
             order
                 .iter()
-                .map(|&i| self.rows[i].coeffs.to_dense_vec())
+                .map(|&i| {
+                    let row = &self.rows[i];
+                    let mut v = row.coeffs.to_dense_vec();
+                    if row.pivot < self.released {
+                        v[row.pivot] = F::ONE;
+                    }
+                    v
+                })
                 .collect(),
         ))
     }
 
     /// Iterates over the determined unknown indices in ascending order.
-    pub fn decoded_columns(&self) -> impl Iterator<Item = usize> + '_ {
-        self.solved
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &s)| s.then_some(i))
+    pub fn decoded_columns(&self) -> impl Iterator<Item = usize> {
+        let reduced = self.reduced();
+        let cols: Vec<usize> = (0..self.width).filter(|&c| reduced.solved[c]).collect();
+        cols.into_iter()
+    }
+
+    /// A stored row's coefficients as an eliminator, or `None` once the
+    /// decoded prefix covers it and it acts as `e_pivot`.
+    fn open<'a>(&self, row: &'a Row<F, P>) -> Option<&'a CoeffRow<F>> {
+        (row.pivot >= self.prefix).then_some(&row.coeffs)
+    }
+
+    /// The reverse-RREF view, with every stored row folded in.
+    fn reduced(&self) -> Ref<'_, Reduced<F>> {
+        self.reduced
+            .borrow_mut()
+            .fold(&self.rows, &self.pivot_of_col, &self.kernel);
+        self.reduced.borrow()
+    }
+
+    /// The solution `x_c` of the decoded column `c` that stored row `r`
+    /// owns: the row walked down over the pivot columns left of `c`, its
+    /// payload mirrored. Since `x_c` is determined, the walk meets no
+    /// free column and ends at `e_c`.
+    fn solve(&self, r: usize) -> P
+    where
+        P: Clone,
+    {
+        let row = &self.rows[r];
+        let mut coeffs = row.coeffs.clone();
+        let mut payload = row.payload.clone();
+        let mut end = row.pivot;
+        while let Some(c) = coeffs.last_nonzero_before(end) {
+            let s = self.pivot_of_col[c].expect("a decoded column reduces over pivot columns");
+            let prow = &self.rows[s];
+            let factor = coeffs.get(c);
+            eliminate(&mut coeffs, c, factor, self.open(prow), &self.kernel);
+            payload.payload_axpy(&prow.payload, factor);
+            end = c;
+        }
+        payload
+    }
+}
+
+/// `rows[r].payload += Σ factor · rows[s].payload` over the `(factor, s)`
+/// terms, none of which names `r` itself.
+fn replay<F: GfElem, P: RowPayload<F>>(rows: &mut [Row<F, P>], r: usize, terms: &[(F, usize)]) {
+    for &(factor, s) in terms {
+        let (dst, src) = if s < r {
+            let (lo, hi) = rows.split_at_mut(r);
+            (&mut hi[0], &lo[s])
+        } else {
+            let (lo, hi) = rows.split_at_mut(s);
+            (&mut lo[r], &hi[0])
+        };
+        dst.payload.payload_axpy(&src.payload, factor);
     }
 }
 
 /// Clears column `c` of `row`, which holds `factor` there, with the row
-/// `prow` that pivots on `c`: `row += factor · prow`, which touches only
-/// `[0, c]` since `prow` is zero right of its pivot. A solved `prow` is 1
-/// at `c` and zero elsewhere, so then only that one coefficient changes
-/// and no kernel call is needed.
-fn eliminate<F: GfElem, P>(
+/// that pivots on `c`: `row += factor · prow`, which touches only
+/// `[0, c]` since `prow` is zero right of its pivot. A solved pivot row
+/// (`None`) is `e_c`, so then only that one coefficient changes and no
+/// kernel call is needed.
+fn eliminate<F: GfElem>(
     row: &mut CoeffRow<F>,
     c: usize,
     factor: F,
-    prow: &Row<F, P>,
+    prow: Option<&CoeffRow<F>>,
     kernel: &RowKernel,
 ) {
-    debug_assert_eq!(prow.pivot, c);
-    if prow.witness.is_none() {
-        row.add_assign_at(c, factor);
-    } else {
-        row.axpy(factor, &prow.coeffs, kernel);
+    match prow {
+        Some(prow) => row.axpy(factor, prow, kernel),
+        None => row.add_assign_at(c, factor),
+    }
+}
+
+/// The reverse-RREF view of the stored rows: each row pivots on its last
+/// nonzero, and every pivot column is zero in every other row. Rows are
+/// folded in the order they were stored, so after row `k` the view is
+/// the reduced form of the first `k + 1` rows, and `last` lists what
+/// row `k`'s arrival solved.
+#[derive(Clone, Default)]
+struct Reduced<F> {
+    /// Parallel to the stored rows folded so far; `None` for a solved
+    /// row, whose only nonzero is its pivot.
+    rows: Vec<Option<OpenRow<F>>>,
+    /// Columns whose unknown is determined; sized on the first fold.
+    solved: Vec<bool>,
+    count: usize,
+    /// Columns the last folded row solved, ascending.
+    last: Vec<usize>,
+}
+
+/// A reduced row that is not solved yet.
+#[derive(Clone)]
+struct OpenRow<F> {
+    coeffs: CoeffRow<F>,
+    /// The last nonzero column left of the pivot: always a free column,
+    /// and the row is zero strictly between it and the pivot.
+    witness: usize,
+}
+
+impl<F: GfElem> Reduced<F> {
+    /// Folds in every stored row not yet in the view.
+    fn fold<P>(
+        &mut self,
+        stored: &[Row<F, P>],
+        pivot_of_col: &[Option<usize>],
+        kernel: &RowKernel,
+    ) -> &Self {
+        if self.solved.len() != pivot_of_col.len() {
+            self.solved = vec![false; pivot_of_col.len()];
+        }
+        while self.rows.len() < stored.len() {
+            self.fold_next(stored, pivot_of_col, kernel);
+        }
+        self
+    }
+
+    /// Folds in the stored row `k = self.rows.len()`.
+    fn fold_next<P>(
+        &mut self,
+        stored: &[Row<F, P>],
+        pivot_of_col: &[Option<usize>],
+        kernel: &RowKernel,
+    ) {
+        let k = self.rows.len();
+        let pc = stored[k].pivot;
+        let mut coeffs = stored[k].coeffs.clone();
+        self.last.clear();
+
+        // Reduce below the pivot: clear every pivot column an earlier row
+        // owns with that row's reduced form, which is zero in every other
+        // pivot column, so nothing passed is refilled. The first free
+        // nonzero met is the witness; later updates stay left of it.
+        let mut end = pc;
+        let mut witness = None;
+        while let Some(c) = coeffs.last_nonzero_before(end) {
+            match pivot_of_col[c] {
+                Some(r) if r < k => {
+                    let factor = coeffs.get(c);
+                    let prow = self.rows[r].as_ref().map(|open| &open.coeffs);
+                    eliminate(&mut coeffs, c, factor, prow, kernel);
+                }
+                _ => witness = witness.or(Some(c)),
+            }
+            end = c;
+        }
+
+        // Back-eliminate column `pc` from every folded row holding it. A
+        // row is zero between its witness and its pivot, and right of its
+        // pivot, so only a row whose witness is at least `pc` can hold it.
+        // The update leaves columns right of `pc` alone, so only a row
+        // whose witness *is* `pc` can change its witness.
+        let new_row = witness.map(|_| &coeffs);
+        for (r, slot) in self.rows.iter_mut().enumerate() {
+            let Some(open) = slot.as_mut().filter(|open| open.witness >= pc) else {
+                continue;
+            };
+            let factor = open.coeffs.get(pc);
+            if factor.is_zero() {
+                continue;
+            }
+            eliminate(&mut open.coeffs, pc, factor, new_row, kernel);
+            if open.witness == pc {
+                match open.coeffs.last_nonzero_before(pc) {
+                    Some(w) => open.witness = w,
+                    None => {
+                        *slot = None;
+                        self.last.push(stored[r].pivot);
+                    }
+                }
+            }
+        }
+        match witness {
+            Some(witness) => self.rows.push(Some(OpenRow { coeffs, witness })),
+            None => {
+                self.rows.push(None);
+                self.last.push(pc);
+            }
+        }
+        self.last.sort_unstable();
+        for &col in &self.last {
+            self.solved[col] = true;
+        }
+        self.count += self.last.len();
     }
 }
 
@@ -544,8 +738,8 @@ mod tests {
         assert_eq!(d.decoded_prefix(), 3);
         assert_eq!(d.decoded_count(), 3);
         assert!(!d.is_decoded(3));
-        // The held rows are a valid reverse RREF.
-        assert!(d.coefficient_matrix().unwrap().is_reverse_rref());
+        // The held rows are in reverse echelon form.
+        assert!(d.coefficient_matrix().unwrap().is_reverse_echelon());
     }
 
     #[test]
@@ -646,7 +840,7 @@ mod tests {
                 let m = Matrix::from_rows(rows);
                 assert_eq!(d.rank(), crate::elim::rank(&m));
                 if let Some(cm) = d.coefficient_matrix() {
-                    assert!(cm.is_reverse_rref());
+                    assert!(cm.is_reverse_echelon());
                 }
             }
         }
@@ -689,7 +883,7 @@ mod tests {
         // A 2-variable row solves nothing yet.
         assert!(d.insert(rowv(&[1, 2, 0]), ()).is_innovative());
         assert!(d.newly_solved().is_empty());
-        // The second row pins x1 directly and x0 via back-elimination.
+        // The second row pins x1 directly, and x0 with it.
         assert!(d.insert(rowv(&[0, 5, 0]), ()).is_innovative());
         assert_eq!(d.newly_solved(), &[0, 1]);
         // A redundant row solves nothing and clears the ledger.
@@ -736,7 +930,9 @@ mod tests {
             }
             assert_eq!(dd.rank(), ds.rank());
             assert_eq!(dd.coefficient_matrix(), ds.coefficient_matrix());
-            assert!(dd.coefficient_matrix().is_none_or(|m| m.is_reverse_rref()));
+            assert!(dd
+                .coefficient_matrix()
+                .is_none_or(|m| m.is_reverse_echelon()));
         }
     }
 
@@ -761,6 +957,6 @@ mod tests {
         }
         assert!(d.is_complete());
         assert_eq!(d.decoded_prefix(), n);
-        assert!(d.coefficient_matrix().unwrap().is_identity());
+        assert!(d.coefficient_matrix().unwrap().is_reverse_echelon());
     }
 }

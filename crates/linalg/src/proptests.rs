@@ -47,6 +47,11 @@ fn batch_solved<F: GfElem>(rows: &[Vec<F>], width: usize) -> Vec<bool> {
 /// bookkeeping after *every* insert against the batch RREF of all rows
 /// so far: `is_decoded` per column, `decoded_count`, `decoded_prefix`
 /// and `newly_solved` (the batch-solved set difference, ascending).
+/// Every row carries the payload its coefficients code from seeded
+/// sources, and `recovered(c)` must be `Some` exactly for the decoded
+/// columns and then equal the source. A second decoder takes the same
+/// rows but is asked only now and then, so its reduced view folds
+/// several rows at once, rows the decoded prefix released among them.
 ///
 /// `prefix_rows` draws PLC-shaped rows (nonzeros only below a random
 /// support bound); otherwise entries are zero-biased across the whole
@@ -55,7 +60,11 @@ fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: boo
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut d: ProgressiveRref<F> = ProgressiveRref::new(width);
+    let sources: Vec<Vec<F>> = (0..width)
+        .map(|_| vec![F::random(&mut rng), F::random(&mut rng)])
+        .collect();
+    let mut d: ProgressiveRref<F, Vec<F>> = ProgressiveRref::new(width);
+    let mut lazy: ProgressiveRref<F> = ProgressiveRref::new(width);
     let mut held: Vec<Vec<F>> = Vec::new();
     let mut before = vec![false; width];
     for _ in 0..2 * width {
@@ -73,6 +82,10 @@ fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: boo
                 }
             })
             .collect();
+        let mut payload = vec![F::ZERO; 2];
+        for (c, s) in row.iter().zip(&sources) {
+            F::axpy(&mut payload, *c, s);
+        }
         let coeffs = if sparse {
             let entries = row
                 .iter()
@@ -84,7 +97,8 @@ fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: boo
         } else {
             CoeffRow::from_dense(row.clone())
         };
-        d.insert_row(coeffs, ());
+        lazy.insert_row(coeffs.clone(), ());
+        d.insert_row(coeffs, payload);
         held.push(row);
 
         let after = batch_solved(&held, width);
@@ -97,11 +111,26 @@ fn check_solved_bookkeeping<F: GfElem>(seed: u64, width: usize, prefix_rows: boo
                 c,
                 held.len()
             );
+            prop_assert_eq!(
+                d.recovered(c),
+                solved.then_some(&sources[c]),
+                "seed {} column {} after {} rows",
+                seed,
+                c,
+                held.len()
+            );
         }
         let fresh: Vec<usize> = (0..width).filter(|&c| after[c] && !before[c]).collect();
         prop_assert_eq!(d.newly_solved(), fresh.as_slice());
         prop_assert_eq!(d.decoded_count(), after.iter().filter(|&&s| s).count());
         prop_assert_eq!(d.decoded_prefix(), after.iter().take_while(|&&s| s).count());
+        if rng.gen_bool(0.3) {
+            prop_assert_eq!(lazy.newly_solved(), fresh.as_slice());
+            prop_assert_eq!(
+                lazy.decoded_columns().collect::<Vec<_>>(),
+                d.decoded_columns().collect::<Vec<_>>()
+            );
+        }
         before = after;
     }
 }
@@ -355,9 +384,9 @@ proptest! {
         }
     }
 
-    /// GF(2⁴): entries cancel with probability 1/16, so back-elimination
-    /// often zeroes a row's witness column, forcing the rescan, and
-    /// solves rows by cancellation.
+    /// GF(2⁴): entries cancel with probability 1/16, so folding a row
+    /// into the reduced view often zeroes another row's witness column,
+    /// forcing the rescan, and solves rows by cancellation.
     #[test]
     fn solved_bookkeeping_matches_batch_after_every_insert_gf16(
         seed in 0u64..1_000_000,
@@ -380,7 +409,7 @@ proptest! {
 
     /// Lemma 2 in code: elimination never widens a row past the support
     /// it arrived with, for PLC-shaped, dense and sparse rows. GF(2⁴)
-    /// makes cancellation, and so witness rescans, common.
+    /// makes cancellation common.
     #[test]
     fn stored_rows_never_widen_past_arrival_support(
         seed in 0u64..1_000_000,
@@ -412,14 +441,14 @@ proptest! {
     }
 
     #[test]
-    fn progressive_state_is_always_rref(
+    fn progressive_state_is_always_reverse_echelon(
         rows in rows_strategy(7, 12)
     ) {
         let mut d: ProgressiveRref<Gf256> = ProgressiveRref::new(7);
         for r in &rows {
             d.insert(r.clone(), ());
             if let Some(m) = d.coefficient_matrix() {
-                prop_assert!(m.is_reverse_rref(), "not reverse RREF after insert:\n{:?}", m);
+                prop_assert!(m.is_reverse_echelon(), "not reverse echelon after insert:\n{:?}", m);
             }
         }
     }
@@ -484,6 +513,7 @@ proptest! {
             }
             d.insert(coeffs, payload);
             for (c, s) in sources.iter().enumerate() {
+                prop_assert_eq!(d.recovered(c).is_some(), d.is_decoded(c), "column {}", c);
                 if let Some(p) = d.recovered(c) {
                     prop_assert_eq!(p, s, "column {}", c);
                 }

@@ -171,6 +171,30 @@ fn moved_layers_row_is_reported_under_its_name() {
 }
 
 #[test]
+fn moved_kernel_row_is_reported_under_its_backend() {
+    // Kernel-probe rows carry no `row` name; findings address them by
+    // their `backend` instead of their position in the results array.
+    let text = baseline_text("kernel");
+    let mut doc = parse_json(&text).expect("parses");
+    let Some(Json::Arr(rows)) = doc.get_mut("results") else {
+        panic!("kernel baseline has no results array")
+    };
+    let row = rows
+        .iter_mut()
+        .find(|r| r.get("backend") == Some(&Json::Str("dispatched".to_string())))
+        .expect("kernel baseline has a dispatched row");
+    let Some(Json::Num(n)) = row.get_mut("mb_s") else {
+        panic!("dispatched row has no mb_s")
+    };
+    n.value *= 1000.0;
+    n.raw = format!("{}", n.value);
+    let mutant = doc.render();
+    let report = diff_envelopes("kernel", &text, &mutant, &Tolerances::default()).expect("diff");
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(report.findings[0].path, "results[dispatched].mb_s");
+}
+
+#[test]
 fn out_of_band_throughput_fails_with_its_own_kind() {
     let text = baseline_text("kernel");
     let mut doc = parse_json(&text).expect("parses");

@@ -16,6 +16,9 @@
 //! and N=1000; plus one sparse-fanout, sparse-row case. A refactor of
 //! the sessions must leave every digest unchanged; a deliberate output
 //! change re-pins the table below.
+//!
+//! A second table pins decode provenance: the trace dump of one
+//! pinned-seed decoding run per scheme, as `prlc trace` writes it.
 
 use prlc::net::{
     collect_with_faults, observe_deployment, predistribute_with_faults, refresh_with_faults,
@@ -58,7 +61,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:5fde39827219c664",
             "fnv1a:5080610c9e170121",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:ee50db2743c98ba3",
+            "fnv1a:00736ddf2f19f3ec",
             "fnv1a:3c78736f2e2eae38",
             "fnv1a:165375fc5cca99f9",
         ],
@@ -71,7 +74,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:82ab6b1427a30a39",
             "fnv1a:05efd56ad7661795",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:b00112da9b2c4859",
+            "fnv1a:c207330b6146954f",
             "fnv1a:579738005303fbbf",
             "fnv1a:5cc776649955880c",
         ],
@@ -97,7 +100,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:93e8f056e5e42aad",
             "fnv1a:9c56ebd97b4fdd69",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:a47fea30f46deee2",
+            "fnv1a:ce07e184b7ffec2a",
             "fnv1a:69ca004bef3f4935",
             "fnv1a:88b7ea53dc22c724",
         ],
@@ -110,7 +113,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:89b2503f21b767d4",
             "fnv1a:d2de44c6ab7e34bb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:4b44676352a00621",
+            "fnv1a:516bde3432cfb4c6",
             "fnv1a:76a60659036d1f55",
             "fnv1a:3f0fa882c94c2dd5",
         ],
@@ -136,7 +139,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:afb1f46c91db4e40",
             "fnv1a:23496cb163c34e71",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:8dc12dacfe586bec",
+            "fnv1a:291f63eeff7becd7",
             "fnv1a:21fbbf1e01249525",
             "fnv1a:30d77cc11bd89286",
         ],
@@ -149,7 +152,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:a4dbba4fab85575d",
             "fnv1a:de1c93aefd9c09eb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:129433e40a771bc4",
+            "fnv1a:a840debf0cf0172b",
             "fnv1a:acaeef5443c22478",
             "fnv1a:2496ca73af437b95",
         ],
@@ -162,7 +165,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:31128bab0c30c3f5",
             "fnv1a:94ebf08b73f60967",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:c0f3b9e4d42222b8",
+            "fnv1a:65d2f7afde1f8dfb",
             "fnv1a:ce59c5c5ae1a423e",
             "fnv1a:58a8a696136d2ec8",
         ],
@@ -175,7 +178,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:0be30b949086100c",
             "fnv1a:710e60d4e2f1617b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:cdd71512d2fc1768",
+            "fnv1a:01f6d230b8a3a6cf",
             "fnv1a:dbedd4f9eed4530b",
             "fnv1a:44608cf037615aac",
         ],
@@ -188,7 +191,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:a74fd2134edef819",
             "fnv1a:58a55621e96bca9b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:fa8e02a7b366dd5b",
+            "fnv1a:8229f0fbf333a398",
             "fnv1a:56292c9de24e2189",
             "fnv1a:ca95c921de2c468c",
         ],
@@ -201,7 +204,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7bd23884923a9727",
             "fnv1a:f2c5c5da2b859fe0",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:b3253aad1a53696d",
+            "fnv1a:90587a76ba0cc580",
             "fnv1a:862e57729509e7d5",
             "fnv1a:ecc2176e46868e67",
         ],
@@ -214,7 +217,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:2e669a4c8412f341",
             "fnv1a:8b8c1887f502cb40",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:f2097cd31223f359",
+            "fnv1a:88291a1e46ff1304",
             "fnv1a:85d7d49bacb0f0ba",
             "fnv1a:b1254913231f057b",
         ],
@@ -227,7 +230,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:edec9c5f364bb192",
             "fnv1a:2ac13309a6f5e780",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:153d1c5ee6bd04f5",
+            "fnv1a:ff16d42f9c281d9b",
             "fnv1a:6f3f476db7012df2",
             "fnv1a:9ab2ac591d4cb96e",
         ],
@@ -240,7 +243,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:e3c8ee098ba1d472",
             "fnv1a:2e3196672c89092f",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:bc1cadf440a3027c",
+            "fnv1a:26c95ff026891451",
             "fnv1a:42ae45495de2f4f8",
             "fnv1a:ecc2176e46868e67",
         ],
@@ -253,7 +256,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:6bd9bab6f1722627",
             "fnv1a:6ca870a101f4a0f5",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:40402e63147357c4",
+            "fnv1a:21d59c0ec16baf78",
             "fnv1a:c9eab3197ab572a3",
             "fnv1a:8c9e28a24ed7fa89",
         ],
@@ -266,7 +269,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7cd0aa3c18833760",
             "fnv1a:d3d7f9503078596d",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:3f47a544a0e12620",
+            "fnv1a:43c1aa9044073138",
             "fnv1a:42278a569e1ced0b",
             "fnv1a:3e568cbac6a29b95",
         ],
@@ -279,7 +282,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:69fef41205cd98b7",
             "fnv1a:c0943d9ff9040aa6",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:7dc5ef4ec76bc001",
+            "fnv1a:27e81ec3bb8d9c15",
             "fnv1a:04a18b308564ed12",
             "fnv1a:224cfe57cb12b638",
         ],
@@ -292,7 +295,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:ab01192217c47ee4",
             "fnv1a:84bad8f440199cbb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:5dbbf3aa750dfd50",
+            "fnv1a:9ffeb0160996da06",
             "fnv1a:4c0c707056ee6701",
             "fnv1a:948ad25e321661f9",
         ],
@@ -357,7 +360,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:222bfa75a537e985",
             "fnv1a:5dcf381be9478092",
             "fnv1a:af63af4c8601a015",
-            "fnv1a:f58fe1a0656ac38c",
+            "fnv1a:7b774850072c6ddb",
             "fnv1a:2ad78be45e90f132",
             "fnv1a:1ba4177de516bdf4",
         ],
@@ -651,4 +654,45 @@ fn pipeline_matches_golden_digests_with_log_fanout_and_sparse_rows() {
         seed: 15,
         sparse: true,
     }]);
+}
+
+/// `(name, scheme, digest of the trace dump)` of one decoding run at
+/// levels `20,30,50`, 140 coded blocks, seed 7: the FNV-1a digest of the
+/// file `prlc trace --scheme <name> --levels 20,30,50 --max-blocks 140
+/// --seed 7 --out <file>` writes. It pins every pivot, solved and
+/// level-unlock instant the decoders emit.
+const DECODE_PROVENANCE: &[(&str, Scheme, &str)] = &[
+    ("plc", Scheme::Plc, "fnv1a:8632c493a6d94fc0"),
+    ("slc", Scheme::Slc, "fnv1a:2d3cd686c0b80983"),
+    ("rlc", Scheme::Rlc, "fnv1a:d62f53c572e5f25e"),
+];
+
+#[test]
+fn decode_provenance_matches_golden_digests() {
+    use prlc::sim::{simulate_decoding_curve_with_threads, CurveConfig, Persistence};
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let profile = PriorityProfile::new(vec![20, 30, 50]).unwrap();
+    let mut moved = Vec::new();
+    for &(name, scheme, pinned) in DECODE_PROVENANCE {
+        obs::trace::enable();
+        obs::trace::reset();
+        let cfg = CurveConfig {
+            persistence: Persistence::Coding(scheme),
+            profile: profile.clone(),
+            distribution: PriorityDistribution::uniform(profile.num_levels()),
+            max_blocks: 140,
+            runs: 1,
+            seed: 7,
+        };
+        simulate_decoding_curve_with_threads::<Gf256>(&cfg, 1);
+        let got = digest64(&format!("{}\n", obs::trace::snapshot().to_json()));
+        if got != pinned {
+            moved.push(format!("(\"{name}\", \"{got}\"),"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "decode provenance digests moved:\n{}",
+        moved.join("\n")
+    );
 }
