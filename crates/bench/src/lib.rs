@@ -1,27 +1,40 @@
-//! Shared plumbing for the benchmark-harness binaries.
+//! The experiments registry: every table and figure of the paper's
+//! evaluation, and every ablation from DESIGN.md, as one row of
+//! [`EXPERIMENTS`].
 //!
-//! Every `fig*`/`table*`/`ablation_*` binary regenerates one table or
-//! figure of the paper's evaluation (or one ablation from DESIGN.md),
-//! prints the series as an aligned table, and writes a CSV copy under
-//! `results/`. Common flags:
+//! An entry's `run` computes its tables and returns them; the
+//! `experiments` binary prints each one as an aligned table and writes
+//! its CSV twin under `results/`:
 //!
-//! * `--runs=N` — independent repetitions per data point (default 40;
-//!   the paper uses 100);
-//! * `--paper` — paper fidelity (100 runs);
-//! * `--quick` — smoke-test sizes for CI;
+//! ```text
+//! cargo run --release -p prlc-bench --bin experiments -- [NAME...] [flags]
+//! ```
+//!
+//! No `NAME` runs every entry. Flags:
+//!
+//! * `--runs=N` — independent repetitions per data point (default 100,
+//!   as in the paper);
+//! * `--quick` — smoke-test sizes for CI, and at most 8 runs;
 //! * `--out=DIR` — output directory (default `results/`);
 //! * `--seed=S` — base seed.
 //!
-//! Any other argument, or a value that does not parse, is an error: the
-//! binary exits with status 2 before it runs or writes anything.
+//! Any other argument, a value that does not parse, or an unknown
+//! `NAME` is an error: the binary exits with status 2 before it runs or
+//! writes anything.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ablations;
+mod paper;
+
 use std::fs;
 use std::path::PathBuf;
 
-/// Common command-line options for harness binaries.
+use prlc_core::{PriorityDistribution, PriorityProfile};
+use prlc_sim::Table;
+
+/// Common command-line options for every experiment.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Independent runs per data point.
@@ -37,7 +50,7 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            runs: 40,
+            runs: 100,
             quick: false,
             out_dir: PathBuf::from("results"),
             seed: 0xC0DE,
@@ -46,19 +59,9 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Parses `std::env::args`. An unknown flag or an unparsable value
-    /// prints the error and the accepted flags, then exits with status 2
-    /// before the binary does any work or writes any file.
-    pub fn from_args() -> Self {
-        RunOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            eprintln!("usage: [--runs=N] [--paper] [--quick] [--out=DIR] [--seed=S]");
-            std::process::exit(2);
-        })
-    }
-
-    /// Parses harness flags (without the program name). Flags apply in
-    /// order, so `--quick` caps only the run count set before it.
+    /// Parses experiment flags (without the program name or experiment
+    /// names). Flags apply in order, so `--quick` caps only the run
+    /// count set before it.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOpts::default();
         for arg in args {
@@ -69,8 +72,6 @@ impl RunOpts {
                     }
                     Ok(n) => n,
                 };
-            } else if arg == "--paper" {
-                opts.runs = 100;
             } else if arg == "--quick" {
                 opts.quick = true;
                 opts.runs = opts.runs.min(8);
@@ -89,21 +90,152 @@ impl RunOpts {
         Ok(opts)
     }
 
-    /// Prints a rendered table to stdout and writes its CSV twin to
-    /// `<out_dir>/<name>.csv`.
-    pub fn emit(&self, name: &str, title: &str, table: &prlc_sim::Table) {
-        println!("\n== {title} ==\n");
-        print!("{}", table.render());
-        if let Err(e) = fs::create_dir_all(&self.out_dir) {
-            eprintln!("warning: cannot create {}: {e}", self.out_dir.display());
-            return;
-        }
-        let path = self.out_dir.join(format!("{name}.csv"));
-        match fs::write(&path, table.to_csv()) {
-            Ok(()) => println!("\n[written {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    /// Prints a table to stdout and writes its CSV twin to
+    /// `<out_dir>/<name>.csv`. The error names the path that failed.
+    pub fn emit(&self, csv: &Csv) -> Result<(), String> {
+        println!("\n== {} ==\n", csv.title);
+        print!("{}", csv.table.render());
+        fs::create_dir_all(&self.out_dir)
+            .map_err(|e| format!("cannot create {}: {e}", self.out_dir.display()))?;
+        let path = self.out_dir.join(format!("{}.csv", csv.name));
+        fs::write(&path, csv.table.to_csv())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("\n[written {}]", path.display());
+        Ok(())
+    }
+}
+
+/// One table an experiment produced.
+#[derive(Debug)]
+pub struct Csv {
+    /// File stem of the CSV copy.
+    pub name: String,
+    /// Heading printed above the rendered table.
+    pub title: String,
+    /// The series.
+    pub table: Table,
+}
+
+impl Csv {
+    /// A named, titled table.
+    pub(crate) fn new(name: impl Into<String>, title: impl Into<String>, table: Table) -> Self {
+        Csv {
+            name: name.into(),
+            title: title.into(),
+            table,
         }
     }
+}
+
+/// One registry entry: a paper artifact or an ablation.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name the `experiments` binary selects it by.
+    pub name: &'static str,
+    /// Computes the entry's tables; writes no file.
+    pub run: fn(&RunOpts) -> Vec<Csv>,
+}
+
+/// Every experiment, in the order a full regeneration runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "fig1_fig2",
+        run: paper::fig1_fig2,
+    },
+    Experiment {
+        name: "fig4",
+        run: |o| paper::curve_figure(&paper::FIG4, o),
+    },
+    Experiment {
+        name: "fig5",
+        run: |o| paper::curve_figure(&paper::FIG5, o),
+    },
+    Experiment {
+        name: "fig6",
+        run: |o| paper::curve_figure(&paper::FIG6, o),
+    },
+    Experiment {
+        name: "table1",
+        run: paper::table1,
+    },
+    Experiment {
+        name: "fig7",
+        run: paper::fig7,
+    },
+    Experiment {
+        name: "ablation_sparsity",
+        run: ablations::sparsity,
+    },
+    Experiment {
+        name: "ablation_failure",
+        run: ablations::failure,
+    },
+    Experiment {
+        name: "ablation_field",
+        run: ablations::field,
+    },
+    Experiment {
+        name: "ablation_loadbalance",
+        run: ablations::loadbalance,
+    },
+    Experiment {
+        name: "ablation_bandwidth",
+        run: ablations::bandwidth,
+    },
+    Experiment {
+        name: "ablation_refresh",
+        run: ablations::refresh,
+    },
+    Experiment {
+        name: "ablation_overhead",
+        run: ablations::overhead,
+    },
+    Experiment {
+        name: "sparse_rows",
+        run: ablations::sparse_rows,
+    },
+];
+
+/// The registry entries `names` select, in the order given; no names
+/// select every entry. An unknown name is an error that lists the
+/// known ones.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS.iter().collect());
+    }
+    names
+        .iter()
+        .map(|name| {
+            EXPERIMENTS.iter().find(|e| e.name == *name).ok_or_else(|| {
+                let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                format!("unknown experiment {name:?} (known: {})", known.join(" "))
+            })
+        })
+        .collect()
+}
+
+/// The paper's Table 1: the priority distributions its solver found for
+/// cases 1–3 over [`table1_profile`].
+pub(crate) const PAPER_TABLE1: [[f64; 3]; 3] = [
+    [0.5138, 0.0768, 0.4094],
+    [0.0, 0.6149, 0.3851],
+    [0.2894, 0.3246, 0.3860],
+];
+
+/// [`PAPER_TABLE1`]'s rows as distributions.
+pub(crate) fn paper_table1_distributions() -> [PriorityDistribution; 3] {
+    PAPER_TABLE1.map(|row| PriorityDistribution::from_weights(row.to_vec()).expect("valid row"))
+}
+
+/// The Sec. 5.3 profile: 500 source blocks in levels of 50, 100 and
+/// 350; at `--quick` sizes a tenth of each.
+pub(crate) fn table1_profile(quick: bool) -> PriorityProfile {
+    let sizes = if quick {
+        vec![5, 10, 35]
+    } else {
+        vec![50, 100, 350]
+    };
+    PriorityProfile::new(sizes).expect("valid profile")
 }
 
 /// Evenly spaced sample points `0..=max` with the given step (always
@@ -131,7 +263,7 @@ mod tests {
     #[test]
     fn default_opts() {
         let o = RunOpts::default();
-        assert_eq!(o.runs, 40);
+        assert_eq!(o.runs, 100);
         assert!(!o.quick);
     }
 
@@ -144,8 +276,7 @@ mod tests {
         let o = parse(&["--runs=12", "--out=/x", "--seed=7"]).unwrap();
         assert_eq!((o.runs, o.seed, o.quick), (12, 7, false));
         assert_eq!(o.out_dir, PathBuf::from("/x"));
-        assert_eq!(parse(&["--paper"]).unwrap().runs, 100);
-        assert_eq!(parse(&["--paper", "--quick"]).unwrap().runs, 8);
+        assert_eq!(parse(&["--quick"]).unwrap().runs, 8);
         assert_eq!(parse(&["--quick", "--runs=30"]).unwrap().runs, 30);
     }
 
@@ -159,6 +290,7 @@ mod tests {
             &["--runs=-3"],
             &["--seed=-1"],
             &["--quick", "--bogus"],
+            &["--paper"],
             &["fig6"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} was accepted");

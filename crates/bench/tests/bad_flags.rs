@@ -1,8 +1,9 @@
-//! A harness binary given a bad flag must fail before it writes a CSV.
+//! The `experiments` binary given a bad flag or an unknown experiment
+//! fails before it writes a CSV, and a CSV it cannot write fails the run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// A fresh, empty scratch directory unique to this test and process.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -17,35 +18,40 @@ fn entry_count(dir: &Path) -> usize {
     fs::read_dir(dir).map_or(0, |entries| entries.count())
 }
 
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("run experiments")
+}
+
 #[test]
 fn bad_flags_exit_nonzero_and_write_nothing() {
     let dir = scratch_dir("bad-flags");
     let out = format!("--out={}", dir.display());
     for bad in [
-        &["--runs", "100"][..],
-        &["--seed=abc"],
-        &["--runs=x"],
-        &["--runs=0"],
-        &["--quick", "--chrun"],
+        &["fig6", "--runs", "100"][..],
+        &["fig6", "--seed=abc"],
+        &["fig6", "--runs=x"],
+        &["fig6", "--runs=0"],
+        &["fig6", "--paper"],
+        &["fig6", "--quick", "--chrun"],
+        // fig1_fig2 writes no CSV, but it parses the same flags.
+        &["fig1_fig2", "--bogus"],
+        // A known name before an unknown one does not run either.
+        &["fig6", "fig99"],
     ] {
-        let status = Command::new(env!("CARGO_BIN_EXE_fig6"))
-            .args(bad)
-            .arg("--quick")
-            .arg(&out)
-            .output()
-            .expect("run fig6");
-        assert_eq!(status.status.code(), Some(2), "{bad:?}");
-        let stderr = String::from_utf8_lossy(&status.stderr);
+        let run = experiments(&[bad, &["--quick", &out]].concat());
+        assert_eq!(run.status.code(), Some(2), "{bad:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(stderr.contains("error:"), "{bad:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{bad:?} ran an experiment");
         assert_eq!(entry_count(&dir), 0, "{bad:?} wrote into {}", dir.display());
     }
 
     // The same invocation with good flags does write, so the empty
     // directory above is the flags' doing.
-    let ok = Command::new(env!("CARGO_BIN_EXE_fig6"))
-        .args(["--quick", "--seed=3", &out])
-        .output()
-        .expect("run fig6");
+    let ok = experiments(&["fig6", "--quick", "--seed=3", &out]);
     assert!(
         ok.status.success(),
         "{}",
@@ -53,4 +59,20 @@ fn bad_flags_exit_nonzero_and_write_nothing() {
     );
     assert!(entry_count(&dir) > 0);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unwritable_output_fails_and_names_the_path() {
+    let dir = scratch_dir("unwritable");
+    let file = dir.join("not-a-dir");
+    fs::write(&file, "").expect("create the blocking file");
+    let run = experiments(&["fig7", "--quick", &format!("--out={}", file.display())]);
+    let _ = fs::remove_dir_all(&dir);
+    assert_eq!(run.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains(&file.display().to_string()),
+        "the error does not name {}: {stderr}",
+        file.display()
+    );
 }

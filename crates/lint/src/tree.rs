@@ -264,7 +264,10 @@ mod tests {
     fn classify_kinds() {
         assert_eq!(classify("crates/gf/src/kernel.rs"), FileKind::Lib);
         assert_eq!(classify("crates/cli/src/main.rs"), FileKind::Bin);
-        assert_eq!(classify("crates/bench/src/bin/fig4.rs"), FileKind::Bin);
+        assert_eq!(
+            classify("crates/bench/src/bin/experiments.rs"),
+            FileKind::Bin
+        );
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Bin);
         assert_eq!(classify("tests/end_to_end.rs"), FileKind::TestOnly);
         assert_eq!(classify("crates/net/src/proptests.rs"), FileKind::TestOnly);

@@ -1,6 +1,6 @@
 //! Plain-text and CSV rendering for experiment output.
 //!
-//! The benchmark binaries print each of the paper's tables and figure
+//! The `prlc-bench` experiments print each of the paper's tables and figure
 //! series as aligned text (for eyeballing against the paper) and CSV
 //! (for replotting).
 
