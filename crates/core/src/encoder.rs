@@ -228,9 +228,12 @@ impl Encoder {
         );
         let coefficients = self.encode_coefficients::<F, R>(level, rng);
         let mut payload = vec![F::ZERO; blk_len];
-        for (idx, c) in coefficients.iter_nonzeros() {
-            kernel::axpy(&mut payload, c, &sources[idx]);
-        }
+        kernel::axpy_sum(
+            &mut payload,
+            coefficients
+                .iter_nonzeros()
+                .map(|(idx, c)| (c, sources[idx].as_slice())),
+        );
         CodedBlock {
             level,
             coefficients,

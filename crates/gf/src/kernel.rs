@@ -1,11 +1,13 @@
-//! The `GfKernel` slice-arithmetic layer: bulk [`axpy`], [`scale_slice`],
-//! [`add_slice`], [`mul_slice`] and [`dot`] over contiguous symbol slices,
-//! with a backend selected once per process.
+//! The `GfKernel` slice-arithmetic layer: bulk [`axpy`], [`axpy_sum`],
+//! [`scale_slice`], [`add_slice`], [`mul_slice`] and [`dot`] over
+//! contiguous symbol slices, with a backend selected once per process.
 //!
 //! Every layer above this crate — matrix row operations, progressive
 //! Gauss–Jordan, payload mirroring, encoding — expresses its inner loops
-//! in terms of these five functions, so a backend improvement here
-//! accelerates the whole stack.
+//! in terms of these six functions, so a backend improvement here
+//! accelerates the whole stack. [`axpy_sum`] is the multi-term form of
+//! [`axpy`]: a coded block's payload (Sec. 3.1) or a decoded payload's
+//! mirrored row operations (Sec. 3.2) are built by it in one pass.
 //!
 //! # Backends
 //!
@@ -35,6 +37,12 @@
 //!   Products of two *variable* slices (`mul_slice`, `dot`) have no
 //!   constant to build a matrix or shuffle tables from and run through
 //!   the product table on every level.
+//!
+//!   On `gfni`, [`axpy_sum`] gathers up to 64 terms at a time and keeps
+//!   a 1 KiB tile of `dst` in 16 zmm accumulators while each of them
+//!   runs over it, so `dst` is loaded and stored once per tile and
+//!   batch, not once per term. A `dst` shorter than one tile, the part
+//!   past its last whole tile, and every other level run term by term.
 //!
 //! # Selection
 //!
@@ -76,6 +84,7 @@
 //! every elimination step through it.
 
 use std::fmt;
+use std::mem::size_of_val;
 use std::sync::OnceLock;
 
 use crate::element::{gf256_product_table, GfElem};
@@ -250,18 +259,18 @@ pub fn available_backends() -> Vec<Backend> {
 // ---------------------------------------------------------------------------
 
 // Byte-volume accounting (`gf.<op>.bytes.<backend>` counters) for the
-// dispatched entry points. Everything — including backend resolution for
-// the argument expression — sits behind the `prlc_obs::enabled()` guard,
-// so the disabled cost is a single relaxed atomic load per call.
+// dispatched entry points. Everything — including backend resolution and
+// the byte count expression — sits behind the `prlc_obs::enabled()`
+// guard, so the disabled cost is a single relaxed atomic load per call.
 macro_rules! record_bytes {
-    ($op:literal, $backend:expr, $slice:expr) => {
+    ($op:literal, $backend:expr, $bytes:expr) => {
         if prlc_obs::enabled() {
             let counter = match $backend {
                 Backend::Scalar => prlc_obs::counter!(concat!("gf.", $op, ".bytes.scalar")),
                 Backend::Table => prlc_obs::counter!(concat!("gf.", $op, ".bytes.table")),
                 Backend::Simd => prlc_obs::counter!(concat!("gf.", $op, ".bytes.simd")),
             };
-            counter.add(core::mem::size_of_val($slice) as u64);
+            counter.add($bytes as u64);
         }
     };
 }
@@ -274,14 +283,34 @@ macro_rules! record_bytes {
 /// Panics if the slices have different lengths.
 pub fn axpy<F: GfElem>(dst: &mut [F], c: F, src: &[F]) {
     let kernel = select();
-    record_bytes!("axpy", kernel.backend, src);
+    record_bytes!("axpy", kernel.backend, size_of_val(src));
     axpy_impl(kernel, dst, c, src);
+}
+
+/// `dst[i] += Σ_k c_k·src_k[i]` for all `i`, over the `(c_k, src_k)`
+/// terms: a coded block from its sources, or a payload from the row
+/// operations its decoder recorded, built in one pass.
+///
+/// Bit-identical to one [`axpy`] per term and counted like it: each
+/// term's length goes into `gf.axpy.bytes.<backend>`. The `gfni` level
+/// gathers the terms in batches on the stack and runs a whole batch
+/// over one register tile of `dst` before storing it (see
+/// [Backends](self#backends)); every other level and backend runs them
+/// one by one. The terms are walked once and nothing is allocated.
+///
+/// # Panics
+///
+/// Panics if any source differs in length from `dst`.
+pub fn axpy_sum<'a, F: GfElem>(dst: &mut [F], terms: impl IntoIterator<Item = (F, &'a [F])>) {
+    let kernel = select();
+    let bytes = axpy_sum_impl(kernel, dst, terms.into_iter());
+    record_bytes!("axpy", kernel.backend, bytes);
 }
 
 /// `dst[i] *= c` for all `i`.
 pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
     let kernel = select();
-    record_bytes!("scale", kernel.backend, &*dst);
+    record_bytes!("scale", kernel.backend, size_of_val(dst));
     scale_slice_impl(kernel, dst, c);
 }
 
@@ -293,7 +322,7 @@ pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
 ///
 /// Panics if the slices have different lengths.
 pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
-    record_bytes!("add", select().backend, src);
+    record_bytes!("add", select().backend, size_of_val(src));
     add_slice_impl(dst, src);
 }
 
@@ -304,7 +333,7 @@ pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 /// Panics if the slices have different lengths.
 pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
     let backend = select().backend;
-    record_bytes!("mul", backend, src);
+    record_bytes!("mul", backend, size_of_val(src));
     mul_slice_impl(backend, dst, src);
 }
 
@@ -315,7 +344,7 @@ pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 /// Panics if the slices have different lengths.
 pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
     let backend = select().backend;
-    record_bytes!("dot", backend, a);
+    record_bytes!("dot", backend, size_of_val(a));
     dot_impl(backend, a, b)
 }
 
@@ -328,6 +357,16 @@ pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
 /// [`available_backends`] to avoid benchmarking the degraded path).
 pub fn axpy_with<F: GfElem>(backend: Backend, dst: &mut [F], c: F, src: &[F]) {
     axpy_impl(&RowKernel::with(backend), dst, c, src);
+}
+
+/// [`axpy_sum`] forced onto `backend`, which degrades as in
+/// [`axpy_with`]. Records no byte counts, like every `*_with` variant.
+pub fn axpy_sum_with<'a, F: GfElem>(
+    backend: Backend,
+    dst: &mut [F],
+    terms: impl IntoIterator<Item = (F, &'a [F])>,
+) {
+    axpy_sum_impl(&RowKernel::with(backend), dst, terms.into_iter());
 }
 
 /// [`scale_slice`] forced onto `backend`.
@@ -417,7 +456,7 @@ impl RowKernel {
             dst.len() == src.len() && dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
             "row kernel slices must be equal whole blocks covering the logical length"
         );
-        record_bytes!("axpy", self.backend, &src[..len]);
+        record_bytes!("axpy", self.backend, size_of_val(&src[..len]));
         if let (Some(level), Some(d), Some(s)) =
             (self.level, plane::gf256_mut(dst), plane::gf256(src))
         {
@@ -441,7 +480,7 @@ impl RowKernel {
             dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
             "row kernel slice must be whole blocks covering the logical length"
         );
-        record_bytes!("scale", self.backend, &dst[..len]);
+        record_bytes!("scale", self.backend, size_of_val(&dst[..len]));
         if let (Some(level), Some(d)) = (self.level, plane::gf256_mut(dst)) {
             simd::scale(self, level, d, c.index() as u8);
             return;
@@ -480,6 +519,65 @@ fn axpy_impl<F: GfElem>(kernel: &RowKernel, dst: &mut [F], c: F, src: &[F]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d = d.gf_add(c.gf_mul(*s));
     }
+}
+
+/// Runs [`axpy_sum`] on `kernel` and returns the bytes of its terms:
+/// fused on `gfni` for a GF(2⁸) `dst` of at least one tile, term by
+/// term everywhere else.
+fn axpy_sum_impl<'a, F: GfElem>(
+    kernel: &RowKernel,
+    dst: &mut [F],
+    terms: impl Iterator<Item = (F, &'a [F])>,
+) -> usize {
+    // The length test stays inside the `if let`: written before it, as
+    // `level == Some(Gfni) && len >= tile`, the same gate measured 10%
+    // slower on whole encode/decode runs, from code generation alone.
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(SimdLevel::Gfni), Some(dst)) = (kernel.level, plane::gf256_mut(dst)) {
+        if dst.len() >= simd::GFNI_TILE {
+            return axpy_sum_batched(kernel, dst, terms);
+        }
+    }
+    let mut bytes = 0;
+    for (c, src) in terms {
+        axpy_impl(kernel, dst, c, src);
+        bytes += size_of_val(src);
+    }
+    bytes
+}
+
+/// Terms [`axpy_sum`] gathers before running them over `dst` on `gfni`:
+/// each register tile of `dst` is loaded and stored once per batch.
+#[cfg(target_arch = "x86_64")]
+const TERM_BATCH: usize = 64;
+
+/// [`axpy_sum_impl`] on the `gfni` level of `kernel`, over a GF(2⁸)
+/// `dst`: the non-zero terms go to the fused kernel in batches gathered
+/// on the stack.
+#[cfg(target_arch = "x86_64")]
+fn axpy_sum_batched<'a, F: GfElem>(
+    kernel: &RowKernel,
+    dst: &mut [u8],
+    terms: impl Iterator<Item = (F, &'a [F])>,
+) -> usize {
+    let mut bytes = 0;
+    let mut batch: [(u8, &[u8]); TERM_BATCH] = [(0, &[]); TERM_BATCH];
+    let mut held = 0;
+    for (c, src) in terms {
+        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
+        bytes += size_of_val(src);
+        // `dst` is GF(2⁸), so every source is too and has a plane.
+        if let (false, Some(src)) = (c.is_zero(), plane::gf256(src)) {
+            batch[held] = (c.index() as u8, src);
+            held += 1;
+        }
+        if held == TERM_BATCH {
+            simd::axpy_sum_gfni(kernel, dst, &batch);
+            held = 0;
+        }
+    }
+    simd::axpy_sum_gfni(kernel, dst, &batch[..held]);
+    bytes
 }
 
 fn scale_slice_impl<F: GfElem>(kernel: &RowKernel, dst: &mut [F], c: F) {
@@ -763,6 +861,35 @@ mod simd {
         }
     }
 
+    /// Bytes of `dst` the `gfni` [`axpy_sum_gfni`] holds in 16 zmm
+    /// accumulators.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) const GFNI_TILE: usize = 16 * 64;
+
+    /// `dst ^= Σ c·src` on `gfni` over the `(c, src)` terms, none of
+    /// which has a zero `c`: every whole register tile of `dst` runs all
+    /// the terms before it is stored (see the [module
+    /// docs](super#backends)), and the rest runs term by term. `kernel`
+    /// must be at the `gfni` level.
+    #[cfg(target_arch = "x86_64")]
+    pub(super) fn axpy_sum_gfni(kernel: &RowKernel, dst: &mut [u8], terms: &[(u8, &[u8])]) {
+        debug_assert_eq!(kernel.level, Some(SimdLevel::Gfni));
+        if terms.is_empty() {
+            return;
+        }
+        let tiled = dst.len() - dst.len() % GFNI_TILE;
+        let (body, rest) = dst.split_at_mut(tiled);
+        // SAFETY: a kernel at the `gfni` level exists only after runtime
+        // feature detection found GFNI, AVX-512F and AVX-512BW, and
+        // `body` is a whole number of tiles.
+        unsafe { x86::axpy_sum_gfni(body, terms, kernel.matrices) };
+        if !rest.is_empty() {
+            for &(c, src) in terms {
+                axpy(kernel, SimdLevel::Gfni, rest, &src[tiled..], c);
+            }
+        }
+    }
+
     /// Runs a nibble-shuffle axpy `kernel` over the 16-byte-aligned
     /// prefix, then the product table over the tail of at most 15 bytes.
     #[inline(always)]
@@ -802,6 +929,8 @@ mod simd {
     #[cfg(target_arch = "x86_64")]
     mod x86 {
         use std::arch::x86_64::*;
+
+        use super::GFNI_TILE;
 
         /// Mask selecting the low `len` (1..=63) bytes of a 64-byte vector.
         #[inline(always)]
@@ -854,6 +983,39 @@ mod simd {
                 let d = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(n).cast());
                 let prod = _mm512_gf2p8affine_epi64_epi8::<0>(d, a);
                 _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(n).cast(), k, prod);
+            }
+        }
+
+        // Each source is cut to `dst`'s length by a checked slice, so
+        // every load and store stays in bounds.
+        //
+        // SAFETY: caller must verify GFNI, AVX-512F and AVX-512BW support
+        // and pass a whole number of tiles.
+        #[target_feature(enable = "gfni,avx512f,avx512bw")]
+        pub(super) unsafe fn axpy_sum_gfni(
+            dst: &mut [u8],
+            terms: &[(u8, &[u8])],
+            matrices: &[u64; 256],
+        ) {
+            let n = dst.len();
+            debug_assert_eq!(n % GFNI_TILE, 0);
+            for t in (0..n).step_by(GFNI_TILE) {
+                let tile = dst.as_mut_ptr().add(t);
+                let mut acc = [_mm512_setzero_si512(); GFNI_TILE / 64];
+                for (v, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_loadu_si512(tile.add(64 * v).cast());
+                }
+                for &(c, src) in terms {
+                    let src = src[..n].as_ptr().add(t);
+                    let m = _mm512_set1_epi64(matrices[usize::from(c)] as i64);
+                    for (v, a) in acc.iter_mut().enumerate() {
+                        let s = _mm512_loadu_si512(src.add(64 * v).cast());
+                        *a = _mm512_xor_si512(*a, _mm512_gf2p8affine_epi64_epi8::<0>(s, m));
+                    }
+                }
+                for (v, a) in acc.iter().enumerate() {
+                    _mm512_storeu_si512(tile.add(64 * v).cast(), *a);
+                }
             }
         }
 
@@ -1132,6 +1294,88 @@ mod tests {
         }
     }
 
+    /// A kernel at every level this CPU can run: scalar, table and each
+    /// detected SIMD level, not only the one `select()` runs.
+    fn every_level() -> Vec<RowKernel> {
+        let levels = simd_levels()
+            .iter()
+            .map(|&level| RowKernel::resolve(Backend::Simd, Some(level)));
+        [Backend::Scalar, Backend::Table]
+            .into_iter()
+            .map(|backend| RowKernel::resolve(backend, None))
+            .chain(levels)
+            .collect()
+    }
+
+    /// `axpy_sum` at every level (fused on `gfni`) against the sequential
+    /// `axpy_with` loop on the scalar backend, for every length in
+    /// `LENGTHS` plus both sides of a 1 KiB GFNI tile and a 4 KiB block,
+    /// and 0, 1, 2, 17, 64 (one whole batch) and 100 terms. A quarter of
+    /// the coefficients are 0 and a quarter 1. Each source starts at its
+    /// own offset, and `dst` is a window inside a larger buffer, so a
+    /// write past either end fails the comparison.
+    fn check_axpy_sum_matches_sequential_axpy<F: GfElem>(seed: u64, kernels: &[RowKernel]) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for &n in LENGTHS.iter().chain(&[1023, 1024, 1025, 4096]) {
+            for count in [0, 1, 2, 17, 64, 100] {
+                let sources: Vec<Vec<F>> = (0..count)
+                    .map(|_| {
+                        let offset: usize = rng.gen_range(0..64);
+                        random_slice(&mut rng, n + offset)
+                    })
+                    .collect();
+                let terms: Vec<(F, &[F])> = sources
+                    .iter()
+                    .map(|s| {
+                        let c = match rng.gen_range(0..4) {
+                            0 => F::ZERO,
+                            1 => F::ONE,
+                            _ => F::random(&mut rng),
+                        };
+                        (c, &s[s.len() - n..])
+                    })
+                    .collect();
+                let doff: usize = rng.gen_range(0..64);
+                let window = doff..doff + n;
+                let base: Vec<F> = random_slice(&mut rng, n + doff + 64);
+                let mut want = base.clone();
+                for &(c, src) in &terms {
+                    axpy_with(Backend::Scalar, &mut want[window.clone()], c, src);
+                }
+                for kernel in kernels {
+                    let mut got = base.clone();
+                    axpy_sum_impl(kernel, &mut got[window.clone()], terms.iter().copied());
+                    assert_eq!(got, want, "axpy_sum {kernel:?} n={n} terms={count}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn axpy_sum_matches_sequential_axpy_at_every_level(seed in 0u64..u64::MAX) {
+            check_axpy_sum_matches_sequential_axpy::<Gf256>(seed, &every_level());
+            // The other fields have no SIMD plane: every backend runs
+            // their terms one by one.
+            let kernels: Vec<RowKernel> = available_backends()
+                .into_iter()
+                .map(RowKernel::with)
+                .collect();
+            check_axpy_sum_matches_sequential_axpy::<Gf16>(seed, &kernels);
+            check_axpy_sum_matches_sequential_axpy::<Gf64k>(seed, &kernels);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy length mismatch")]
+    fn axpy_sum_length_mismatch_panics() {
+        let mut d = vec![Gf256::ZERO; 3];
+        let (good, bad) = ([Gf256::ONE; 3], [Gf256::ONE; 4]);
+        axpy_sum(&mut d, [(Gf256::ONE, &good[..]), (Gf256::ONE, &bad[..])]);
+    }
+
     /// The row kernel at every level this CPU can run — scalar, table and
     /// each detected SIMD level — against the scalar slice kernel on the
     /// logical prefix. The blocks sit at odd offsets inside larger
@@ -1139,14 +1383,7 @@ mod tests {
     /// keep, and a write past the last block fails the comparison.
     #[test]
     fn row_kernel_matches_scalar_at_every_level() {
-        let levels = simd_levels()
-            .iter()
-            .map(|&level| RowKernel::resolve(Backend::Simd, Some(level)));
-        let kernels: Vec<RowKernel> = [Backend::Scalar, Backend::Table]
-            .into_iter()
-            .map(|backend| RowKernel::resolve(backend, None))
-            .chain(levels)
-            .collect();
+        let kernels = every_level();
         let mut rng = StdRng::seed_from_u64(10);
         for len in [
             0usize, 1, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129, 200, 500,

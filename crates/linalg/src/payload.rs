@@ -11,14 +11,18 @@ use prlc_gf::{kernel, GfElem};
 
 /// Data carried alongside a coefficient row through elimination.
 ///
-/// Implementations must mirror the two row operations of Gauss–Jordan
-/// elimination: scaling a row, and adding a multiple of another row.
+/// Implementations must mirror the row operations of Gauss–Jordan
+/// elimination: scaling a row, and adding multiples of other rows. A
+/// decoder records the multiples one row collects and applies them in
+/// one call, so a payload is updated once per row, not once per term.
 pub trait RowPayload<F: GfElem> {
     /// Mirrors `row *= c`.
     fn payload_scale(&mut self, c: F);
 
-    /// Mirrors `row += c * other`.
-    fn payload_axpy(&mut self, other: &Self, c: F);
+    /// Mirrors `row += Σ c·other` over the `(c, other)` terms.
+    fn payload_axpy_sum<'a>(&mut self, terms: impl Iterator<Item = (F, &'a Self)>)
+    where
+        Self: 'a;
 }
 
 /// The empty payload: elimination on coefficients only.
@@ -27,12 +31,13 @@ impl<F: GfElem> RowPayload<F> for () {
     fn payload_scale(&mut self, _c: F) {}
 
     #[inline]
-    fn payload_axpy(&mut self, _other: &Self, _c: F) {}
+    fn payload_axpy_sum<'a>(&mut self, _terms: impl Iterator<Item = (F, &'a Self)>) {}
 }
 
 /// A coded data block: a vector of field symbols.
 ///
-/// Both operations go straight to the dispatched [`kernel`]. Because the
+/// Both operations go straight to the dispatched [`kernel`]: the terms
+/// of `payload_axpy_sum` to the multi-term [`kernel::axpy_sum`]. Because the
 /// field element types are `repr(transparent)` wrappers over their
 /// integer representation, a `Vec<F>` payload *is* a contiguous byte
 /// plane — for GF(2⁸) the kernel views it as `&mut [u8]` at zero cost
@@ -40,8 +45,9 @@ impl<F: GfElem> RowPayload<F> for () {
 ///
 /// # Panics
 ///
-/// `payload_axpy` panics if the two blocks have different lengths; all
-/// blocks in one decoding session must share the block size.
+/// `payload_axpy_sum` panics if a term's block differs in length from
+/// this one; all blocks in one decoding session must share the block
+/// size.
 impl<F: GfElem> RowPayload<F> for Vec<F> {
     #[inline]
     fn payload_scale(&mut self, c: F) {
@@ -49,8 +55,8 @@ impl<F: GfElem> RowPayload<F> for Vec<F> {
     }
 
     #[inline]
-    fn payload_axpy(&mut self, other: &Self, c: F) {
-        kernel::axpy(self, c, other);
+    fn payload_axpy_sum<'a>(&mut self, terms: impl Iterator<Item = (F, &'a Self)>) {
+        kernel::axpy_sum(self, terms.map(|(c, other)| (c, other.as_slice())));
     }
 }
 
@@ -63,20 +69,21 @@ mod tests {
     fn unit_payload_is_noop() {
         let mut p = ();
         p.payload_scale(Gf256::from_index(3));
-        p.payload_axpy(&(), Gf256::from_index(5));
+        p.payload_axpy_sum([(Gf256::from_index(5), &())].into_iter());
     }
 
     #[test]
     fn vec_payload_mirrors_slice_ops() {
         let mut a = vec![Gf256::from_index(1), Gf256::from_index(2)];
         let b = vec![Gf256::from_index(3), Gf256::from_index(4)];
-        let c = Gf256::from_index(7);
-        a.payload_axpy(&b, c);
+        let e = vec![Gf256::from_index(5), Gf256::from_index(6)];
+        let (c, d) = (Gf256::from_index(7), Gf256::from_index(9));
+        a.payload_axpy_sum([(c, &b), (d, &e)].into_iter());
         assert_eq!(
             a,
             vec![
-                Gf256::from_index(1) + c * Gf256::from_index(3),
-                Gf256::from_index(2) + c * Gf256::from_index(4),
+                Gf256::from_index(1) + c * Gf256::from_index(3) + d * Gf256::from_index(5),
+                Gf256::from_index(2) + c * Gf256::from_index(4) + d * Gf256::from_index(6),
             ]
         );
         a.payload_scale(Gf256::ZERO);
@@ -88,6 +95,6 @@ mod tests {
     fn vec_payload_length_mismatch_panics() {
         let mut a = vec![Gf256::ONE];
         let b = vec![Gf256::ONE, Gf256::ONE];
-        a.payload_axpy(&b, Gf256::ONE);
+        a.payload_axpy_sum([(Gf256::ONE, &b)].into_iter());
     }
 }

@@ -80,6 +80,12 @@
 //!   terms in a buffer the decoder reuses, and only an innovative row
 //!   replays them on its payload, so a redundant row costs no payload
 //!   work; a zero-sized payload (`()`) records and replays nothing;
+//! * a payload takes every term of one walk, back-substitution or solve
+//!   in one [`payload_axpy_sum`](RowPayload::payload_axpy_sum) call,
+//!   which for `Vec<F>` is one
+//!   [`kernel::axpy_sum`](prlc_gf::kernel::axpy_sum) call: on `gfni`
+//!   each register tile of the payload is loaded and stored once per
+//!   batch of up to 64 terms, not once per term;
 //! * the decoder resolves one [`RowKernel`] when it is built (backend,
 //!   SIMD level and GF(2⁸) tables), so a dense row operation pays no
 //!   per-call backend dispatch and runs no masked or table tail;
@@ -390,8 +396,10 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         self.last_stored = true;
 
         // The payload follows the walk, now that the row is innovative.
-        replay(&mut self.rows, new_idx, &self.terms);
-        self.rows[new_idx].payload.payload_scale(inv);
+        if Self::MIRRORED {
+            replay(&mut self.rows, new_idx, &self.terms);
+            self.rows[new_idx].payload.payload_scale(inv);
+        }
 
         // Advance the decoded prefix over the run of pivot columns,
         // back-substituting each newly covered row's payload over the
@@ -496,41 +504,51 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
 
     /// The solution `x_c` of the decoded column `c` that stored row `r`
     /// owns: the row walked down over the pivot columns left of `c`, its
-    /// payload mirrored. Since `x_c` is determined, the walk meets no
-    /// free column and ends at `e_c`.
+    /// payload updated once with the walk's terms. Since `x_c` is
+    /// determined, the walk meets no free column and ends at `e_c`.
     fn solve(&self, r: usize) -> P
     where
         P: Clone,
     {
         let row = &self.rows[r];
         let mut coeffs = row.coeffs.clone();
-        let mut payload = row.payload.clone();
+        let mut terms = Vec::new();
         let mut end = row.pivot;
         while let Some(c) = coeffs.last_nonzero_before(end) {
             let s = self.pivot_of_col[c].expect("a decoded column reduces over pivot columns");
-            let prow = &self.rows[s];
             let factor = coeffs.get(c);
-            eliminate(&mut coeffs, c, factor, self.open(prow), &self.kernel);
-            payload.payload_axpy(&prow.payload, factor);
+            eliminate(
+                &mut coeffs,
+                c,
+                factor,
+                self.open(&self.rows[s]),
+                &self.kernel,
+            );
+            if Self::MIRRORED {
+                terms.push((factor, s));
+            }
             end = c;
         }
+        let mut payload = row.payload.clone();
+        payload.payload_axpy_sum(
+            terms
+                .iter()
+                .map(|&(factor, s)| (factor, &self.rows[s].payload)),
+        );
         payload
     }
 }
 
 /// `rows[r].payload += Σ factor · rows[s].payload` over the `(factor, s)`
-/// terms, none of which names `r` itself.
+/// terms, none of which names `r` itself, in one payload update.
 fn replay<F: GfElem, P: RowPayload<F>>(rows: &mut [Row<F, P>], r: usize, terms: &[(F, usize)]) {
-    for &(factor, s) in terms {
-        let (dst, src) = if s < r {
-            let (lo, hi) = rows.split_at_mut(r);
-            (&mut hi[0], &lo[s])
-        } else {
-            let (lo, hi) = rows.split_at_mut(s);
-            (&mut lo[r], &hi[0])
-        };
-        dst.payload.payload_axpy(&src.payload, factor);
-    }
+    let (lo, hi) = rows.split_at_mut(r);
+    let (dst, hi) = hi.split_first_mut().expect("row r is stored");
+    dst.payload
+        .payload_axpy_sum(terms.iter().map(|&(factor, s)| {
+            let src = if s < r { &lo[s] } else { &hi[s - r - 1] };
+            (factor, &src.payload)
+        }));
 }
 
 /// Clears column `c` of `row`, which holds `factor` there, with the row

@@ -407,6 +407,7 @@ fn probe_layers(threads: usize) -> Result<String, String> {
             rows.push(slice_row(
                 &format!("gf/scale_{SLICE}_{name}"),
                 iters,
+                1,
                 dst.clone(),
                 |d| match backend {
                     Some(b) => kernel::scale_slice_with(b, d, c),
@@ -416,6 +417,7 @@ fn probe_layers(threads: usize) -> Result<String, String> {
             rows.push(slice_row(
                 &format!("gf/mul_slice_{SLICE}_{name}"),
                 iters,
+                1,
                 dst.clone(),
                 |d| match backend {
                     Some(b) => kernel::mul_slice_with(b, d, &src),
@@ -563,6 +565,36 @@ fn probe_layers(threads: usize) -> Result<String, String> {
                 || predistribute(&ring, &cfg, &sources, &mut r),
             ));
         }
+
+        // The multi-term payload kernel: one 4 KiB coded payload from 100
+        // terms per step, on the two backends `PRLC_KERNEL` does not
+        // change. A `dispatched` row is left out: the fused `gfni` kernel
+        // runs about 200 times faster than `scalar`, too close to the
+        // scalar leg's 250x band. Last, so the rows above keep their
+        // places. `axpy_sum_with` counts no bytes, so these rows leave
+        // the probe's metrics alone. An odd step count keeps the final
+        // slice from cancelling back to its start in characteristic 2.
+        let mut r = rng(6);
+        let sources: Vec<Vec<Gf256>> = (0..100)
+            .map(|_| (0..SLICE).map(|_| Gf256::random(&mut r)).collect())
+            .collect();
+        let terms: Vec<(Gf256, &[Gf256])> = sources
+            .iter()
+            .map(|s| (Gf256::random(&mut r), s.as_slice()))
+            .collect();
+        let dst: Vec<Gf256> = (0..SLICE).map(|_| Gf256::random(&mut r)).collect();
+        for (name, backend, iters) in [
+            ("scalar", kernel::Backend::Scalar, 5),
+            ("table", kernel::Backend::Table, 11),
+        ] {
+            rows.push(slice_row(
+                &format!("gf/axpy_sum_{}x{SLICE}_{name}", terms.len()),
+                iters,
+                terms.len(),
+                dst.clone(),
+                |d| kernel::axpy_sum_with(backend, d, terms.iter().copied()),
+            ));
+        }
         Ok((format!("[{}]", rows.join(",")), None))
     })
 }
@@ -580,18 +612,20 @@ fn layer_row<T: fmt::Debug>(name: &str, iters: usize, mut body: impl FnMut() -> 
 }
 
 /// A GF(2⁸) slice-kernel row: `step` runs `iters` times in place on
-/// `dst`, and the digest covers the slice it ends as. Like the kernel
-/// probe's rows it reports throughput (`mb_s`), not wall time, so the
-/// scalar leg's widened throughput band covers the `dispatched` row
-/// changing backend under `PRLC_KERNEL`.
+/// `dst`, reading `operands` slices of its length each time, and the
+/// digest covers the slice it ends as. Like the kernel probe's rows it
+/// reports throughput (`mb_s`, over every operand read), not wall time,
+/// so the scalar leg's widened throughput band covers the `dispatched`
+/// row changing backend under `PRLC_KERNEL`.
 fn slice_row(
     name: &str,
     iters: usize,
+    operands: usize,
     mut dst: Vec<Gf256>,
     mut step: impl FnMut(&mut [Gf256]),
 ) -> String {
     let ((), wall_ms) = measure_wall_ms(|| (0..iters).for_each(|_| step(&mut dst)));
-    let mb_s = (iters * dst.len()) as f64 / wall_ms / 1e3;
+    let mb_s = (iters * operands * dst.len()) as f64 / wall_ms / 1e3;
     format!(
         "{{\"row\":{},\"iters\":{iters},\"digest\":{},\"mb_s\":{}}}",
         Json::Str(name.to_string()).render(),

@@ -24,6 +24,15 @@ use prlc::net::{
 /// counter deltas must not interleave.
 static GUARD: Mutex<()> = Mutex::new(());
 
+/// Every backend's `gf.axpy.bytes.<backend>` counter, summed.
+fn axpy_bytes(snap: &obs::Snapshot) -> u64 {
+    snap.counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("gf.axpy.bytes"))
+        .map(|(_, v)| *v)
+        .sum()
+}
+
 fn counter(snap: &obs::Snapshot, name: &str) -> u64 {
     snap.counters
         .iter()
@@ -167,13 +176,6 @@ fn perfect_link_records_no_losses() {
 fn combine_counts_operand_support_not_row_length() {
     let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     obs::enable();
-    let axpy_bytes = |snap: &obs::Snapshot| -> u64 {
-        snap.counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("gf.axpy.bytes"))
-            .map(|(_, v)| *v)
-            .sum()
-    };
     let mut rng = StdRng::seed_from_u64(5);
     let profile = PriorityProfile::uniform(10, 100).unwrap();
     let enc = Encoder::new(Scheme::Plc, profile);
@@ -186,4 +188,28 @@ fn combine_counts_operand_support_not_row_length() {
     a.combine(&b, Gf256::new(7));
     let counted = axpy_bytes(&obs::snapshot()) - before;
     assert_eq!(counted, support as u64);
+}
+
+/// A fused multi-term update counts what one `axpy` per term would: the
+/// sum of its terms' lengths in bytes, zero and unit coefficients
+/// included, whether the terms run fused in whole tiles or one by one
+/// past them.
+#[test]
+fn axpy_sum_counts_the_sum_of_its_term_lengths() {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    obs::enable();
+    for len in [0, 63, 4096 + 17] {
+        let sources: Vec<Vec<Gf256>> = (0..7u8).map(|i| vec![Gf256::new(i ^ 0x5A); len]).collect();
+        let mut dst = vec![Gf256::ZERO; len];
+        let before = axpy_bytes(&obs::snapshot());
+        prlc::gf::kernel::axpy_sum(
+            &mut dst,
+            sources
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (Gf256::new(i as u8), s.as_slice())),
+        );
+        let counted = axpy_bytes(&obs::snapshot()) - before;
+        assert_eq!(counted, 7 * len as u64, "len {len}");
+    }
 }
