@@ -28,6 +28,13 @@
 //! covering the support: a dense row's buffer may be shorter than its
 //! padded length, and every symbol past the buffer is zero.
 //!
+//! Scans trust the recorded support: `data[support..]` is zero (a debug
+//! assertion checks it), so [`last_nonzero_before`](CoeffRow::last_nonzero_before)
+//! and [`normalize_support`](CoeffRow::normalize_support) read only
+//! `data[..support]`, never the zero tail past it. A trailing-support
+//! scan OR-folds whole 64-symbol blocks from the top and looks for the
+//! last nonzero symbol by symbol only inside the last nonzero block.
+//!
 //! # Determinism contract
 //!
 //! The two representations are *logically identical*: every observable
@@ -258,6 +265,7 @@ impl<F: GfElem> CoeffRow<F> {
     pub fn last_nonzero_before(&self, end: usize) -> Option<usize> {
         match &self.repr {
             Repr::Dense { data, support, .. } => {
+                debug_assert!(zero_from(data, *support), "nonzero past the support");
                 data[..end.min(*support)].iter().rposition(|c| !c.is_zero())
             }
             Repr::Sparse { entries, .. } => {
@@ -462,10 +470,12 @@ impl<F: GfElem> CoeffRow<F> {
     }
 
     /// Recomputes the tight trailing support of a dense row (no-op for
-    /// sparse rows, whose support is always tight).
+    /// sparse rows, whose support is always tight). Scans only below the
+    /// recorded support, which is already an upper bound.
     pub fn normalize_support(&mut self) {
-        if let Repr::Dense { data, len, support } = &mut self.repr {
-            *support = trailing_support(&data[..(*len).min(data.len())]);
+        if let Repr::Dense { data, support, .. } = &mut self.repr {
+            debug_assert!(zero_from(data, *support), "nonzero past the support");
+            *support = trailing_support(&data[..*support]);
         }
     }
 
@@ -562,9 +572,26 @@ fn cover<F: GfElem>(data: &mut Vec<F>, end: usize) {
     }
 }
 
-/// Exclusive upper bound of the nonzero region of `v`.
+/// Exclusive upper bound of the nonzero region of `v`. Each [`BLOCK`] of
+/// symbols is OR-folded from the top, a loop the compiler vectorises,
+/// and only the last block holding a nonzero is searched symbol by
+/// symbol.
 fn trailing_support<F: GfElem>(v: &[F]) -> usize {
-    v.iter().rposition(|x| !x.is_zero()).map_or(0, |p| p + 1)
+    v.chunks(BLOCK)
+        .enumerate()
+        .rev()
+        .find(|(_, block)| block.iter().fold(false, |any, x| any | !x.is_zero()))
+        .and_then(|(b, block)| {
+            let last = block.iter().rposition(|x| !x.is_zero())?;
+            Some(b * BLOCK + last + 1)
+        })
+        .unwrap_or(0)
+}
+
+/// Whether every symbol of a dense buffer at or past `start` is zero:
+/// the invariant the support-bounded scans trust.
+fn zero_from<F: GfElem>(data: &[F], start: usize) -> bool {
+    data[start..].iter().all(|x| x.is_zero())
 }
 
 fn count_nonzeros<F: GfElem>(v: &[F]) -> usize {
@@ -806,6 +833,60 @@ mod tests {
             assert_eq!(data.len() % BLOCK, 0);
             assert!(data[len..].iter().all(|v| v.is_zero()));
         }
+    }
+
+    /// The block-wise and support-bounded scans agree with a plain
+    /// `rposition` on every length around the block boundaries, for a
+    /// last nonzero at each block's edges, at the row's end and nowhere:
+    /// on a tight support, on a loose one, and on a buffer
+    /// `shrink_support` cut shorter than the row.
+    #[test]
+    fn bounded_scans_match_a_naive_scan() {
+        let naive = |v: &[Gf256]| v.iter().rposition(|x| !x.is_zero()).map_or(0, |p| p + 1);
+        let mut cut_short = false;
+        for len in [0, 1, 63, 64, 65, 127, 128, 500] {
+            let edges = (0..len).filter(|&i| matches!(i % BLOCK, 0 | 1 | 62 | 63) || i + 1 == len);
+            for last in edges.map(Some).chain([None]) {
+                let vals: Vec<Gf256> = (0..len)
+                    .map(|i| match last {
+                        Some(l) if i == l || (i < l && i % 3 == 0) => g(i % 255 + 1),
+                        _ => Gf256::ZERO,
+                    })
+                    .collect();
+                let want = naive(&vals);
+                assert_eq!(trailing_support(&vals), want, "len {len} last {last:?}");
+                let mut row = CoeffRow::from_dense(vals);
+                assert_eq!(row.support(), want);
+                assert_eq!(row.last_nonzero_before(len), last);
+
+                // Loose: a coefficient added and cancelled at the end.
+                if len > 0 {
+                    row.add_assign_at(len - 1, g(1));
+                    row.add_assign_at(len - 1, g(1));
+                    assert_eq!(row.support(), len);
+                    assert_eq!(row.last_nonzero_before(len), last);
+                    row.normalize_support();
+                    assert_eq!(row.support(), want, "len {len} last {last:?}");
+                }
+
+                // Cut to its support, then loosened by one past it.
+                row.shrink_support(want);
+                if want < len {
+                    row.add_assign_at(want, g(1));
+                    row.add_assign_at(want, g(1));
+                    assert_eq!(row.support(), want + 1);
+                }
+                let Repr::Dense { data, .. } = &row.repr else {
+                    unreachable!()
+                };
+                cut_short |= data.len() < len;
+                row.normalize_support();
+                assert_eq!(row.support(), want, "cut: len {len} last {last:?}");
+                assert_eq!(row.last_nonzero_before(len), last);
+                assert!(row.padding_is_zero());
+            }
+        }
+        assert!(cut_short, "no buffer was cut shorter than its row");
     }
 
     #[test]

@@ -76,6 +76,12 @@
 //!   insert costs at most one row operation per pivot column between its
 //!   arrival support and its pivot, with no walk below the pivot and no
 //!   back-elimination;
+//! * a redundant row leaves the walk as soon as its next nonzero lies in
+//!   the decoded prefix, where every column's pivot acts as `e_c`,
+//!   instead of being walked through the prefix one column at a time;
+//! * the walk's scans read only below a row's recorded support, and the
+//!   arriving row's support is found block by block (see [`CoeffRow`]'s
+//!   notes on scans);
 //! * payloads follow the coefficient pass: it records its `(factor, row)`
 //!   terms in a buffer the decoder reuses, and only an innovative row
 //!   replays them on its payload, so a redundant row costs no payload
@@ -339,16 +345,18 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         // with the row owning it. That row is zero right of its pivot `c`,
         // so the update touches only `[0, c]` and never refills a column
         // already passed. The first nonzero in a free column is the
-        // pivot, and the walk ends there. A full-rank decoder holds every
-        // column as a pivot, so any row reduces to zero.
+        // pivot, and the walk ends there. Every column below the decoded
+        // prefix holds a pivot that acts as `e_c`, so once the next
+        // nonzero lies there the row can only reduce to zero: the walk
+        // stops and the row is redundant. A full-rank decoder's prefix is
+        // its whole width, so there every row stops at once.
         self.terms.clear();
-        let mut end = if self.rows.len() == self.width {
-            0
-        } else {
-            coeffs.support()
-        };
+        let mut end = coeffs.support();
         let mut pivot = None;
-        while let Some(c) = coeffs.last_nonzero_before(end) {
+        while let Some(c) = coeffs
+            .last_nonzero_before(end)
+            .filter(|&c| c >= self.prefix)
+        {
             let Some(r) = self.pivot_of_col[c] else {
                 pivot = Some(c);
                 break;
@@ -907,6 +915,64 @@ mod tests {
         // A redundant row solves nothing and clears the ledger.
         assert_eq!(d.insert(rowv(&[3, 7, 0]), ()), InsertOutcome::Redundant);
         assert!(d.newly_solved().is_empty());
+    }
+
+    /// Inserts rows pivoting on 0, 1, 4 and 3 (prefix 2), then a
+    /// redundant row whose walk clears columns 4 and 3 with the open rows
+    /// and so reaches column 1, inside the decoded prefix. It must come
+    /// back redundant and leave rank, prefix, pivots and recovered
+    /// payloads as they were.
+    fn redundant_row_reaching_the_prefix_changes_nothing<P>(payload: impl Fn(&[Gf256]) -> P)
+    where
+        P: RowPayload<Gf256> + Clone + PartialEq + std::fmt::Debug,
+    {
+        let stored = [
+            [5, 0, 0, 0, 0, 0],
+            [1, 3, 0, 0, 0, 0],
+            [2, 0, 7, 0, 4, 0],
+            [1, 0, 5, 6, 0, 0],
+        ];
+        let mut d: ProgressiveRref<Gf256, P> = ProgressiveRref::new(6);
+        for vals in &stored {
+            let coeffs = rowv(vals);
+            let p = payload(&coeffs);
+            assert!(d.insert(coeffs, p).is_innovative());
+        }
+        assert_eq!(d.decoded_prefix(), 2);
+        let state = |d: &ProgressiveRref<Gf256, P>| {
+            let recovered: Vec<Option<P>> = (0..6).map(|c| d.recovered(c).cloned()).collect();
+            (
+                d.rank(),
+                d.decoded_prefix(),
+                d.pivot_of_col.clone(),
+                recovered,
+            )
+        };
+        let before = state(&d);
+        assert!(before.3[..2].iter().all(Option::is_some));
+
+        // 3 · row 2 + 2 · row 3 + e_0 + 9 · e_1.
+        let mut coeffs = rowv(&[1, 9, 0, 0, 0, 0]);
+        Gf256::axpy(&mut coeffs, g(3), &rowv(&stored[2]));
+        Gf256::axpy(&mut coeffs, g(2), &rowv(&stored[3]));
+        let p = payload(&coeffs);
+        assert_eq!(d.insert(coeffs, p), InsertOutcome::Redundant);
+        assert_eq!(state(&d), before);
+        assert!(d.newly_solved().is_empty());
+        assert_eq!(d.inserted(), 5);
+    }
+
+    #[test]
+    fn redundant_row_exits_at_the_decoded_prefix() {
+        redundant_row_reaching_the_prefix_changes_nothing(|_| ());
+        let sources: Vec<Vec<Gf256>> = (0..6).map(|i| vec![g(i + 1), g(40 + i)]).collect();
+        redundant_row_reaching_the_prefix_changes_nothing(|coeffs| {
+            let mut payload = vec![Gf256::ZERO; 2];
+            for (&c, s) in coeffs.iter().zip(&sources) {
+                Gf256::axpy(&mut payload, c, s);
+            }
+            payload
+        });
     }
 
     #[test]

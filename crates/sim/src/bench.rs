@@ -595,6 +595,32 @@ fn probe_layers(threads: usize) -> Result<String, String> {
                 |d| kernel::axpy_sum_with(backend, d, terms.iter().copied()),
             ));
         }
+
+        // Progressive decoding at K = 1000: a PLC 10×100 code fed 1,100
+        // coefficient-only rows, dense and sparse (`Encoder::sparse`,
+        // factor 2), encoded before the clock starts. The digest covers
+        // the decoded-levels trajectory. Last, like the rows above.
+        let big = profile(10, 100)?;
+        let dist = PriorityDistribution::uniform(big.num_levels());
+        for (name, enc) in [
+            ("dense", Encoder::new(Scheme::Plc, big.clone())),
+            ("sparse", Encoder::sparse(Scheme::Plc, big.clone(), 2.0)),
+        ] {
+            let mut r = rng(7);
+            let blocks: Vec<_> = (0..1100)
+                .map(|_| enc.encode_unpayloaded::<Gf256, _>(dist.sample_level(&mut r), &mut r))
+                .collect();
+            rows.push(layer_row(&format!("decode/plc_k1000_{name}"), 1, || {
+                let mut dec = PlcDecoder::<Gf256, ()>::coefficients_only(big.clone());
+                blocks
+                    .iter()
+                    .map(|b| {
+                        dec.insert_block(b);
+                        dec.decoded_levels()
+                    })
+                    .collect::<Vec<_>>()
+            }));
+        }
         Ok((format!("[{}]", rows.join(",")), None))
     })
 }

@@ -118,7 +118,7 @@ fn one_trajectory<F: GfElem>(cfg: &CurveConfig, rng: &mut StdRng) -> Vec<f64> {
             let mut dec: SlcDecoder<F, ()> = SlcDecoder::coefficients_only(cfg.profile.clone());
             for _ in 0..cfg.max_blocks {
                 let level = cfg.distribution.sample_level(rng);
-                dec.insert_block(&enc.encode_unpayloaded::<F, _>(level, rng));
+                dec.insert_row(level, enc.encode_coefficients(level, rng), ());
                 out.push(dec.decoded_levels() as f64);
             }
         }
@@ -127,7 +127,7 @@ fn one_trajectory<F: GfElem>(cfg: &CurveConfig, rng: &mut StdRng) -> Vec<f64> {
             let mut dec: PlcDecoder<F, ()> = PlcDecoder::coefficients_only(cfg.profile.clone());
             for _ in 0..cfg.max_blocks {
                 let level = cfg.distribution.sample_level(rng);
-                dec.insert_block(&enc.encode_unpayloaded::<F, _>(level, rng));
+                dec.insert_row(enc.encode_coefficients(level, rng), ());
                 out.push(dec.decoded_levels() as f64);
             }
         }

@@ -213,3 +213,45 @@ fn axpy_sum_counts_the_sum_of_its_term_lengths() {
         assert_eq!(counted, 7 * len as u64, "len {len}");
     }
 }
+
+/// A redundant row whose walk reaches the decoded prefix stops there and
+/// counts exactly its kernel steps above the prefix: rows pivoting on 0,
+/// 1, 4 and 3 hold prefix 2, and `3 · row 2 + 2 · row 3 + e_0 + 9 · e_1`
+/// clears column 4 (5 bytes) and column 3 (4 bytes) with the open rows,
+/// then meets column 1. The prefix columns cost no kernel call.
+#[test]
+fn redundant_row_counts_only_its_walk_above_the_prefix() {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    obs::enable();
+    let row = |vals: [u8; 6]| vals.map(Gf256::new).to_vec();
+    let stored = [
+        [5, 0, 0, 0, 0, 0],
+        [1, 3, 0, 0, 0, 0],
+        [2, 0, 7, 0, 4, 0],
+        [1, 0, 5, 6, 0, 0],
+    ];
+    let mut d: ProgressiveRref<Gf256> = ProgressiveRref::new(6);
+    for vals in stored {
+        assert!(d.insert(row(vals), ()).is_innovative());
+    }
+    assert_eq!(d.decoded_prefix(), 2);
+    let mut coeffs = row([1, 9, 0, 0, 0, 0]);
+    Gf256::axpy(&mut coeffs, Gf256::new(3), &row(stored[2]));
+    Gf256::axpy(&mut coeffs, Gf256::new(2), &row(stored[3]));
+
+    let before = obs::snapshot();
+    assert!(!d.insert(coeffs, ()).is_innovative());
+    let after = obs::snapshot();
+    let moved: Vec<(&str, u64)> = after
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("linalg.rref."))
+        .map(|(name, v)| (*name, v - counter(&before, name)))
+        .filter(|&(_, delta)| delta > 0)
+        .collect();
+    assert_eq!(
+        moved,
+        [("linalg.rref.redundant", 1), ("linalg.rref.rows", 1)]
+    );
+    assert_eq!(axpy_bytes(&after) - axpy_bytes(&before), 5 + 4);
+}
