@@ -8,6 +8,7 @@ use prlc_core::{
     Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SlcDecoder,
 };
 use prlc_gf::{Gf256, GfElem};
+use prlc_obs::baseline::fnv1a64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -169,7 +170,7 @@ pub fn encode(input: &Path, out_dir: &Path, opts: &EncodeOptions) -> Result<usiz
         block_size: opts.block_size as u32,
         scheme: opts.scheme,
         level_sizes: sizes.iter().map(|&s| s as u32).collect(),
-        file_hash: format::fnv1a(&data),
+        file_hash: fnv1a64(&data),
     };
     let mut mfile = fs::File::create(out_dir.join("manifest.prlcm"))?;
     manifest.write_to(&mut mfile)?;
@@ -315,7 +316,7 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
     bytes.truncate(manifest.file_len as usize);
 
     if complete {
-        if format::fnv1a(&bytes) != manifest.file_hash {
+        if fnv1a64(&bytes) != manifest.file_hash {
             return Err(CliError::Recovery(
                 "recovered file fails its integrity check".into(),
             ));

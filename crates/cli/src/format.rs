@@ -14,6 +14,7 @@ use std::io::{self, Read, Write};
 
 use prlc_core::{CodedBlock, CoeffRow, PriorityProfile, Scheme};
 use prlc_gf::Gf256;
+use prlc_obs::baseline::fnv1a64;
 
 const SHARD_MAGIC: &[u8; 4] = b"PRLC";
 const MANIFEST_MAGIC: &[u8; 4] = b"PRLM";
@@ -59,16 +60,6 @@ impl From<io::Error> for FormatError {
     fn from(e: io::Error) -> Self {
         FormatError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit hash, used as the integrity checksum.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    hash
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -184,7 +175,7 @@ impl Manifest {
         w.write_all(MANIFEST_MAGIC)?;
         w.write_all(&[VERSION])?;
         w.write_all(&(body.len() as u32).to_le_bytes())?;
-        w.write_all(&fnv1a(&body).to_le_bytes())?;
+        w.write_all(&fnv1a64(&body).to_le_bytes())?;
         w.write_all(&body)?;
         Ok(())
     }
@@ -204,7 +195,7 @@ impl Manifest {
         let body_len = c.u32()? as usize;
         let checksum = c.u64()?;
         let body = c.take(body_len)?;
-        if fnv1a(body) != checksum {
+        if fnv1a64(body) != checksum {
             return Err(FormatError::Corrupt);
         }
         let mut b = Cursor::new(body);
@@ -261,7 +252,7 @@ pub fn write_shard<W: Write>(mut w: W, block: &CodedBlock<Gf256>) -> Result<(), 
     w.write_all(SHARD_MAGIC)?;
     w.write_all(&[VERSION])?;
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&fnv1a(&body).to_le_bytes())?;
+    w.write_all(&fnv1a64(&body).to_le_bytes())?;
     w.write_all(&body)?;
     Ok(())
 }
@@ -281,7 +272,7 @@ pub fn read_shard<R: Read>(mut r: R) -> Result<CodedBlock<Gf256>, FormatError> {
     let body_len = c.u32()? as usize;
     let checksum = c.u64()?;
     let body = c.take(body_len)?;
-    if fnv1a(body) != checksum {
+    if fnv1a64(body) != checksum {
         return Err(FormatError::Corrupt);
     }
     let mut b = Cursor::new(body);
@@ -400,9 +391,9 @@ mod tests {
     #[test]
     fn fnv_known_values() {
         // FNV-1a test vectors.
-        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_F739_67E8);
+        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
     }
 }
 
@@ -493,7 +484,7 @@ mod proptests {
     fn restamp(buf: &mut [u8]) {
         let body_len = (buf.len() - HEADER) as u32;
         buf[5..9].copy_from_slice(&body_len.to_le_bytes());
-        let checksum = fnv1a(&buf[HEADER..]);
+        let checksum = fnv1a64(&buf[HEADER..]);
         buf[9..HEADER].copy_from_slice(&checksum.to_le_bytes());
     }
 

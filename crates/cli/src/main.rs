@@ -7,7 +7,7 @@ use prlc_cli::{decode, encode, info, DecodeOptions, EncodeOptions};
 use prlc_core::{PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
 use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
-use prlc_obs::baseline::{envelope_json, Tolerances};
+use prlc_obs::baseline::{envelope_json, Json, Tolerances};
 use prlc_sim::{
     bench_file_name, every_epoch, fmt_f, results_json, rows_table, run_bench_probe,
     run_probe_and_reset, runner, simulate_decoding_curve_with_threads, CurveConfig, Event, Measure,
@@ -37,7 +37,6 @@ USAGE:
   prlc bench [--check] [--out DIR] [--baseline-dir DIR]
              [--probe p1,p2,...] [--threads T]
              [--tolerance F] [--wall-tolerance F] [--report FILE]
-  prlc lint [--root DIR] [--format text|json] [--allowlist FILE]
 
 The encoder splits FILE into priority levels (leading bytes = most
 important), generates overhead·N coded shards, and writes them plus a
@@ -131,14 +130,6 @@ inside a multiplicative tolerance band (--tolerance, default 25;
 machine-readable findings JSON to --report if given, and exits nonzero
 on any finding. --probe restricts the suite to a comma-separated
 subset.
-
-`lint` runs the workspace invariant lints (determinism, unsafe-audit,
-metric-key registry, RNG domain separation, panic hygiene, RNG-domain
-registry, kernel-dispatch audit) over the repository sources. --root
-defaults to the nearest enclosing workspace;
---allowlist defaults to <root>/lint-allowlist.txt. JSON output is
-deterministic (sorted findings, no timestamps). Exits nonzero when
-findings remain.
 ";
 
 fn main() -> ExitCode {
@@ -175,7 +166,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "sim" => cmd_sim(args),
         "trace" => cmd_trace(args),
         "bench" => cmd_bench(args),
-        "lint" => cmd_lint(args),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -253,7 +243,6 @@ fn accepted_flags(command: &str) -> Option<(&'static [&'static str], &'static [&
             ],
             &["--check"],
         ),
-        "lint" => (&["--root", "--format", "--allowlist"], &[]),
         _ => return None,
     })
 }
@@ -507,18 +496,14 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
                 table.push_row([m.to_string(), fmt_f(s.mean, 3), fmt_f(s.ci95, 3)]);
             }
             println!("{}", table.render());
-            let rows: Vec<String> = curve
-                .summaries
-                .iter()
-                .enumerate()
-                .map(|(m, s)| {
-                    format!(
-                        "{{\"blocks\":{m},\"mean\":{:.6},\"ci95\":{:.6}}}",
-                        s.mean, s.ci95
-                    )
-                })
-                .collect();
-            ("curve", format!("[{}]", rows.join(",")))
+            let rows = curve.summaries.iter().enumerate().map(|(m, s)| {
+                Json::obj([
+                    ("blocks", Json::uint(m as u64)),
+                    ("mean", Json::fixed(s.mean, 6)),
+                    ("ci95", Json::fixed(s.ci95, 6)),
+                ])
+            });
+            ("curve", Json::Arr(rows.collect()).render())
         }
     };
 
@@ -753,38 +738,6 @@ fn parse_band_factor(v: &str, flag: &str) -> Result<f64, String> {
         return Err(format!("{flag} must be a finite factor >= 1"));
     }
     Ok(f)
-}
-
-/// The `lint` subcommand: run the workspace invariant lints and report.
-fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let format = flag_value(args, "--format")?.unwrap_or_else(|| "text".to_string());
-    if format != "text" && format != "json" {
-        return Err(format!("--format must be text|json, got {format:?}"));
-    }
-    let allowlist = flag_value(args, "--allowlist")?.map(PathBuf::from);
-    let root = match flag_value(args, "--root")? {
-        Some(r) => PathBuf::from(r),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| format!("getcwd: {e}"))?;
-            prlc_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                format!(
-                    "could not find a workspace root above {} (pass --root)",
-                    cwd.display()
-                )
-            })?
-        }
-    };
-    let report = prlc_lint::run(&root, allowlist.as_deref()).map_err(|e| format!("lint: {e}"))?;
-    if format == "json" {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.clean() {
-        Ok(())
-    } else {
-        Err(format!("{} lint finding(s)", report.findings.len()))
-    }
 }
 
 /// Finalises a metrics-enabled `sim` run: folds the `sim.run` timer into
@@ -1183,7 +1136,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Every subcommand with a flag list.
-    const COMMANDS: [&str; 7] = ["encode", "decode", "info", "sim", "trace", "bench", "lint"];
+    const COMMANDS: [&str; 6] = ["encode", "decode", "info", "sim", "trace", "bench"];
 
     /// Values that sit on the edges of the flags' parsers.
     const EDGE_VALUES: &[&str] = &[

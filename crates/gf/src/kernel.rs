@@ -258,19 +258,15 @@ pub fn available_backends() -> Vec<Backend> {
 // Dispatched public entry points.
 // ---------------------------------------------------------------------------
 
-// Byte-volume accounting (`gf.<op>.bytes.<backend>` counters) for the
-// dispatched entry points. Everything — including backend resolution and
-// the byte count expression — sits behind the `prlc_obs::enabled()`
-// guard, so the disabled cost is a single relaxed atomic load per call.
+// Byte-volume accounting (`gf.<op>.bytes` counters) for the dispatched
+// entry points: one key per op, whichever backend runs it (the backend
+// is reported in `run_metadata.kernel_backend`). The byte count
+// expression sits behind the `prlc_obs::enabled()` guard, so the
+// disabled cost is a single relaxed atomic load per call.
 macro_rules! record_bytes {
-    ($op:literal, $backend:expr, $bytes:expr) => {
+    ($op:literal, $bytes:expr) => {
         if prlc_obs::enabled() {
-            let counter = match $backend {
-                Backend::Scalar => prlc_obs::counter!(concat!("gf.", $op, ".bytes.scalar")),
-                Backend::Table => prlc_obs::counter!(concat!("gf.", $op, ".bytes.table")),
-                Backend::Simd => prlc_obs::counter!(concat!("gf.", $op, ".bytes.simd")),
-            };
-            counter.add($bytes as u64);
+            prlc_obs::counter!(concat!("gf.", $op, ".bytes")).add($bytes as u64);
         }
     };
 }
@@ -283,7 +279,7 @@ macro_rules! record_bytes {
 /// Panics if the slices have different lengths.
 pub fn axpy<F: GfElem>(dst: &mut [F], c: F, src: &[F]) {
     let kernel = select();
-    record_bytes!("axpy", kernel.backend, size_of_val(src));
+    record_bytes!("axpy", size_of_val(src));
     axpy_impl(kernel, dst, c, src);
 }
 
@@ -292,7 +288,7 @@ pub fn axpy<F: GfElem>(dst: &mut [F], c: F, src: &[F]) {
 /// operations its decoder recorded, built in one pass.
 ///
 /// Bit-identical to one [`axpy`] per term and counted like it: each
-/// term's length goes into `gf.axpy.bytes.<backend>`. The `gfni` level
+/// term's length goes into `gf.axpy.bytes`. The `gfni` level
 /// gathers the terms in batches on the stack and runs a whole batch
 /// over one register tile of `dst` before storing it (see
 /// [Backends](self#backends)); every other level and backend runs them
@@ -304,13 +300,13 @@ pub fn axpy<F: GfElem>(dst: &mut [F], c: F, src: &[F]) {
 pub fn axpy_sum<'a, F: GfElem>(dst: &mut [F], terms: impl IntoIterator<Item = (F, &'a [F])>) {
     let kernel = select();
     let bytes = axpy_sum_impl(kernel, dst, terms.into_iter());
-    record_bytes!("axpy", kernel.backend, bytes);
+    record_bytes!("axpy", bytes);
 }
 
 /// `dst[i] *= c` for all `i`.
 pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
     let kernel = select();
-    record_bytes!("scale", kernel.backend, size_of_val(dst));
+    record_bytes!("scale", size_of_val(dst));
     scale_slice_impl(kernel, dst, c);
 }
 
@@ -322,7 +318,7 @@ pub fn scale_slice<F: GfElem>(dst: &mut [F], c: F) {
 ///
 /// Panics if the slices have different lengths.
 pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
-    record_bytes!("add", select().backend, size_of_val(src));
+    record_bytes!("add", size_of_val(src));
     add_slice_impl(dst, src);
 }
 
@@ -333,7 +329,7 @@ pub fn add_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 /// Panics if the slices have different lengths.
 pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
     let backend = select().backend;
-    record_bytes!("mul", backend, size_of_val(src));
+    record_bytes!("mul", size_of_val(src));
     mul_slice_impl(backend, dst, src);
 }
 
@@ -344,7 +340,7 @@ pub fn mul_slice<F: GfElem>(dst: &mut [F], src: &[F]) {
 /// Panics if the slices have different lengths.
 pub fn dot<F: GfElem>(a: &[F], b: &[F]) -> F {
     let backend = select().backend;
-    record_bytes!("dot", backend, size_of_val(a));
+    record_bytes!("dot", size_of_val(a));
     dot_impl(backend, a, b)
 }
 
@@ -444,7 +440,7 @@ impl RowKernel {
     /// `dst[i] += c * src[i]` for all `i`, where `src` is zero past its
     /// first `len` symbols, so only `dst[..len]` can change. The SIMD
     /// levels run every block; the per-symbol backends stop at `len`.
-    /// Counts `len` symbols into `gf.axpy.bytes.<backend>`.
+    /// Counts `len` symbols into `gf.axpy.bytes`.
     ///
     /// # Panics
     ///
@@ -456,7 +452,7 @@ impl RowKernel {
             dst.len() == src.len() && dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
             "row kernel slices must be equal whole blocks covering the logical length"
         );
-        record_bytes!("axpy", self.backend, size_of_val(&src[..len]));
+        record_bytes!("axpy", size_of_val(&src[..len]));
         if let (Some(level), Some(d), Some(s)) =
             (self.level, plane::gf256_mut(dst), plane::gf256(src))
         {
@@ -467,7 +463,7 @@ impl RowKernel {
     }
 
     /// `dst[i] *= c` for all `i`, where `dst` is zero past its first
-    /// `len` symbols. Runs and counts (into `gf.scale.bytes.<backend>`)
+    /// `len` symbols. Runs and counts (into `gf.scale.bytes`)
     /// as [`axpy`](Self::axpy) does.
     ///
     /// # Panics
@@ -480,7 +476,7 @@ impl RowKernel {
             dst.len().is_multiple_of(BLOCK) && len <= dst.len(),
             "row kernel slice must be whole blocks covering the logical length"
         );
-        record_bytes!("scale", self.backend, size_of_val(&dst[..len]));
+        record_bytes!("scale", size_of_val(&dst[..len]));
         if let (Some(level), Some(d)) = (self.level, plane::gf256_mut(dst)) {
             simd::scale(self, level, d, c.index() as u8);
             return;

@@ -43,7 +43,7 @@
 //! the logical row (length + nonzero entries), never over the physical
 //! layout. A pinned-seed run therefore produces byte-identical decode
 //! results, session reports, logical metrics and traces whichever
-//! representation it stores rows in; only the `gf.<op>.bytes.*` volume
+//! representation it stores rows in; only the `gf.<op>.bytes` volume
 //! counters differ, because bytes *touched* is exactly the quantity
 //! sparsity eliminates. `tests/coeffrep_equivalence.rs` pins this.
 //!

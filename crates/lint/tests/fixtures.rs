@@ -5,7 +5,8 @@
 //! Each bad fixture must fire *exactly* its lint; each clean twin and
 //! every edge fixture must stay silent under the *whole* suite. The
 //! fixture directory is excluded from the workspace scan (`fixtures`
-//! is in `SKIP_DIRS`), so these snippets never reach `prlc lint`.
+//! is in `SKIP_DIRS`), so these snippets never reach a workspace run
+//! of `prlc-lint`.
 
 use std::fs;
 use std::path::Path;

@@ -57,6 +57,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
+use baseline::Json;
+
 // ---------------------------------------------------------------------------
 // Global enable gate
 // ---------------------------------------------------------------------------
@@ -526,68 +528,33 @@ pub struct Snapshot {
     pub timers: Vec<(&'static str, TimerSnapshot)>,
 }
 
-pub(crate) fn json_escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 impl Snapshot {
+    /// The deterministic members: counters, the bucket bounds and the
+    /// histograms, each list leaving out what recorded nothing.
+    fn deterministic_members(&self) -> Vec<(&'static str, Json)> {
+        let counters = self.counters.iter().filter(|&&(_, v)| v > 0);
+        let histograms = self.histograms.iter().filter(|(_, h)| h.count > 0);
+        vec![
+            (
+                "counters",
+                Json::obj(counters.map(|&(name, v)| (name, Json::uint(v)))),
+            ),
+            (
+                "histogram_bounds",
+                Json::Arr(BUCKET_BOUNDS.iter().map(|&b| Json::uint(b)).collect()),
+            ),
+            (
+                "histograms",
+                Json::obj(histograms.map(|(name, h)| (*name, h.to_value()))),
+            ),
+        ]
+    }
+
     /// JSON without any wall-clock content: byte-identical across
     /// thread counts for a fixed workload. Counters at zero and empty
     /// histograms are left out.
     pub fn to_deterministic_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        let counters = self.counters.iter().filter(|&&(_, v)| v > 0);
-        for (i, (name, v)) in counters.enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape(name, &mut s);
-            s.push_str(&format!("\":{v}"));
-        }
-        s.push_str("},\"histogram_bounds\":[");
-        for (i, b) in BUCKET_BOUNDS.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&b.to_string());
-        }
-        s.push_str("],\"histograms\":{");
-        let histograms = self.histograms.iter().filter(|(_, h)| h.count > 0);
-        for (i, (name, h)) in histograms.enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape(name, &mut s);
-            s.push_str("\":{\"counts\":[");
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&c.to_string());
-            }
-            s.push_str(&format!("],\"sum\":{},\"count\":{}", h.sum, h.count));
-            // Bucket-derived percentile upper bounds (docs/METRICS.md,
-            // "Histogram percentiles"); null when the rank falls in the
-            // overflow bucket or the histogram is empty.
-            for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-                match h.percentile(q) {
-                    Some(v) => s.push_str(&format!(",\"{key}\":{v}")),
-                    None => s.push_str(&format!(",\"{key}\":null")),
-                }
-            }
-            s.push('}');
-        }
-        s.push_str("}}");
-        s
+        Json::obj(self.deterministic_members()).render()
     }
 
     /// Full JSON. The non-deterministic `"timers"` object is emitted as
@@ -596,23 +563,36 @@ impl Snapshot {
     /// in before the closing brace — trivially strippable. Timers that
     /// timed no span are left out.
     pub fn to_json(&self) -> String {
-        let mut s = self.to_deterministic_json();
-        s.pop(); // closing brace
-        s.push_str(",\"timers\":{");
         let timers = self.timers.iter().filter(|(_, t)| t.count > 0);
-        for (i, (name, t)) in timers.enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            json_escape(name, &mut s);
-            s.push_str(&format!(
-                "\":{{\"count\":{},\"total_ns\":{}}}",
-                t.count, t.total_nanos
-            ));
+        let timers = timers.map(|(name, t)| {
+            let fields = [
+                ("count", Json::uint(t.count)),
+                ("total_ns", Json::uint(t.total_nanos)),
+            ];
+            (*name, Json::obj(fields))
+        });
+        let mut members = self.deterministic_members();
+        members.push(("timers", Json::obj(timers)));
+        Json::obj(members).render()
+    }
+}
+
+impl HistogramSnapshot {
+    /// The histogram's JSON object: bucket counts, sum, count, and the
+    /// bucket-derived percentile upper bounds (docs/METRICS.md,
+    /// "Histogram percentiles"), `null` when the rank falls in the
+    /// overflow bucket.
+    fn to_value(&self) -> Json {
+        let counts = Json::Arr(self.counts.iter().map(|&c| Json::uint(c)).collect());
+        let mut fields = vec![
+            ("counts", counts),
+            ("sum", Json::uint(self.sum)),
+            ("count", Json::uint(self.count)),
+        ];
+        for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+            fields.push((key, self.percentile(q).map_or(Json::Null, Json::uint)));
         }
-        s.push_str("}}");
-        s
+        Json::obj(fields)
     }
 }
 
@@ -789,85 +769,6 @@ mod tests {
         disable();
     }
 
-    /// Minimal JSON well-formedness checker for the round-trip test (no
-    /// serde in this workspace): returns the index after one value.
-    fn json_value(b: &[u8], mut i: usize) -> Result<usize, String> {
-        fn ws(b: &[u8], mut i: usize) -> usize {
-            while b.get(i).is_some_and(|c| c.is_ascii_whitespace()) {
-                i += 1;
-            }
-            i
-        }
-        i = ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                i = ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = json_value(b, i)?; // key (validated as a value; must be a string)
-                    i = ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    i = json_value(b, i + 1)?;
-                    i = ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or '}}' at {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                i = ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = json_value(b, i)?;
-                    i = ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or ']' at {i}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                i += 1;
-                while let Some(&c) = b.get(i) {
-                    match c {
-                        b'"' => return Ok(i + 1),
-                        b'\\' => i += 2,
-                        _ => i += 1,
-                    }
-                }
-                Err("unterminated string".to_string())
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                i += 1;
-                while b
-                    .get(i)
-                    .is_some_and(|c| c.is_ascii_digit() || b".eE+-".contains(c))
-                {
-                    i += 1;
-                }
-                Ok(i)
-            }
-            Some(b't') => Ok(i + 4),
-            Some(b'f') => Ok(i + 5),
-            Some(b'n') => Ok(i + 4),
-            other => Err(format!("unexpected {other:?} at {i}")),
-        }
-    }
-
-    fn assert_json_well_formed(s: &str) {
-        let end = json_value(s.as_bytes(), 0).unwrap_or_else(|e| panic!("{e} in {s}"));
-        assert_eq!(end, s.len(), "trailing garbage in {s}");
-    }
-
     #[test]
     fn exports_round_trip_as_well_formed_documents() {
         let _g = guarded();
@@ -876,10 +777,12 @@ mod tests {
         r.counter("net.collect.blocks").add(3);
         r.counter("weird\"name\\with\nescapes").incr();
         r.histogram("net.collect.query_hops").observe(7);
-        let _ = r.timer("sim.run");
+        drop(r.timer("sim.run").span());
         let snap = r.snapshot();
-        assert_json_well_formed(&snap.to_json());
-        assert_json_well_formed(&snap.to_deterministic_json());
+        for json in [snap.to_json(), snap.to_deterministic_json()] {
+            let parsed = baseline::parse_json(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
+            assert_eq!(parsed.render(), json);
+        }
         disable();
     }
 

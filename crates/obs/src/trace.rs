@@ -39,6 +39,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
+use crate::baseline::{render_array_object, Json};
+
 // ---------------------------------------------------------------------------
 // Enable gate (independent of the metrics gate)
 // ---------------------------------------------------------------------------
@@ -346,119 +348,105 @@ impl TraceSnapshot {
             .flat_map(|t| t.records.iter().map(move |r| (t.track, r)))
     }
 
-    fn args_json(args: &[(&'static str, u64)], out: &mut String) {
-        out.push('{');
-        for (i, (k, v)) in args.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::json_escape(k, out);
-            out.push_str(&format!("\":{v}"));
-        }
-        out.push('}');
-    }
-
     /// Deterministic JSON: tracks sorted by id, records in program
-    /// order, no wall-clock content anywhere.
+    /// order, no wall-clock content anywhere. Rendered one track at a
+    /// time, so no tree larger than one track is ever built.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"tracks\":[");
-        for (i, t) in self.tracks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"track\":{},\"dropped\":{},\"records\":[",
-                t.track, t.dropped
-            ));
-            for (j, r) in t.records.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                match r {
+        render_array_object(
+            "tracks",
+            self.tracks.iter().map(|t| {
+                let records = t.records.iter().map(|r| match r {
                     TraceRecord::Span {
                         name,
                         start,
                         end,
                         args,
-                    } => {
-                        s.push_str("{\"kind\":\"span\",\"name\":\"");
-                        crate::json_escape(name, &mut s);
-                        s.push_str(&format!("\",\"start\":{start},\"end\":{end},\"args\":"));
-                        Self::args_json(args, &mut s);
-                        s.push('}');
-                    }
-                    TraceRecord::Point { name, tick, args } => {
-                        s.push_str("{\"kind\":\"instant\",\"name\":\"");
-                        crate::json_escape(name, &mut s);
-                        s.push_str(&format!("\",\"tick\":{tick},\"args\":"));
-                        Self::args_json(args, &mut s);
-                        s.push('}');
-                    }
-                }
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+                    } => Json::obj([
+                        ("kind", Json::Str("span".into())),
+                        ("name", Json::Str((*name).into())),
+                        ("start", Json::uint(*start)),
+                        ("end", Json::uint(*end)),
+                        ("args", args_value(args)),
+                    ]),
+                    TraceRecord::Point { name, tick, args } => Json::obj([
+                        ("kind", Json::Str("instant".into())),
+                        ("name", Json::Str((*name).into())),
+                        ("tick", Json::uint(*tick)),
+                        ("args", args_value(args)),
+                    ]),
+                });
+                Json::obj([
+                    ("track", Json::uint(t.track)),
+                    ("dropped", Json::uint(t.dropped)),
+                    ("records", Json::Arr(records.collect())),
+                ])
+            }),
+        )
     }
 
     /// Chrome Trace Event format (JSON object form), loadable in
     /// Perfetto and `chrome://tracing`. Tracks map to threads of a
     /// single process: `tid` is the track's index in sorted-id order
     /// (kept small so the JSON never exceeds 2^53), the real 64-bit
-    /// track id lives in the thread name and a string arg. Logical
-    /// ticks are emitted as the `ts` microsecond field verbatim.
+    /// track id lives in the thread name. Logical ticks are emitted as
+    /// the `ts` microsecond field verbatim. Rendered one event at a
+    /// time.
     pub fn to_chrome_trace(&self) -> String {
-        let mut s = String::from("{\"traceEvents\":[");
-        s.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"prlc\"}}");
-        for (tid, t) in self.tracks.iter().enumerate() {
+        let metadata = |name: &str, tid: usize, label: String| {
+            Json::obj([
+                ("name", Json::Str(name.into())),
+                ("ph", Json::Str("M".into())),
+                ("pid", Json::uint(0)),
+                ("tid", Json::uint(tid as u64)),
+                ("args", Json::obj([("name", Json::Str(label))])),
+            ])
+        };
+        let threads = self.tracks.iter().enumerate().map(move |(tid, t)| {
             let label = if t.track == MAIN_TRACK {
                 "main".to_string()
             } else {
                 format!("run {}", t.track)
             };
-            s.push_str(&format!(
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{label}\"}}}}"
-            ));
-        }
-        for (tid, t) in self.tracks.iter().enumerate() {
-            for r in &t.records {
-                s.push(',');
-                match r {
-                    TraceRecord::Span {
+            metadata("thread_name", tid, label)
+        });
+        let events = self.tracks.iter().enumerate().flat_map(|(tid, t)| {
+            t.records.iter().map(move |r| {
+                let name = ("name", Json::Str(r.name().into()));
+                let (pid, tid) = (("pid", Json::uint(0)), ("tid", Json::uint(tid as u64)));
+                let mut fields = match *r {
+                    TraceRecord::Span { start, end, .. } => vec![
                         name,
-                        start,
-                        end,
-                        args,
-                    } => {
-                        s.push_str("{\"name\":\"");
-                        crate::json_escape(name, &mut s);
-                        s.push_str(&format!(
-                            "\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{start},\"dur\":{},\
-                             \"args\":",
-                            end.saturating_sub(*start)
-                        ));
-                        Self::args_json(args, &mut s);
-                        s.push('}');
-                    }
-                    TraceRecord::Point { name, tick, args } => {
-                        s.push_str("{\"name\":\"");
-                        crate::json_escape(name, &mut s);
-                        s.push_str(&format!(
-                            "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{tid},\"ts\":{tick},\
-                             \"args\":"
-                        ));
-                        Self::args_json(args, &mut s);
-                        s.push('}');
-                    }
-                }
-            }
-        }
-        s.push_str("]}");
-        s
+                        ("ph", Json::Str("X".into())),
+                        pid,
+                        tid,
+                        ("ts", Json::uint(start)),
+                        ("dur", Json::uint(end.saturating_sub(start))),
+                    ],
+                    TraceRecord::Point { tick, .. } => vec![
+                        name,
+                        ("ph", Json::Str("i".into())),
+                        ("s", Json::Str("t".into())),
+                        pid,
+                        tid,
+                        ("ts", Json::uint(tick)),
+                    ],
+                };
+                fields.push(("args", args_value(r.args())));
+                Json::obj(fields)
+            })
+        });
+        render_array_object(
+            "traceEvents",
+            std::iter::once(metadata("process_name", 0, "prlc".into()))
+                .chain(threads)
+                .chain(events),
+        )
     }
+}
+
+/// A record's annotations as a JSON object.
+fn args_value(args: &[(&'static str, u64)]) -> Json {
+    Json::obj(args.iter().map(|&(k, v)| (k, Json::uint(v))))
 }
 
 #[cfg(test)]
@@ -572,6 +560,11 @@ mod tests {
         assert!(chrome.contains("\"ph\":\"i\"") && chrome.contains("\"s\":\"t\""));
         assert!(chrome.contains("\"name\":\"run 5\""));
         assert!(chrome.ends_with("]}"));
+        // Both exports read back to the same bytes.
+        for dump in [json, chrome] {
+            let parsed = crate::baseline::parse_json(&dump).expect("trace export parses");
+            assert_eq!(parsed.render(), dump);
+        }
         disable();
         reset();
     }

@@ -24,11 +24,10 @@
 //! Every probe resets the global recorders through
 //! [`run_probe_and_reset`] — the same helper `prlc sim` uses — so its
 //! metrics block reflects only the probe's own deterministic work.
-//! Span timers (wall-clock) never enter an envelope, and the
-//! backend-suffixed `gf.<op>.bytes.<backend>` counters are merged to
-//! `gf.<op>.bytes` so envelopes agree across `PRLC_KERNEL` settings.
+//! Span timers (wall-clock) never enter an envelope; the `gf.<op>.bytes`
+//! counters carry no backend, so envelopes agree across `PRLC_KERNEL`
+//! settings.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use prlc_analysis::{conv, curves, AnalysisOptions};
@@ -41,7 +40,7 @@ use prlc_net::{
     predistribute, AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, Network, PlaneNetwork,
     ProtocolConfig, RetryPolicy, RingNetwork, SourceFanout,
 };
-use prlc_obs::baseline::{digest64, envelope_json, Json};
+use prlc_obs::baseline::{digest64, envelope_json, Json, Number};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -91,42 +90,6 @@ pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics block
-// ---------------------------------------------------------------------------
-
-/// The metrics block a baseline can hold: counters, histogram bounds and
-/// histograms (with their percentile fields), no timers (wall-clock).
-/// The per-backend `gf.<op>.bytes.<backend>` counters are merged to
-/// `gf.<op>.bytes`: the byte volume is recorded at dispatch entry and is
-/// identical whichever backend runs, only the key differs. The renderer
-/// leaves out zero-valued counters and empty histograms, which earlier
-/// probes in the same process may have registered.
-fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for &(name, v) in &snap.counters {
-        *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
-    }
-    prlc_obs::Snapshot {
-        counters: counters.into_iter().collect(),
-        histograms: snap.histograms.clone(),
-        timers: Vec::new(),
-    }
-    .to_deterministic_json()
-}
-
-/// `gf.<op>.bytes.<backend>` → `gf.<op>.bytes`; anything else unchanged.
-fn merge_backend_suffix(name: &'static str) -> &'static str {
-    if name.starts_with("gf.") {
-        for suffix in [".scalar", ".table", ".simd"] {
-            if let Some(stem) = name.strip_suffix(suffix) {
-                return stem;
-            }
-        }
-    }
-    name
-}
-
-// ---------------------------------------------------------------------------
 // The probes
 // ---------------------------------------------------------------------------
 
@@ -153,18 +116,20 @@ fn probe_kernel(threads: usize) -> Result<String, String> {
         let mut rows = Vec::new();
         for backend in [kernel::Backend::Scalar, kernel::Backend::Table] {
             let mb_s = measure_symbol_throughput_mb_s_with(backend);
-            rows.push(format!(
-                "{{\"backend\":{},\"mb_s\":{}}}",
-                Json::Str(backend.name().to_string()).render(),
-                Json::fixed(mb_s, 1).render()
-            ));
+            rows.push(Json::obj([
+                ("backend", Json::Str(backend.name().to_string())),
+                ("mb_s", Json::fixed(mb_s, 1)),
+            ]));
         }
-        rows.push(format!(
-            "{{\"backend\":\"dispatched\",\"description\":{},\"mb_s\":{}}}",
-            Json::Str(kernel::active_backend_description()).render(),
-            Json::fixed(measure_symbol_throughput_mb_s(), 1).render()
-        ));
-        Ok((format!("[{}]", rows.join(",")), None))
+        rows.push(Json::obj([
+            ("backend", Json::Str("dispatched".to_string())),
+            (
+                "description",
+                Json::Str(kernel::active_backend_description()),
+            ),
+            ("mb_s", Json::fixed(measure_symbol_throughput_mb_s(), 1)),
+        ]));
+        Ok((Json::Arr(rows).render(), None))
     })
 }
 
@@ -305,7 +270,7 @@ fn run_probe(
         ("run_metadata", meta.to_json()),
     ];
     if recorded && prlc_obs::enabled() {
-        members.push(("metrics", deterministic_metrics_json(&prlc_obs::snapshot())));
+        members.push(("metrics", prlc_obs::snapshot().to_deterministic_json()));
     }
     if recorded && prlc_obs::trace::enabled() {
         let digest = digest64(&prlc_obs::trace::snapshot().to_json());
@@ -328,10 +293,23 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
     const ROWS: usize = 50;
     const FACTOR: f64 = 2.0;
     const SEED: u64 = 0xC0DE;
-    let config_json = format!(
-        "{{\"sizes\":[1000,10000,100000],\"rows_per_cell\":{ROWS},\
-         \"factor\":{FACTOR},\"scheme\":\"rlc\",\"seed\":{SEED}}}"
-    );
+    let config_json = Json::obj([
+        (
+            "sizes",
+            Json::Arr(SIZES.iter().map(|&n| Json::uint(n as u64)).collect()),
+        ),
+        ("rows_per_cell", Json::uint(ROWS as u64)),
+        (
+            "factor",
+            Json::Num(Number {
+                raw: FACTOR.to_string(),
+                value: FACTOR,
+            }),
+        ),
+        ("scheme", Json::Str("rlc".to_string())),
+        ("seed", Json::uint(SEED)),
+    ])
+    .render();
     run_probe("sparse", config_json, threads, true, || {
         let mut rng = StdRng::seed_from_u64(SEED);
         let mut rows = Vec::new();
@@ -348,21 +326,27 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
                     bytes_total += row.storage_bytes();
                 }
                 let ln_n = (n as f64).ln();
-                rows.push(format!(
-                    "{{\"n\":{n},\"rep\":\"{}\",\"rows\":{ROWS},\
-                     \"nnz_total\":{nnz_total},\"bytes_total\":{bytes_total},\
-                     \"bytes_per_row\":{:.2},\"bytes_per_row_per_ln_n\":{:.4}}}",
-                    match rep {
-                        CoeffRep::Dense => "dense",
-                        CoeffRep::Sparse => "sparse",
-                    },
-                    bytes_total as f64 / ROWS as f64,
-                    bytes_total as f64 / ROWS as f64 / ln_n,
-                ));
+                let rep = match rep {
+                    CoeffRep::Dense => "dense",
+                    CoeffRep::Sparse => "sparse",
+                };
+                let bytes_per_row = bytes_total as f64 / ROWS as f64;
+                rows.push(Json::obj([
+                    ("n", Json::uint(n as u64)),
+                    ("rep", Json::Str(rep.to_string())),
+                    ("rows", Json::uint(ROWS as u64)),
+                    ("nnz_total", Json::uint(nnz_total as u64)),
+                    ("bytes_total", Json::uint(bytes_total as u64)),
+                    ("bytes_per_row", Json::fixed(bytes_per_row, 2)),
+                    (
+                        "bytes_per_row_per_ln_n",
+                        Json::fixed(bytes_per_row / ln_n, 4),
+                    ),
+                ]));
             }
         }
         let end_state = format!("{:#018x}", rng.next_u64());
-        Ok((format!("[{}]", rows.join(",")), Some(end_state)))
+        Ok((Json::Arr(rows).render(), Some(end_state)))
     })
 }
 
@@ -378,7 +362,11 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
 fn probe_layers(threads: usize) -> Result<String, String> {
     const SLICE: usize = 4096;
     const SEED: u64 = 0x1A7E;
-    let config_json = format!("{{\"slice_len\":{SLICE},\"seed\":{SEED}}}");
+    let config_json = Json::obj([
+        ("slice_len", Json::uint(SLICE as u64)),
+        ("seed", Json::uint(SEED)),
+    ])
+    .render();
     run_probe("layers", config_json, threads, true, || {
         let profile = |levels, per| {
             PriorityProfile::uniform(levels, per).map_err(|e| format!("layers probe: {e}"))
@@ -621,20 +609,20 @@ fn probe_layers(threads: usize) -> Result<String, String> {
                     .collect::<Vec<_>>()
             }));
         }
-        Ok((format!("[{}]", rows.join(",")), None))
+        Ok((Json::Arr(rows).render(), None))
     })
 }
 
 /// Runs `body` `iters` times and renders the row: its name, the
 /// iteration count, the digest of every output and the wall time.
-fn layer_row<T: fmt::Debug>(name: &str, iters: usize, mut body: impl FnMut() -> T) -> String {
+fn layer_row<T: fmt::Debug>(name: &str, iters: usize, mut body: impl FnMut() -> T) -> Json {
     let (outs, wall_ms) = measure_wall_ms(|| (0..iters).map(|_| body()).collect::<Vec<T>>());
-    format!(
-        "{{\"row\":{},\"iters\":{iters},\"digest\":{},\"wall_ms\":{}}}",
-        Json::Str(name.to_string()).render(),
-        Json::Str(digest64(&format!("{outs:?}"))).render(),
-        Json::fixed(wall_ms, 3).render()
-    )
+    Json::obj([
+        ("row", Json::Str(name.to_string())),
+        ("iters", Json::uint(iters as u64)),
+        ("digest", Json::Str(digest64(&format!("{outs:?}")))),
+        ("wall_ms", Json::fixed(wall_ms, 3)),
+    ])
 }
 
 /// A GF(2⁸) slice-kernel row: `step` runs `iters` times in place on
@@ -649,15 +637,15 @@ fn slice_row(
     operands: usize,
     mut dst: Vec<Gf256>,
     mut step: impl FnMut(&mut [Gf256]),
-) -> String {
+) -> Json {
     let ((), wall_ms) = measure_wall_ms(|| (0..iters).for_each(|_| step(&mut dst)));
     let mb_s = (iters * operands * dst.len()) as f64 / wall_ms / 1e3;
-    format!(
-        "{{\"row\":{},\"iters\":{iters},\"digest\":{},\"mb_s\":{}}}",
-        Json::Str(name.to_string()).render(),
-        Json::Str(digest64(&format!("{dst:?}"))).render(),
-        Json::fixed(mb_s, 1).render()
-    )
+    Json::obj([
+        ("row", Json::Str(name.to_string())),
+        ("iters", Json::uint(iters as u64)),
+        ("digest", Json::Str(digest64(&format!("{dst:?}")))),
+        ("mb_s", Json::fixed(mb_s, 1)),
+    ])
 }
 
 /// `acc ← acc·x + 1` over `xs`: a dependent chain of scalar multiplies.
@@ -686,53 +674,5 @@ mod tests {
         assert_eq!(bench_file_name("kernel"), "BENCH_kernel.json");
         assert_eq!(BENCH_PROBES.len(), 6);
         assert!(run_bench_probe("nope", 1).is_err());
-    }
-
-    #[test]
-    fn merge_backend_suffix_only_rewrites_gf_byte_counters() {
-        assert_eq!(merge_backend_suffix("gf.axpy.bytes.simd"), "gf.axpy.bytes");
-        assert_eq!(
-            merge_backend_suffix("gf.scale.bytes.scalar"),
-            "gf.scale.bytes"
-        );
-        assert_eq!(
-            merge_backend_suffix("net.messages.sent"),
-            "net.messages.sent"
-        );
-        assert_eq!(merge_backend_suffix("gf.axpy.bytes"), "gf.axpy.bytes");
-    }
-
-    #[test]
-    fn metrics_block_drops_zero_entries_and_merges_backends() {
-        let empty = prlc_obs::HistogramSnapshot {
-            counts: vec![0; 15],
-            sum: 0,
-            count: 0,
-        };
-        let mut full = empty.clone();
-        full.counts[0] = 2;
-        full.sum = 2;
-        full.count = 2;
-        let snap = prlc_obs::Snapshot {
-            counters: vec![
-                ("gf.axpy.bytes.scalar", 0),
-                ("gf.axpy.bytes.simd", 7),
-                ("net.stale", 0),
-                ("net.used", 3),
-            ],
-            histograms: vec![("h.stale", empty), ("h.used", full)],
-            timers: vec![],
-        };
-        let json = deterministic_metrics_json(&snap);
-        // Zero-valued counters and empty histograms are registry
-        // residue from earlier probes in the same process — their
-        // presence must not depend on suite order or --probe subsets.
-        assert!(!json.contains("stale"), "{json}");
-        assert!(json.contains("\"gf.axpy.bytes\":7"), "{json}");
-        assert!(json.contains("\"net.used\":3"), "{json}");
-        assert!(
-            json.contains("\"h.used\":{\"counts\":[2,") && json.contains("\"p50\":1"),
-            "{json}"
-        );
     }
 }

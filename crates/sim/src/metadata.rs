@@ -53,25 +53,23 @@ impl RunMetadata {
     }
 
     /// Renders the metadata as a JSON object — the `run_metadata`
-    /// member of every `BENCH_*.json` envelope.
-    ///
-    /// Serialisation is hand-rolled: the workspace builds offline and the
-    /// fields are four scalars, so a serializer dependency buys nothing.
-    /// A non-finite throughput (a zero-duration or failed measurement)
-    /// is emitted as `null` ([`Json::fixed`]); a non-finite wall time is
-    /// omitted like an absent one.
+    /// member of every `BENCH_*.json` envelope. A non-finite throughput
+    /// (a zero-duration or failed measurement) is emitted as `null`
+    /// ([`Json::fixed`]); a non-finite wall time is omitted like an
+    /// absent one.
     pub fn to_json(&self) -> String {
-        let wall = match self.run_wall_ms_total {
-            Some(ms) if ms.is_finite() => format!(",\"run_wall_ms_total\":{ms:.1}"),
-            _ => String::new(),
-        };
-        format!(
-            "{{\"kernel_backend\":{},\"threads\":{},\"symbol_throughput_mb_s\":{}{}}}",
-            Json::Str(self.kernel_backend.clone()).render(),
-            self.threads,
-            Json::fixed(self.symbol_throughput_mb_s, 1).render(),
-            wall
-        )
+        let mut fields = vec![
+            ("kernel_backend", Json::Str(self.kernel_backend.clone())),
+            ("threads", Json::uint(self.threads as u64)),
+            (
+                "symbol_throughput_mb_s",
+                Json::fixed(self.symbol_throughput_mb_s, 1),
+            ),
+        ];
+        if let Some(ms) = self.run_wall_ms_total.filter(|ms| ms.is_finite()) {
+            fields.push(("run_wall_ms_total", Json::fixed(ms, 1)));
+        }
+        Json::obj(fields).render()
     }
 }
 

@@ -51,6 +51,7 @@ use prlc_net::{
     FaultSession, Network, NodeId, ProtocolConfig, ProtocolError, RefreshConfig, RetryPolicy,
     RingNetwork, SourceFanout,
 };
+use prlc_obs::baseline::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -466,29 +467,25 @@ fn mix_loss_seed(seed: u64, li: u64) -> u64 {
 /// `BENCH_*.json` envelope). A grid row is keyed by its cell, any other
 /// row by its epoch; survival and accounting fields follow when present.
 pub fn results_json(rows: &[Row]) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let mut s = match r.cell {
-                Some((loss, retries)) => format!("{{\"loss\":{loss:.4},\"retries\":{retries}"),
-                None => format!("{{\"epoch\":{}", r.epoch),
-            };
-            s.push_str(&format!(
-                ",\"levels_mean\":{:.6},\"levels_ci95\":{:.6}",
-                r.decoded_levels.mean, r.decoded_levels.ci95
-            ));
-            if !r.survival.is_empty() {
-                let survival: Vec<String> = r.survival.iter().map(|v| format!("{v:.6}")).collect();
-                s.push_str(&format!(",\"survival\":[{}]", survival.join(",")));
-            }
-            for (name, v) in ACCOUNTING.iter().zip(&r.accounting) {
-                s.push_str(&format!(",\"{name}\":{v:.3}"));
-            }
-            s.push('}');
-            s
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
+    let rows = rows.iter().map(|r| {
+        let mut fields = match r.cell {
+            Some((loss, retries)) => vec![
+                ("loss", Json::fixed(loss, 4)),
+                ("retries", Json::uint(retries as u64)),
+            ],
+            None => vec![("epoch", Json::uint(r.epoch as u64))],
+        };
+        fields.push(("levels_mean", Json::fixed(r.decoded_levels.mean, 6)));
+        fields.push(("levels_ci95", Json::fixed(r.decoded_levels.ci95, 6)));
+        if !r.survival.is_empty() {
+            let survival = r.survival.iter().map(|&v| Json::fixed(v, 6));
+            fields.push(("survival", Json::Arr(survival.collect())));
+        }
+        let accounting = ACCOUNTING.iter().zip(&r.accounting);
+        fields.extend(accounting.map(|(&name, &v)| (name, Json::fixed(v, 3))));
+        Json::obj(fields)
+    });
+    Json::Arr(rows.collect()).render()
 }
 
 /// Renders rows as the aligned text table `prlc sim` prints.

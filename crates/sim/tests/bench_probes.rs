@@ -122,6 +122,8 @@ fn layers_probe_is_thread_count_invariant() {
     );
     let doc = parse_json(&a).expect("parse");
     assert!(doc.get("metrics").is_some() && doc.get("trace_digest").is_some());
+    // The envelope reads back to its own bytes (bar the final newline).
+    assert_eq!(format!("{}\n", doc.render()), a);
     let Some(Json::Arr(rows)) = doc.get("results") else {
         panic!("layers results are not an array")
     };

@@ -533,31 +533,11 @@ fn run_pipeline(case: Case) -> [String; 8] {
         format!("{refresh_report:?}"),
         format!("{collect_report:?}"),
         dec.decoded_levels().to_string(),
-        metrics_json(),
+        obs::snapshot().to_deterministic_json(),
         obs::trace::snapshot().to_json(),
         rng.gen::<u64>().to_string(),
     ]
     .map(|field| digest64(&field))
-}
-
-/// The deterministic metrics snapshot, with each
-/// `gf.<op>.bytes.<backend>` counter merged under `gf.<op>.bytes`: the
-/// digest pins the byte volume the kernels moved, not which backend
-/// moved it.
-fn metrics_json() -> String {
-    let mut snap = obs::snapshot();
-    for (name, _) in &mut snap.counters {
-        if name.starts_with("gf.") {
-            if let Some(stem) = [".scalar", ".table", ".simd"]
-                .iter()
-                .find_map(|suffix| name.strip_suffix(suffix))
-            {
-                *name = stem;
-            }
-        }
-    }
-    snap.counters.sort_by_key(|&(name, _)| name);
-    snap.to_deterministic_json()
 }
 
 fn lossy_plan(seed: u64) -> FaultPlan {

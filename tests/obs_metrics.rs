@@ -24,15 +24,6 @@ use prlc::net::{
 /// counter deltas must not interleave.
 static GUARD: Mutex<()> = Mutex::new(());
 
-/// Every backend's `gf.axpy.bytes.<backend>` counter, summed.
-fn axpy_bytes(snap: &obs::Snapshot) -> u64 {
-    snap.counters
-        .iter()
-        .filter(|(name, _)| name.starts_with("gf.axpy.bytes"))
-        .map(|(_, v)| *v)
-        .sum()
-}
-
 fn counter(snap: &obs::Snapshot, name: &str) -> u64 {
     snap.counters
         .iter()
@@ -184,9 +175,9 @@ fn combine_counts_operand_support_not_row_length() {
     let support = b.coefficients.support();
     assert!(support <= 100, "level-1 support {support}");
 
-    let before = axpy_bytes(&obs::snapshot());
+    let before = counter(&obs::snapshot(), "gf.axpy.bytes");
     a.combine(&b, Gf256::new(7));
-    let counted = axpy_bytes(&obs::snapshot()) - before;
+    let counted = counter(&obs::snapshot(), "gf.axpy.bytes") - before;
     assert_eq!(counted, support as u64);
 }
 
@@ -201,7 +192,7 @@ fn axpy_sum_counts_the_sum_of_its_term_lengths() {
     for len in [0, 63, 4096 + 17] {
         let sources: Vec<Vec<Gf256>> = (0..7u8).map(|i| vec![Gf256::new(i ^ 0x5A); len]).collect();
         let mut dst = vec![Gf256::ZERO; len];
-        let before = axpy_bytes(&obs::snapshot());
+        let before = counter(&obs::snapshot(), "gf.axpy.bytes");
         prlc::gf::kernel::axpy_sum(
             &mut dst,
             sources
@@ -209,7 +200,7 @@ fn axpy_sum_counts_the_sum_of_its_term_lengths() {
                 .enumerate()
                 .map(|(i, s)| (Gf256::new(i as u8), s.as_slice())),
         );
-        let counted = axpy_bytes(&obs::snapshot()) - before;
+        let counted = counter(&obs::snapshot(), "gf.axpy.bytes") - before;
         assert_eq!(counted, 7 * len as u64, "len {len}");
     }
 }
@@ -253,5 +244,8 @@ fn redundant_row_counts_only_its_walk_above_the_prefix() {
         moved,
         [("linalg.rref.redundant", 1), ("linalg.rref.rows", 1)]
     );
-    assert_eq!(axpy_bytes(&after) - axpy_bytes(&before), 5 + 4);
+    assert_eq!(
+        counter(&after, "gf.axpy.bytes") - counter(&before, "gf.axpy.bytes"),
+        5 + 4
+    );
 }
