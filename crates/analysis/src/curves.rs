@@ -82,20 +82,6 @@ pub fn prob_complete(
     survival(scheme, profile, dist, m, profile.num_levels(), opts)
 }
 
-/// The analytical decoding curve: `E(X)` evaluated at each entry of
-/// `ms` — the solid lines of Figs. 4/5/7.
-pub fn decoding_curve(
-    scheme: Scheme,
-    profile: &PriorityProfile,
-    dist: &PriorityDistribution,
-    ms: &[usize],
-    opts: &AnalysisOptions,
-) -> Vec<f64> {
-    ms.iter()
-        .map(|&m| expected_levels(scheme, profile, dist, m, opts))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,8 +121,10 @@ mod tests {
         let d = PriorityDistribution::uniform(3);
         let o = AnalysisOptions::sharp();
         let ms: Vec<usize> = (0..=10).map(|i| i * 6).collect();
-        let curve = decoding_curve(Scheme::Plc, &p, &d, &ms, &o);
-        assert_eq!(curve.len(), ms.len());
+        let curve: Vec<f64> = ms
+            .iter()
+            .map(|&m| expected_levels(Scheme::Plc, &p, &d, m, &o))
+            .collect();
         // Non-decreasing, bounded by n, eventually ~n.
         for w in curve.windows(2) {
             assert!(w[1] + 1e-9 >= w[0]);

@@ -20,7 +20,7 @@ const CASES: &[(&str, &str, &str, &str, &str)] = &[
         "--runs 5 --seed 3",
         "fnv1a:41a02e437ca0746d",
         "fnv1a:dfffa3e045877ce6",
-        "fnv1a:7e31f60fd0b50732",
+        "fnv1a:6877e8f0380aae4e",
     ),
     (
         "curve-replication",
@@ -34,91 +34,91 @@ const CASES: &[(&str, &str, &str, &str, &str)] = &[
         "--epochs 4 --churn 0.4 --repair 2 --nodes 200 --locations 24 --runs 4 --seed 5",
         "fnv1a:19bc85cb46c23ff0",
         "fnv1a:57c335bc17ca5cb4",
-        "fnv1a:4cd201da51f70b98",
+        "fnv1a:4c3c15a916b7300a",
     ),
     (
         "timeline-churn0-repair",
         "--epochs 3 --churn 0 --repair 2 --nodes 200 --runs 4 --seed 6",
         "fnv1a:c303a29d179bcbeb",
         "fnv1a:5c5017479a87e869",
-        "fnv1a:144d06051d3066e7",
+        "fnv1a:fe617011037e7e87",
     ),
     (
         "timeline-slc-lossy-sessions",
         "--scheme slc --epochs 2 --churn 0.3 --repair 2 --loss 0.2 --retries 1 --nodes 300 --locations 20 --runs 3 --seed 7",
         "fnv1a:9bc9ee689ccdf65d",
         "fnv1a:b133be55b336ddd8",
-        "fnv1a:fd0ca039d5644c81",
+        "fnv1a:87fd7bff3c670715",
     ),
     (
         "timeline-sparse-fanout",
         "--epochs 3 --churn 0.3 --repair 3 --nodes 2000 --locations 30 --runs 2 --seed 11 --fanout log:2 --coeff sparse",
         "fnv1a:0d6dd9b76691fb1c",
         "fnv1a:0e42ec0151c9dda5",
-        "fnv1a:9bf4ac7aab1665d3",
+        "fnv1a:59600d6ba8cb447c",
     ),
     (
         "timeline-total-death",
         "--epochs 4 --churn 0.9 --repair 2 --nodes 40 --locations 20 --runs 4 --seed 1",
         "fnv1a:aee8439822e5673f",
         "fnv1a:9e59a97bc8a33fca",
-        "fnv1a:145d4b41aed51c18",
+        "fnv1a:dddd51f50b2a34a8",
     ),
     (
         "lossy-grid",
         "--loss 0,0.3 --retries 0,2 --runs 6 --seed 7",
         "fnv1a:80bec66b8d1afd11",
         "fnv1a:7281fd41998e4059",
-        "fnv1a:635828e5e3657452",
+        "fnv1a:93ccfbef6c99f9b6",
     ),
     (
         "lossy-grid-slc",
         "--scheme slc --loss 0.5 --nodes 120 --runs 5 --seed 8",
         "fnv1a:e9345e49fd0bb373",
         "fnv1a:16166b5a3620acae",
-        "fnv1a:2f9a3ee313efa5c2",
+        "fnv1a:8fe2f74c618a20b8",
     ),
     (
         "adversary-region",
         "--adversary region --adv-intensity 0.3 --adv-segment 4 --nodes 300 --locations 24 --epochs 2 --runs 4 --seed 3",
         "fnv1a:8ff95b42f3b3a983",
         "fnv1a:0673dc34fc070670",
-        "fnv1a:163caf66c3eb181b",
+        "fnv1a:9eb43740812fc6e7",
     ),
     (
         "adversary-eclipse",
         "--adversary eclipse --nodes 200 --epochs 2 --runs 4 --seed 4",
         "fnv1a:18cee4ebbc3703f9",
         "fnv1a:f9416f33c1cbd8d7",
-        "fnv1a:2bd5293742c05d78",
+        "fnv1a:68b34125003389ae",
     ),
     (
         "adversary-targeted-slc",
         "--scheme slc --adversary targeted --adv-intensity 10 --nodes 300 --locations 24 --epochs 2 --runs 4 --seed 42",
         "fnv1a:f3659b6154b780a4",
         "fnv1a:dc549f7573bf16ec",
-        "fnv1a:44757c3d56675ad3",
+        "fnv1a:5043bd8facc8df0b",
     ),
     (
         "adversary-creep-churn-repair-loss",
         "--adversary creep --adv-intensity 0.2 --churn 0.05 --repair 2 --loss 0.1 --retries 1 --nodes 300 --epochs 3 --runs 4 --seed 9",
         "fnv1a:657c4b10f6770c11",
         "fnv1a:7cee1c63c1aeba26",
-        "fnv1a:7bc9456752ea4da9",
+        "fnv1a:29f0b64d01fd9a62",
     ),
     (
         "adversary-targeted-sparse-fanout",
         "--adversary targeted --adv-intensity 30 --adv-focus 0.5 --nodes 1000 --locations 60 --fanout log:2 --coeff sparse --epochs 2 --runs 3 --seed 12",
         "fnv1a:47c5b93e3d0bbbff",
         "fnv1a:bf64691233858268",
-        "fnv1a:7628da43d9b51d05",
+        "fnv1a:bc0200a6a6e211d6",
     ),
     (
         "adversary-creep-total-death",
         "--adversary creep --churn 0.9 --repair 1 --nodes 40 --locations 20 --epochs 3 --runs 4 --seed 2",
         "fnv1a:d1a44dad0662942a",
         "fnv1a:07e0964d722372a1",
-        "fnv1a:b5b4ea53114cd33e",
+        "fnv1a:e732775f5880f5e9",
     ),
 ];
 

@@ -170,9 +170,11 @@ impl<F: GfElem, P: BlockPayload<F>> PlcDecoder<F, P> {
         if !obs && !tracing {
             return self.rref.insert_row(coefficients, payload);
         }
-        let before = self.profile.levels_in_prefix(self.rref.decoded_prefix());
+        let prefix_before = self.rref.decoded_prefix();
         let outcome = self.rref.insert_row(coefficients, payload);
-        let after = self.profile.levels_in_prefix(self.rref.decoded_prefix());
+        let prefix_after = self.rref.decoded_prefix();
+        let before = self.profile.levels_in_prefix(prefix_before);
+        let after = self.profile.levels_in_prefix(prefix_after);
         if obs {
             prlc_obs::counter!("core.decode.blocks").incr();
             if after > before {
@@ -182,11 +184,12 @@ impl<F: GfElem, P: BlockPayload<F>> PlcDecoder<F, P> {
             }
         }
         if tracing {
-            // Provenance: which source blocks this coded block pinned down,
-            // and any strict-priority levels it thereby unlocked. The tick
-            // is the rows-consumed logical clock (`blocks_processed`).
+            // Provenance, read off the decoded prefix: the source blocks
+            // it passed on this insert, and any strict-priority levels it
+            // thereby unlocked. The tick is the rows-consumed logical
+            // clock (`blocks_processed`).
             let tick = self.rref.inserted() as u64;
-            for idx in self.rref.newly_solved() {
+            for idx in prefix_before..prefix_after {
                 prlc_obs::trace_instant!(
                     "core.decode.solved",
                     tick,
@@ -302,14 +305,6 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
         self.levels[level].rank()
     }
 
-    /// Per-level completion flags — the input to the non-strict (set)
-    /// priority model of [`prlc_core::utility`](crate::utility), which
-    /// credits recovered low-priority islands that the strict
-    /// [`PriorityDecoder::decoded_levels`] metric ignores.
-    pub fn complete_levels(&self) -> Vec<bool> {
-        self.levels.iter().map(|l| l.is_complete()).collect()
-    }
-
     /// Low-level insertion from a dense coefficient slice: the vector is
     /// projected onto the block's level range.
     ///
@@ -355,9 +350,11 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
         if !obs && !tracing {
             return self.levels[level].insert_row(projected, payload);
         }
-        let was_complete = self.levels[level].is_complete();
-        let outcome = self.levels[level].insert_row(projected, payload);
-        let completed = !was_complete && self.levels[level].is_complete();
+        let decoder = &mut self.levels[level];
+        let prefix_before = decoder.decoded_prefix();
+        let was_complete = decoder.is_complete();
+        let outcome = decoder.insert_row(projected, payload);
+        let completed = !was_complete && decoder.is_complete();
         if obs {
             prlc_obs::counter!("core.decode.blocks").incr();
             if completed {
@@ -367,16 +364,17 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
             }
         }
         if tracing {
-            // Provenance: newly pinned source blocks mapped back to global
-            // indices through the level's lower bound. SLC unlocks are
-            // per-level (levels complete independently).
+            // Provenance, read off the level's own decoded prefix: the
+            // blocks it passed, mapped back to global indices through the
+            // level's lower bound. SLC unlocks are per-level (levels
+            // complete independently).
             let tick = self.processed as u64;
-            let base = self.profile.bound(level) as u64;
-            for off in self.levels[level].newly_solved() {
+            let base = self.profile.bound(level);
+            for off in prefix_before..decoder.decoded_prefix() {
                 prlc_obs::trace_instant!(
                     "core.decode.solved",
                     tick,
-                    block: base + off as u64,
+                    block: (base + off) as u64,
                     level: level as u64,
                 );
             }

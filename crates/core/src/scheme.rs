@@ -40,12 +40,6 @@ impl Scheme {
         }
     }
 
-    /// Whether the scheme supports decoding a strict subset of levels
-    /// (RLC does not — it is the all-or-nothing baseline).
-    pub fn supports_partial_decoding(self) -> bool {
-        !matches!(self, Scheme::Rlc)
-    }
-
     /// All scheme variants, for sweeps.
     pub const ALL: [Scheme; 3] = [Scheme::Rlc, Scheme::Slc, Scheme::Plc];
 }
@@ -85,13 +79,6 @@ mod tests {
     fn support_rejects_bad_level() {
         let p = PriorityProfile::new(vec![1, 2]).unwrap();
         Scheme::Plc.support(&p, 2);
-    }
-
-    #[test]
-    fn partial_decoding_flags() {
-        assert!(!Scheme::Rlc.supports_partial_decoding());
-        assert!(Scheme::Slc.supports_partial_decoding());
-        assert!(Scheme::Plc.supports_partial_decoding());
     }
 
     #[test]

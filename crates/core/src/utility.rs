@@ -14,7 +14,8 @@
 //! model only the decoded prefix counts; under the set model every
 //! recovered level counts (relevant to SLC, whose levels decode
 //! independently, so a low-priority island can complete while a
-//! higher level is missing).
+//! higher level is missing). The set model's expectation for SLC is
+//! computed exactly by `prlc_analysis::overhead::slc_expected_set_utility`.
 
 use serde::{Deserialize, Serialize};
 
@@ -134,26 +135,6 @@ impl UtilityFunction {
         self.weights[..decoded_levels].iter().sum()
     }
 
-    /// Utility under the **set** model: the sum of weights of every
-    /// fully recovered level, prefix or not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flag count mismatches the level count.
-    pub fn of_set(&self, recovered: &[bool]) -> f64 {
-        assert_eq!(
-            recovered.len(),
-            self.weights.len(),
-            "level flag count mismatch"
-        );
-        self.weights
-            .iter()
-            .zip(recovered)
-            .filter(|(_, &r)| r)
-            .map(|(w, _)| w)
-            .sum()
-    }
-
     /// Total utility of recovering everything.
     pub fn total(&self) -> f64 {
         self.weights.iter().sum()
@@ -200,21 +181,5 @@ mod tests {
         assert_eq!(u.strict(0), 0.0);
         assert_eq!(u.strict(1), 5.0);
         assert_eq!(u.strict(3), 9.0);
-    }
-
-    #[test]
-    fn set_model_counts_islands() {
-        let u = UtilityFunction::new(vec![5.0, 3.0, 1.0]).unwrap();
-        // Level 1 (weight 3) recovered without level 0: strict model
-        // sees nothing, set model credits it.
-        assert_eq!(u.of_set(&[false, true, false]), 3.0);
-        assert_eq!(u.of_set(&[true, true, true]), 9.0);
-        assert_eq!(u.of_set(&[false, false, false]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "flag count mismatch")]
-    fn set_model_checks_length() {
-        UtilityFunction::uniform(2).of_set(&[true]);
     }
 }

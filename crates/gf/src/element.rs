@@ -376,17 +376,6 @@ pub(crate) fn gf256_product_table() -> &'static Mul256Table {
     mul256_table()
 }
 
-impl Gf256 {
-    /// The full 256-entry product row `{self * v : v in 0..256}`.
-    ///
-    /// Exposed so decoding hot loops outside this crate can hoist the row
-    /// lookup out of their inner loop.
-    #[inline]
-    pub fn mul_row(self) -> &'static [u8; 256] {
-        mul256_table().row(self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,8 +38,13 @@
 //! When it advances over column `c`, the row owning `c` has its payload
 //! back-substituted once over the prefix — it becomes `(e_c, x_c)`, so
 //! [`recovered`](ProgressiveRref::recovered) returns it directly and a
-//! later elimination by it is a single coefficient update. From the next
-//! insert on, its coefficients are released: only the payload is kept.
+//! later elimination by it is a single coefficient update. Its
+//! coefficients are then released: only the payload is kept.
+//!
+//! The prefix is also the decoder's progress record. Tracing reads it
+//! off after each insert — the `linalg.rref.pivot` instant carries it,
+//! and the decoders in `prlc-core` report each block the prefix passes
+//! as solved — so a traced insert does the work of an untraced one.
 //!
 //! # Exact answers beyond the prefix, on request
 //!
@@ -47,17 +52,15 @@
 //! space: for a pivot column, when the owning row, reduced over the
 //! pivot columns left of `c`, has no free nonzero. That is a property of
 //! the reduced form, so [`decoded_count`](ProgressiveRref::decoded_count),
-//! [`is_decoded`](ProgressiveRref::is_decoded),
-//! [`newly_solved`](ProgressiveRref::newly_solved),
-//! [`decoded_columns`](ProgressiveRref::decoded_columns) and
+//! [`is_decoded`](ProgressiveRref::is_decoded) and
 //! [`recovered`](ProgressiveRref::recovered) past the prefix consult a
 //! reverse-RREF view of the coefficients. The view is built from the
 //! stored rows with the same elimination step, only when one of these
 //! queries asks, and then incrementally: each request folds in just the
-//! rows stored since the last one, so tracing, which asks for
-//! `newly_solved` after every insert, pays one fold per row. The view
-//! carries no payloads; a decoded column past the prefix has its payload
-//! solved from the stored rows on its first `recovered` request.
+//! rows stored since the last one. A released row folds in as the `e_c`
+//! it stands for. The view carries no payloads; a decoded column past
+//! the prefix has its payload solved from the stored rows on its first
+//! `recovered` request.
 //!
 //! # Performance
 //!
@@ -130,7 +133,8 @@ impl InsertOutcome {
 #[derive(Clone)]
 struct Row<F, P> {
     /// Zero right of `pivot` and 1 at it; never changes once stored,
-    /// until the row is released (see `released`) and left all zero.
+    /// until the decoded prefix covers `pivot` and the row is released:
+    /// left all zero, it acts as `e_pivot` everywhere.
     coeffs: CoeffRow<F>,
     /// The payload mirrored through the walk, replaced by the solution
     /// `x_pivot` once the decoded prefix covers `pivot`.
@@ -166,16 +170,10 @@ pub struct ProgressiveRref<F, P = ()> {
     rows: Vec<Row<F, P>>,
     /// Column -> index into `rows` of the pivot row owning that column.
     pivot_of_col: Vec<Option<usize>>,
-    /// The run of pivot columns from 0: the decoded prefix length.
+    /// The run of pivot columns from 0: the decoded prefix length. The
+    /// rows owning these columns are released.
     prefix: usize,
-    /// The rows owning columns `0 … released-1` hold no coefficients:
-    /// they act as `e_c` everywhere, so only their payloads are kept.
-    /// Trails `prefix` by one insert, so the reduced view, when it folds
-    /// rows later, still sees what the last insert solved.
-    released: usize,
     inserted: usize,
-    /// Whether the most recent [`insert`](Self::insert) stored a row.
-    last_stored: bool,
     /// `(factor, row)` terms of the payload update in progress; kept so
     /// its capacity is reused from insert to insert.
     terms: Vec<(F, usize)>,
@@ -210,9 +208,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             rows: Vec::new(),
             pivot_of_col: vec![None; width],
             prefix: 0,
-            released: 0,
             inserted: 0,
-            last_stored: false,
             terms: Vec::new(),
             reduced: RefCell::new(Reduced::default()),
         }
@@ -232,16 +228,6 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// including redundant ones.
     pub fn inserted(&self) -> usize {
         self.inserted
-    }
-
-    /// Columns whose unknown became determined during the most recent
-    /// [`insert`](Self::insert), in ascending order. Empty when the last
-    /// insert was redundant or solved nothing new.
-    pub fn newly_solved(&self) -> Vec<usize> {
-        if !self.last_stored {
-            return Vec::new();
-        }
-        self.reduced().last.clone()
     }
 
     /// Number of unknowns currently determined (not necessarily a prefix).
@@ -325,12 +311,6 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     pub fn insert_row(&mut self, mut coeffs: CoeffRow<F>, payload: P) -> InsertOutcome {
         assert_eq!(coeffs.len(), self.width, "coefficient width mismatch");
         self.inserted += 1;
-        self.last_stored = false;
-        while self.released < self.prefix {
-            let r = self.pivot_of_col[self.released].expect("prefix column");
-            self.rows[r].coeffs = CoeffRow::zero(self.width, CoeffRep::Sparse);
-            self.released += 1;
-        }
 
         // Tighten a dense row's support, so the walk starts at its last
         // nonzero.
@@ -401,7 +381,21 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             solution: OnceCell::new(),
         });
         self.pivot_of_col[pc] = Some(new_idx);
-        self.last_stored = true;
+
+        if prlc_obs::enabled() {
+            prlc_obs::counter!("linalg.rref.rows").incr();
+            prlc_obs::counter!("linalg.rref.pivots").incr();
+            // Rank-vs-rows-consumed trajectory: each innovation records
+            // how many rows had been consumed to reach the new rank.
+            prlc_obs::histogram!("linalg.rref.rows_per_pivot").observe(self.inserted as u64);
+            // Fill-in of the stored row: nonzeros gained over the whole
+            // row between arrival and storage, read before the prefix
+            // below can release it. Defined over logical nonzero counts,
+            // so the observed values are representation-independent.
+            let stored_nnz = self.rows[new_idx].coeffs.nnz();
+            prlc_obs::histogram!("linalg.rref.fill_in")
+                .observe(stored_nnz.saturating_sub(original_nnz) as u64);
+        }
 
         // The payload follows the walk, now that the row is innovative.
         if Self::MIRRORED {
@@ -411,7 +405,8 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
 
         // Advance the decoded prefix over the run of pivot columns,
         // back-substituting each newly covered row's payload over the
-        // columns before it, which are all solved.
+        // columns before it, which are all solved, then releasing its
+        // coefficients.
         while let Some(r) = self.pivot_of_col.get(self.prefix).copied().flatten() {
             if Self::MIRRORED {
                 self.terms.clear();
@@ -425,38 +420,18 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
                 replay(&mut self.rows, r, &self.terms);
                 self.rows[r].solution.take();
             }
+            self.rows[r].coeffs = CoeffRow::zero(self.width, CoeffRep::Sparse);
             self.prefix += 1;
         }
 
         if prlc_obs::trace::enabled() {
-            let solved = self
-                .reduced
-                .get_mut()
-                .fold(&self.rows, &self.pivot_of_col, &self.kernel)
-                .last
-                .len();
             prlc_obs::trace_instant!(
                 "linalg.rref.pivot",
                 self.inserted as u64,
                 pivot: pc as u64,
                 rank: self.rows.len() as u64,
-                solved: solved as u64,
+                prefix: self.prefix as u64,
             );
-        }
-
-        if prlc_obs::enabled() {
-            prlc_obs::counter!("linalg.rref.rows").incr();
-            prlc_obs::counter!("linalg.rref.pivots").incr();
-            // Rank-vs-rows-consumed trajectory: each innovation records
-            // how many rows had been consumed to reach the new rank.
-            prlc_obs::histogram!("linalg.rref.rows_per_pivot").observe(self.inserted as u64);
-            // Fill-in of the stored row: nonzeros gained over the whole
-            // row between arrival and storage. Defined over logical
-            // nonzero counts, so the observed values are
-            // representation-independent.
-            let stored_nnz = self.rows[new_idx].coeffs.nnz();
-            prlc_obs::histogram!("linalg.rref.fill_in")
-                .observe(stored_nnz.saturating_sub(original_nnz) as u64);
         }
 
         InsertOutcome::Innovative { pivot: pc }
@@ -480,20 +455,13 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
                 .map(|&i| {
                     let row = &self.rows[i];
                     let mut v = row.coeffs.to_dense_vec();
-                    if row.pivot < self.released {
+                    if row.pivot < self.prefix {
                         v[row.pivot] = F::ONE;
                     }
                     v
                 })
                 .collect(),
         ))
-    }
-
-    /// Iterates over the determined unknown indices in ascending order.
-    pub fn decoded_columns(&self) -> impl Iterator<Item = usize> {
-        let reduced = self.reduced();
-        let cols: Vec<usize> = (0..self.width).filter(|&c| reduced.solved[c]).collect();
-        cols.into_iter()
     }
 
     /// A stored row's coefficients as an eliminator, or `None` once the
@@ -580,8 +548,7 @@ fn eliminate<F: GfElem>(
 /// The reverse-RREF view of the stored rows: each row pivots on its last
 /// nonzero, and every pivot column is zero in every other row. Rows are
 /// folded in the order they were stored, so after row `k` the view is
-/// the reduced form of the first `k + 1` rows, and `last` lists what
-/// row `k`'s arrival solved.
+/// the reduced form of the first `k + 1` rows.
 #[derive(Clone, Default)]
 struct Reduced<F> {
     /// Parallel to the stored rows folded so far; `None` for a solved
@@ -590,8 +557,6 @@ struct Reduced<F> {
     /// Columns whose unknown is determined; sized on the first fold.
     solved: Vec<bool>,
     count: usize,
-    /// Columns the last folded row solved, ascending.
-    last: Vec<usize>,
 }
 
 /// A reduced row that is not solved yet.
@@ -610,14 +575,13 @@ impl<F: GfElem> Reduced<F> {
         stored: &[Row<F, P>],
         pivot_of_col: &[Option<usize>],
         kernel: &RowKernel,
-    ) -> &Self {
+    ) {
         if self.solved.len() != pivot_of_col.len() {
             self.solved = vec![false; pivot_of_col.len()];
         }
         while self.rows.len() < stored.len() {
             self.fold_next(stored, pivot_of_col, kernel);
         }
-        self
     }
 
     /// Folds in the stored row `k = self.rows.len()`.
@@ -630,7 +594,6 @@ impl<F: GfElem> Reduced<F> {
         let k = self.rows.len();
         let pc = stored[k].pivot;
         let mut coeffs = stored[k].coeffs.clone();
-        self.last.clear();
 
         // Reduce below the pivot: clear every pivot column an earlier row
         // owns with that row's reduced form, which is zero in every other
@@ -670,7 +633,8 @@ impl<F: GfElem> Reduced<F> {
                     Some(w) => open.witness = w,
                     None => {
                         *slot = None;
-                        self.last.push(stored[r].pivot);
+                        self.solved[stored[r].pivot] = true;
+                        self.count += 1;
                     }
                 }
             }
@@ -679,14 +643,10 @@ impl<F: GfElem> Reduced<F> {
             Some(witness) => self.rows.push(Some(OpenRow { coeffs, witness })),
             None => {
                 self.rows.push(None);
-                self.last.push(pc);
+                self.solved[pc] = true;
+                self.count += 1;
             }
         }
-        self.last.sort_unstable();
-        for &col in &self.last {
-            self.solved[col] = true;
-        }
-        self.count += self.last.len();
     }
 }
 
@@ -892,13 +852,16 @@ mod tests {
         }
     }
 
+    fn decoded(d: &ProgressiveRref<Gf256>) -> Vec<usize> {
+        (0..d.width()).filter(|&c| d.is_decoded(c)).collect()
+    }
+
     #[test]
     fn decoded_columns_iterates_solved() {
         let mut d: ProgressiveRref<Gf256> = ProgressiveRref::new(4);
         d.insert(rowv(&[0, 0, 3, 0]), ());
         d.insert(rowv(&[7, 0, 0, 0]), ());
-        let cols: Vec<usize> = d.decoded_columns().collect();
-        assert_eq!(cols, vec![0, 2]);
+        assert_eq!(decoded(&d), vec![0, 2]);
         assert_eq!(d.decoded_prefix(), 1);
         assert_eq!(d.decoded_count(), 2);
     }
@@ -908,13 +871,15 @@ mod tests {
         let mut d: ProgressiveRref<Gf256> = ProgressiveRref::new(3);
         // A 2-variable row solves nothing yet.
         assert!(d.insert(rowv(&[1, 2, 0]), ()).is_innovative());
-        assert!(d.newly_solved().is_empty());
+        assert!(decoded(&d).is_empty());
         // The second row pins x1 directly, and x0 with it.
         assert!(d.insert(rowv(&[0, 5, 0]), ()).is_innovative());
-        assert_eq!(d.newly_solved(), &[0, 1]);
-        // A redundant row solves nothing and clears the ledger.
+        assert_eq!(decoded(&d), [0, 1]);
+        assert_eq!(d.decoded_prefix(), 2);
+        // A redundant row solves nothing.
         assert_eq!(d.insert(rowv(&[3, 7, 0]), ()), InsertOutcome::Redundant);
-        assert!(d.newly_solved().is_empty());
+        assert_eq!(decoded(&d), [0, 1]);
+        assert_eq!(d.decoded_count(), 2);
     }
 
     /// Inserts rows pivoting on 0, 1, 4 and 3 (prefix 2), then a
@@ -958,7 +923,6 @@ mod tests {
         let p = payload(&coeffs);
         assert_eq!(d.insert(coeffs, p), InsertOutcome::Redundant);
         assert_eq!(state(&d), before);
-        assert!(d.newly_solved().is_empty());
         assert_eq!(d.inserted(), 5);
     }
 
@@ -1008,7 +972,6 @@ mod tests {
                 let a = dd.insert(r.clone(), ());
                 let b = ds.insert_row(sparse, ());
                 assert_eq!(a, b);
-                assert_eq!(dd.newly_solved(), ds.newly_solved());
                 assert_eq!(dd.decoded_prefix(), ds.decoded_prefix());
                 assert_eq!(dd.decoded_count(), ds.decoded_count());
             }

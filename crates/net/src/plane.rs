@@ -130,18 +130,6 @@ impl PlaneNetwork {
         self.radius
     }
 
-    /// Alive neighbours of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn alive_neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors[node.index()]
-            .iter()
-            .filter(|&&j| self.alive[j])
-            .map(|&j| NodeId::new(j))
-    }
-
     /// Kills every alive node within `radius` of `center` — a correlated
     /// regional failure (fire, flood, jamming). Returns the number
     /// killed.
@@ -337,14 +325,11 @@ mod tests {
     fn neighbors_are_symmetric_and_within_radius() {
         let net = plane(150, 2);
         for i in 0..150 {
-            let a = NodeId::new(i);
-            for b in net.alive_neighbors(a) {
+            for &j in &net.neighbors[i] {
+                let (a, b) = (NodeId::new(i), NodeId::new(j));
                 let d = net.position(a).distance(net.position(b));
                 assert!(d <= net.radius() + 1e-12);
-                assert!(
-                    net.alive_neighbors(b).any(|x| x == a),
-                    "adjacency not symmetric"
-                );
+                assert!(net.neighbors[j].contains(&i), "adjacency not symmetric");
             }
         }
     }

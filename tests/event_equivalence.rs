@@ -48,8 +48,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:0ba5e8e9be7fb40a",
             "fnv1a:eea0492df5c23a5e",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:fc484019d9855f2d",
-            "fnv1a:900aab76000d4a69",
+            "fnv1a:f7cb0b1ed161d1ec",
+            "fnv1a:30733f6dbfd5e96f",
             "fnv1a:7a7ca55f7e0e35f7",
         ],
     ),
@@ -61,8 +61,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:5fde39827219c664",
             "fnv1a:5080610c9e170121",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:00736ddf2f19f3ec",
-            "fnv1a:3c78736f2e2eae38",
+            "fnv1a:6345e67d833d3a1d",
+            "fnv1a:6a8285bbc3bf4ec3",
             "fnv1a:165375fc5cca99f9",
         ],
     ),
@@ -74,8 +74,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:82ab6b1427a30a39",
             "fnv1a:05efd56ad7661795",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:c207330b6146954f",
-            "fnv1a:579738005303fbbf",
+            "fnv1a:50c3a53420d51ba1",
+            "fnv1a:cf2f3a33340ca83b",
             "fnv1a:5cc776649955880c",
         ],
     ),
@@ -87,8 +87,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:94ad73f3970fe916",
             "fnv1a:e1e987af48a2119c",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:4615845c7d6058eb",
-            "fnv1a:66e30c156c270a78",
+            "fnv1a:ae523c2eec4c36ff",
+            "fnv1a:b706fdbc9920e34a",
             "fnv1a:8f0fb30ef121aa87",
         ],
     ),
@@ -100,8 +100,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:93e8f056e5e42aad",
             "fnv1a:9c56ebd97b4fdd69",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:ce07e184b7ffec2a",
-            "fnv1a:69ca004bef3f4935",
+            "fnv1a:7e333f95e129b6ac",
+            "fnv1a:b8609cc5709c296b",
             "fnv1a:88b7ea53dc22c724",
         ],
     ),
@@ -113,8 +113,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:89b2503f21b767d4",
             "fnv1a:d2de44c6ab7e34bb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:516bde3432cfb4c6",
-            "fnv1a:76a60659036d1f55",
+            "fnv1a:3c96eefbd6564160",
+            "fnv1a:c970abb957ed7229",
             "fnv1a:3f0fa882c94c2dd5",
         ],
     ),
@@ -126,8 +126,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7b644201d96d8423",
             "fnv1a:ce20186e3cbe1c24",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:02beeb76d66aef57",
-            "fnv1a:5d870e29b074e48f",
+            "fnv1a:99ba08d484b5e69f",
+            "fnv1a:ec16ed4617f203bb",
             "fnv1a:05d6ab71b656db45",
         ],
     ),
@@ -139,8 +139,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:afb1f46c91db4e40",
             "fnv1a:23496cb163c34e71",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:291f63eeff7becd7",
-            "fnv1a:21fbbf1e01249525",
+            "fnv1a:ecf920d0d28d175d",
+            "fnv1a:e32d265e235232e8",
             "fnv1a:30d77cc11bd89286",
         ],
     ),
@@ -152,8 +152,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:a4dbba4fab85575d",
             "fnv1a:de1c93aefd9c09eb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:a840debf0cf0172b",
-            "fnv1a:acaeef5443c22478",
+            "fnv1a:ec99800778f552c1",
+            "fnv1a:2b4147311ce4ad18",
             "fnv1a:2496ca73af437b95",
         ],
     ),
@@ -165,8 +165,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:31128bab0c30c3f5",
             "fnv1a:94ebf08b73f60967",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:65d2f7afde1f8dfb",
-            "fnv1a:ce59c5c5ae1a423e",
+            "fnv1a:3031bdf47f6f747f",
+            "fnv1a:3063cb65d1101175",
             "fnv1a:58a8a696136d2ec8",
         ],
     ),
@@ -178,8 +178,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:0be30b949086100c",
             "fnv1a:710e60d4e2f1617b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:01f6d230b8a3a6cf",
-            "fnv1a:dbedd4f9eed4530b",
+            "fnv1a:d5a364f0f955bdf2",
+            "fnv1a:ce98c8466ca36cd3",
             "fnv1a:44608cf037615aac",
         ],
     ),
@@ -191,8 +191,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:a74fd2134edef819",
             "fnv1a:58a55621e96bca9b",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:8229f0fbf333a398",
-            "fnv1a:56292c9de24e2189",
+            "fnv1a:14b340a6169b62d5",
+            "fnv1a:73800addb3e0e555",
             "fnv1a:ca95c921de2c468c",
         ],
     ),
@@ -204,8 +204,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7bd23884923a9727",
             "fnv1a:f2c5c5da2b859fe0",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:90587a76ba0cc580",
-            "fnv1a:862e57729509e7d5",
+            "fnv1a:8edacac79f7aec78",
+            "fnv1a:a59a4f13190809fd",
             "fnv1a:ecc2176e46868e67",
         ],
     ),
@@ -217,8 +217,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:2e669a4c8412f341",
             "fnv1a:8b8c1887f502cb40",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:88291a1e46ff1304",
-            "fnv1a:85d7d49bacb0f0ba",
+            "fnv1a:e8770853e4ea6617",
+            "fnv1a:335a204bbe19e56b",
             "fnv1a:b1254913231f057b",
         ],
     ),
@@ -230,8 +230,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:edec9c5f364bb192",
             "fnv1a:2ac13309a6f5e780",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:ff16d42f9c281d9b",
-            "fnv1a:6f3f476db7012df2",
+            "fnv1a:bb6939918b0db2df",
+            "fnv1a:d618cde63a327ade",
             "fnv1a:9ab2ac591d4cb96e",
         ],
     ),
@@ -243,8 +243,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:e3c8ee098ba1d472",
             "fnv1a:2e3196672c89092f",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:26c95ff026891451",
-            "fnv1a:42ae45495de2f4f8",
+            "fnv1a:03511123bdba0425",
+            "fnv1a:8c2db5b2ced5e2b8",
             "fnv1a:ecc2176e46868e67",
         ],
     ),
@@ -256,8 +256,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:6bd9bab6f1722627",
             "fnv1a:6ca870a101f4a0f5",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:21d59c0ec16baf78",
-            "fnv1a:c9eab3197ab572a3",
+            "fnv1a:a68c9c174a925908",
+            "fnv1a:27c1c39f95268b4b",
             "fnv1a:8c9e28a24ed7fa89",
         ],
     ),
@@ -269,8 +269,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:7cd0aa3c18833760",
             "fnv1a:d3d7f9503078596d",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:43c1aa9044073138",
-            "fnv1a:42278a569e1ced0b",
+            "fnv1a:2ff03d42e213cb1a",
+            "fnv1a:e836094ae0df042f",
             "fnv1a:3e568cbac6a29b95",
         ],
     ),
@@ -282,8 +282,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:69fef41205cd98b7",
             "fnv1a:c0943d9ff9040aa6",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:27e81ec3bb8d9c15",
-            "fnv1a:04a18b308564ed12",
+            "fnv1a:dd7147cc2e4395b0",
+            "fnv1a:c5d116ccdd7b350d",
             "fnv1a:224cfe57cb12b638",
         ],
     ),
@@ -295,8 +295,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:ab01192217c47ee4",
             "fnv1a:84bad8f440199cbb",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:9ffeb0160996da06",
-            "fnv1a:4c0c707056ee6701",
+            "fnv1a:0697d6d1b6a7924a",
+            "fnv1a:1063cb1840a921ed",
             "fnv1a:948ad25e321661f9",
         ],
     ),
@@ -321,8 +321,8 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:b61f49fad34617fc",
             "fnv1a:54b6ebcee2b9086c",
             "fnv1a:af63ae4c86019e62",
-            "fnv1a:b50d43d7d690e9cd",
-            "fnv1a:fb8787d9121aa95e",
+            "fnv1a:825b0697c12614d9",
+            "fnv1a:6f311ac82b795312",
             "fnv1a:36b6f0f518eef293",
         ],
     ),
@@ -361,7 +361,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:5dcf381be9478092",
             "fnv1a:af63af4c8601a015",
             "fnv1a:7b774850072c6ddb",
-            "fnv1a:2ad78be45e90f132",
+            "fnv1a:f729e4f736661ca7",
             "fnv1a:1ba4177de516bdf4",
         ],
     ),
@@ -642,9 +642,9 @@ fn pipeline_matches_golden_digests_with_log_fanout_and_sparse_rows() {
 /// --seed 7 --out <file>` writes. It pins every pivot, solved and
 /// level-unlock instant the decoders emit.
 const DECODE_PROVENANCE: &[(&str, Scheme, &str)] = &[
-    ("plc", Scheme::Plc, "fnv1a:8632c493a6d94fc0"),
-    ("slc", Scheme::Slc, "fnv1a:2d3cd686c0b80983"),
-    ("rlc", Scheme::Rlc, "fnv1a:d62f53c572e5f25e"),
+    ("plc", Scheme::Plc, "fnv1a:cb81da7829164e8d"),
+    ("slc", Scheme::Slc, "fnv1a:6dd72f926d2b06b1"),
+    ("rlc", Scheme::Rlc, "fnv1a:3b877ffe2372d2f0"),
 ];
 
 #[test]

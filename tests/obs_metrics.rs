@@ -249,3 +249,39 @@ fn redundant_row_counts_only_its_walk_above_the_prefix() {
         5 + 4
     );
 }
+
+/// Tracing records provenance and does no work of its own: one pinned
+/// K = 1000 PLC decode (10 levels of 100, 1,100 dense coefficient-only
+/// rows) leaves the same deterministic metrics snapshot — every counter
+/// and histogram, `gf.*.bytes` included — with the trace recorder off
+/// and on.
+#[test]
+fn traced_decode_counts_what_an_untraced_decode_counts() {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    obs::enable();
+    let profile = PriorityProfile::uniform(10, 100).unwrap();
+    let dist = PriorityDistribution::uniform(profile.num_levels());
+    let enc = Encoder::new(Scheme::Plc, profile.clone());
+    let mut rng = StdRng::seed_from_u64(7);
+    let blocks: Vec<CodedBlock<Gf256>> = (0..1100)
+        .map(|_| enc.encode_unpayloaded(dist.sample_level(&mut rng), &mut rng))
+        .collect();
+    let decode = |traced: bool| {
+        if traced {
+            obs::trace::enable();
+        }
+        obs::reset();
+        obs::trace::reset();
+        let mut dec = PlcDecoder::<Gf256, ()>::coefficients_only(profile.clone());
+        for b in &blocks {
+            dec.insert_block(b);
+        }
+        let snap = obs::snapshot().to_deterministic_json();
+        obs::trace::disable();
+        obs::trace::reset();
+        (snap, dec.decoded_levels())
+    };
+    let untraced = decode(false);
+    assert_eq!(untraced.1, 10, "the workload decodes every level");
+    assert_eq!(decode(true), untraced);
+}

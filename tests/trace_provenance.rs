@@ -5,7 +5,10 @@
 //! the tracer are compared against the rows-to-unlock the decoder
 //! itself reports (`blocks_processed()` at each observed level
 //! transition) — for both PLC (strict prefix unlock) and SLC
-//! (independent level completion). A final test pins the determinism
+//! (independent level completion). Provenance is read off the decoded
+//! prefix, so each `linalg.rref.pivot` carries the prefix after its
+//! insert, and each `core.decode.solved` fires at the insert where the
+//! prefix first passed its block. A final test pins the determinism
 //! contract the exporters advertise: trace dumps are byte-identical
 //! across worker-thread counts.
 
@@ -28,10 +31,29 @@ fn guarded() -> std::sync::MutexGuard<'static, ()> {
 /// Unlock events `(level, tick)` extracted from a trace snapshot in
 /// record order.
 fn traced_unlocks(snap: &obs::trace::TraceSnapshot) -> Vec<(u64, u64)> {
+    instants(snap, "core.decode.level_unlock", "level")
+}
+
+/// `(arg, tick)` of every instant called `name`, in record order.
+fn instants(snap: &obs::trace::TraceSnapshot, name: &str, arg: &str) -> Vec<(u64, u64)> {
     snap.iter()
-        .filter(|(_, r)| r.name() == "core.decode.level_unlock")
-        .map(|(_, r)| (r.arg("level").expect("unlock has a level arg"), r.tick()))
+        .filter(|(_, r)| r.name() == name)
+        .map(|(_, r)| (r.arg(arg).expect("instant carries the arg"), r.tick()))
         .collect()
+}
+
+/// `(block, tick)` for every block a decoded prefix passed: `prefixes`
+/// lists `(prefix after the insert, tick of the insert)` in insert
+/// order, `base` maps prefix offsets to global block indices, and a
+/// block's tick is that of the first insert whose prefix passed it.
+fn first_passed(base: usize, prefixes: &[(usize, u64)]) -> Vec<(u64, u64)> {
+    let mut passed = Vec::new();
+    let mut prefix = 0;
+    for &(after, tick) in prefixes {
+        passed.extend((prefix..after).map(|off| ((base + off) as u64, tick)));
+        prefix = prefix.max(after);
+    }
+    passed
 }
 
 #[test]
@@ -47,14 +69,22 @@ fn plc_unlock_ticks_match_the_decoder() {
     let mut rng = StdRng::seed_from_u64(0xA11CE);
 
     // Decoder-observed ground truth: blocks consumed at the moment each
-    // strict-priority level became decodable.
+    // strict-priority level became decodable, and the decoded prefix
+    // after every insert (with its tick) and after every innovative one.
     let mut expected: Vec<(u64, u64)> = Vec::new();
+    let mut prefixes: Vec<(usize, u64)> = Vec::new();
+    let mut pivot_prefixes: Vec<(u64, u64)> = Vec::new();
     while !dec.is_complete() && dec.blocks_processed() < 100 {
         let before = dec.decoded_levels();
         let block = encoder.encode_random_level::<Gf256, _>(&dist, &vec![Vec::new(); 10], &mut rng);
-        dec.insert_block(&block);
+        let innovative = dec.insert_block(&block).is_innovative();
+        let tick = dec.blocks_processed() as u64;
         for l in before..dec.decoded_levels() {
-            expected.push((l as u64, dec.blocks_processed() as u64));
+            expected.push((l as u64, tick));
+        }
+        prefixes.push((dec.decoded_prefix(), tick));
+        if innovative {
+            pivot_prefixes.push((dec.decoded_prefix() as u64, tick));
         }
     }
     assert!(dec.is_complete(), "workload must fully decode");
@@ -62,6 +92,14 @@ fn plc_unlock_ticks_match_the_decoder() {
 
     let snap = obs::trace::snapshot();
     assert_eq!(traced_unlocks(&snap), expected);
+    assert_eq!(
+        instants(&snap, "linalg.rref.pivot", "prefix"),
+        pivot_prefixes
+    );
+    assert_eq!(
+        instants(&snap, "core.decode.solved", "block"),
+        first_passed(0, &prefixes)
+    );
 
     // Every solved-block record names a block of the level the profile
     // assigns it, and exactly N distinct blocks get solved.
@@ -93,16 +131,35 @@ fn slc_unlock_ticks_match_the_decoder() {
     let mut rng = StdRng::seed_from_u64(0xB0B);
 
     // SLC levels complete independently (not in strict prefix order),
-    // so ground truth tracks per-level completion transitions.
+    // so ground truth tracks per-level completion transitions. Each
+    // level decodes in its own matrix, whose decoded prefix is the run
+    // of pivot columns from its column 0: it is rebuilt here from the
+    // pivots the inserts report. A pivot instant ticks on its level's
+    // own insert count; a solved instant on `blocks_processed()`.
     let mut expected: Vec<(u64, u64)> = Vec::new();
+    let mut pivots: Vec<Vec<bool>> = (0..3).map(|l| vec![false; profile.size(l)]).collect();
+    let mut level_inserts = [0u64; 3];
+    let mut prefixes: Vec<Vec<(usize, u64)>> = vec![Vec::new(); 3];
+    let mut pivot_prefixes: Vec<(u64, u64)> = Vec::new();
     while !dec.is_complete() && dec.blocks_processed() < 150 {
         let before: Vec<bool> = (0..3).map(|l| dec.level_complete(l)).collect();
         let block = encoder.encode_random_level::<Gf256, _>(&dist, &vec![Vec::new(); 10], &mut rng);
-        dec.insert_block(&block);
+        let level = block.level;
+        let outcome = dec.insert_block(&block);
+        let tick = dec.blocks_processed() as u64;
         for (l, was_complete) in before.iter().enumerate() {
             if !was_complete && dec.level_complete(l) {
-                expected.push((l as u64, dec.blocks_processed() as u64));
+                expected.push((l as u64, tick));
             }
+        }
+        level_inserts[level] += 1;
+        if let InsertOutcome::Innovative { pivot } = outcome {
+            pivots[level][pivot] = true;
+        }
+        let prefix = pivots[level].iter().take_while(|&&p| p).count();
+        prefixes[level].push((prefix, tick));
+        if outcome.is_innovative() {
+            pivot_prefixes.push((prefix as u64, level_inserts[level]));
         }
     }
     assert!(dec.is_complete(), "workload must fully decode");
@@ -110,9 +167,19 @@ fn slc_unlock_ticks_match_the_decoder() {
 
     let snap = obs::trace::snapshot();
     assert_eq!(traced_unlocks(&snap), expected);
+    assert_eq!(
+        instants(&snap, "linalg.rref.pivot", "prefix"),
+        pivot_prefixes
+    );
+    let mut solved: Vec<(u64, u64)> = (0..3)
+        .flat_map(|l| first_passed(profile.bound(l), &prefixes[l]))
+        .collect();
+    solved.sort_by_key(|&(block, tick)| (tick, block));
+    assert_eq!(instants(&snap, "core.decode.solved", "block"), solved);
 
     // Solved blocks carry *global* indices even though each SLC level
-    // eliminates in its own local matrix.
+    // eliminates in its own local matrix, and each is solved once.
+    let mut blocks = Vec::new();
     for (_, r) in snap
         .iter()
         .filter(|(_, r)| r.name() == "core.decode.solved")
@@ -120,7 +187,10 @@ fn slc_unlock_ticks_match_the_decoder() {
         let block = r.arg("block").expect("solved has a block arg") as usize;
         assert!(block < profile.total_blocks());
         assert_eq!(r.arg("level"), Some(profile.level_of(block) as u64));
+        blocks.push(block);
     }
+    blocks.sort_unstable();
+    assert_eq!(blocks, (0..profile.total_blocks()).collect::<Vec<_>>());
 
     obs::trace::disable();
     obs::trace::reset();
