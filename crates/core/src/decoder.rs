@@ -54,8 +54,8 @@ pub trait PriorityDecoder<F: GfElem> {
     /// strict priority model.
     fn decoded_levels(&self) -> usize;
 
-    /// Total number of source blocks currently recovered (not
-    /// necessarily a prefix).
+    /// Number of source blocks currently recovered: PLC and RLC count
+    /// the decoded prefix, SLC the blocks of its complete levels.
     fn decoded_blocks(&self) -> usize;
 
     /// Whether every source block is recovered.
@@ -94,8 +94,8 @@ impl<F: GfElem, D: PriorityDecoder<F> + ?Sized> PriorityDecoder<F> for Box<D> {
 ///
 /// See the [module documentation](self) and the paper's Sec. 3.2: the
 /// decoding matrix is maintained in (reverse) row-echelon form, and
-/// source blocks become available as soon as the accumulated rows pin
-/// them down.
+/// source blocks become available as soon as the decoded prefix reaches
+/// them.
 #[derive(Debug, Clone)]
 pub struct PlcDecoder<F: GfElem, P: BlockPayload<F> = Vec<F>> {
     rref: ProgressiveRref<F, P>,
@@ -111,7 +111,8 @@ impl<F: GfElem> PlcDecoder<F, Vec<F>> {
         }
     }
 
-    /// The recovered payload of source block `idx`, if decoded.
+    /// The recovered payload of source block `idx`, if the decoded
+    /// prefix covers it.
     ///
     /// # Panics
     ///
@@ -215,7 +216,7 @@ impl<F: GfElem, P: BlockPayload<F>> PriorityDecoder<F> for PlcDecoder<F, P> {
     }
 
     fn decoded_blocks(&self) -> usize {
-        self.rref.decoded_count()
+        self.rref.decoded_prefix()
     }
 
     fn is_complete(&self) -> bool {
@@ -246,7 +247,8 @@ impl<F: GfElem> SlcDecoder<F, Vec<F>> {
         Self::build(profile)
     }
 
-    /// The recovered payload of source block `idx`, if decoded.
+    /// The recovered payload of source block `idx`, if its level's
+    /// decoded prefix covers it.
     ///
     /// # Panics
     ///
@@ -472,6 +474,23 @@ mod tests {
         for (i, s) in srcs.iter().enumerate() {
             assert_eq!(dec.recovered(i).unwrap(), &s[..]);
         }
+    }
+
+    #[test]
+    fn plc_reports_only_the_decoded_prefix() {
+        // The row e_3 pins x_3 on its own, but x_0..x_2 are missing: an
+        // island past the prefix is neither counted nor recovered.
+        let p = PriorityProfile::new(vec![2, 2, 2]).unwrap();
+        let mut dec = PlcDecoder::with_payloads(p);
+        let mut e3 = vec![Gf256::ZERO; 6];
+        e3[3] = Gf256::ONE;
+        assert!(dec
+            .insert_parts(e3, vec![Gf256::from_index(9)])
+            .is_innovative());
+        assert_eq!(dec.decoded_prefix(), 0);
+        assert_eq!(dec.decoded_blocks(), 0);
+        assert_eq!(dec.decoded_levels(), 0);
+        assert_eq!(dec.recovered(3), None);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! These are the classical whole-matrix algorithms. The paper's decoder
 //! processes blocks *incrementally* (see [`crate::ProgressiveRref`]); the
-//! batch path here serves as the independent reference implementation the
-//! progressive decoder is validated against, and provides rank, inverse
-//! and solve utilities used across the workspace.
+//! batch path here is the independent reference implementation the
+//! progressive decoder is validated against, and computes the RREF shown
+//! for the paper's Fig. 2.
 
 use prlc_gf::GfElem;
 
@@ -90,65 +90,6 @@ pub fn rank<F: GfElem>(m: &Matrix<F>) -> usize {
     rref(m).rank
 }
 
-/// Inverts a square matrix, or returns `None` if it is singular.
-///
-/// # Panics
-///
-/// Panics if `m` is not square.
-pub fn invert<F: GfElem>(m: &Matrix<F>) -> Option<Matrix<F>> {
-    assert!(m.is_square(), "invert requires a square matrix");
-    let n = m.rows();
-    let aug = m.augment(&Matrix::identity(n));
-    let red = rref(&aug);
-    if red.rank < n || red.pivot_cols.iter().take(n).copied().ne(0..n) {
-        return None;
-    }
-    let mut inv = Matrix::zero(n, n);
-    for r in 0..n {
-        for c in 0..n {
-            inv[(r, c)] = red.matrix[(r, n + c)];
-        }
-    }
-    Some(inv)
-}
-
-/// The outcome of solving the linear system `A x = b`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolveOutcome<F> {
-    /// A unique solution exists.
-    Unique(Vec<F>),
-    /// The system is consistent but has free variables (more unknowns
-    /// than independent equations) — exactly the situation where the
-    /// paper's *partial* decoding applies.
-    Underdetermined,
-    /// No solution exists (inconsistent equations).
-    Inconsistent,
-}
-
-/// Solves `A x = b`.
-///
-/// # Panics
-///
-/// Panics if `b.len() != a.rows()`.
-pub fn solve<F: GfElem>(a: &Matrix<F>, b: &[F]) -> SolveOutcome<F> {
-    assert_eq!(b.len(), a.rows(), "solve: rhs length mismatch");
-    let rhs = Matrix::from_rows(b.iter().map(|&v| vec![v]).collect());
-    let n = a.cols();
-    let red = rref(&a.augment(&rhs));
-
-    // A pivot in the augmented column means 0 = 1: inconsistent.
-    if red.pivot_cols.contains(&n) {
-        return SolveOutcome::Inconsistent;
-    }
-    if red.rank < n {
-        return SolveOutcome::Underdetermined;
-    }
-    // rank == n and all pivots are in the coefficient part, so rows
-    // 0..n of the RREF read x_i = rhs_i directly.
-    let x = (0..n).map(|r| red.matrix[(r, n)]).collect();
-    SolveOutcome::Unique(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,9 +116,12 @@ mod tests {
 
     #[test]
     fn rref_of_identity_is_identity() {
-        let i = Matrix::<Gf256>::identity(4);
+        let mut i = Matrix::<Gf256>::zero(4, 4);
+        for k in 0..4 {
+            i[(k, k)] = Gf256::ONE;
+        }
         let r = rref(&i);
-        assert!(r.matrix.is_identity());
+        assert_eq!(r.matrix, i);
         assert_eq!(r.rank, 4);
         assert_eq!(r.pivot_cols, vec![0, 1, 2, 3]);
     }
@@ -199,33 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn invert_roundtrip_random() {
-        // Random GF(256) square matrices are nonsingular w.p. ~0.996;
-        // retry until we find one, then check A * A^-1 == I.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut inverted = 0;
-        while inverted < 10 {
-            let m = Matrix::<Gf256>::random(6, 6, &mut rng);
-            if let Some(inv) = invert(&m) {
-                assert!((&m * &inv).is_identity());
-                assert!((&inv * &m).is_identity());
-                inverted += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn invert_singular_returns_none() {
-        let m = Matrix::from_rows(vec![
-            vec![g(1), g(2)],
-            vec![g(1), g(2)], // duplicate row
-        ]);
-        assert_eq!(invert(&m), None);
-        let z = Matrix::<Gf256>::zero(2, 2);
-        assert_eq!(invert(&z), None);
-    }
-
-    #[test]
     fn rref_of_paper_fig1_slc_example() {
         // Fig. 1(b): SLC with level 1 = {x1}, level 2 = {x2, x3}.
         // A level-1 row [b, 0, 0] decodes x1 on its own.
@@ -234,45 +151,6 @@ mod tests {
         assert_eq!(r.rank, 1);
         assert_eq!(r.pivot_cols, vec![0]);
         assert_eq!(r.matrix[(0, 0)], Gf256::ONE);
-    }
-
-    #[test]
-    fn solve_unique_system() {
-        let mut rng = StdRng::seed_from_u64(12);
-        loop {
-            let a = Matrix::<Gf256>::random(5, 5, &mut rng);
-            if invert(&a).is_none() {
-                continue;
-            }
-            let x: Vec<Gf256> = (0..5).map(|_| Gf256::random(&mut rng)).collect();
-            let b = a.mul_vec(&x);
-            assert_eq!(solve(&a, &b), SolveOutcome::Unique(x));
-            break;
-        }
-    }
-
-    #[test]
-    fn solve_overdetermined_consistent() {
-        // 3 equations, 2 unknowns, consistent.
-        let a = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(1)], vec![g(1), g(1)]]);
-        let x = vec![g(7), g(9)];
-        let b = a.mul_vec(&x);
-        assert_eq!(solve(&a, &b), SolveOutcome::Unique(x));
-    }
-
-    #[test]
-    fn solve_underdetermined() {
-        let a = Matrix::from_rows(vec![vec![g(1), g(2), g(3)]]);
-        let b = vec![g(5)];
-        assert_eq!(solve(&a, &b), SolveOutcome::Underdetermined);
-    }
-
-    #[test]
-    fn solve_inconsistent() {
-        let a = Matrix::from_rows(vec![vec![g(1), g(2)], vec![g(1), g(2)]]);
-        // Same lhs, different rhs -> inconsistent.
-        let b = vec![g(5), g(6)];
-        assert_eq!(solve(&a, &b), SolveOutcome::Inconsistent);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`Matrix`] — a dense row-major matrix over any [`prlc_gf::GfElem`]
 //!   field, with batch [Gauss–Jordan elimination](elim::rref) to reduced
-//!   row-echelon form, [rank](elim::rank()), [inversion](elim::invert()) and
-//!   [linear solving](elim::solve).
+//!   row-echelon form and its [rank](elim::rank()): the reference the
+//!   progressive decoder is checked against.
 //! * [`ProgressiveRref`] — the paper's *progressive* decoder: coded blocks
 //!   arrive one at a time, each is folded into a maintained reverse
 //!   echelon form (rows pivot on their last nonzero, so PLC rows keep
@@ -44,7 +44,7 @@ pub mod payload;
 pub mod progressive;
 
 pub use coeffrow::{CoeffRep, CoeffRow};
-pub use elim::{invert, rank, rref, solve, RrefResult, SolveOutcome};
+pub use elim::{rank, rref, RrefResult};
 pub use matrix::Matrix;
 pub use payload::RowPayload;
 pub use progressive::{InsertOutcome, ProgressiveRref};

@@ -1,7 +1,7 @@
 //! A dense row-major matrix over a Galois field.
 
 use std::fmt;
-use std::ops::{Index, IndexMut, Mul};
+use std::ops::{Index, IndexMut};
 
 use prlc_gf::{kernel, GfElem};
 use rand::Rng;
@@ -26,15 +26,6 @@ impl<F: GfElem> Matrix<F> {
             cols,
             data: vec![F::ZERO; rows * cols],
         }
-    }
-
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zero(n, n);
-        for i in 0..n {
-            m[(i, i)] = F::ONE;
-        }
-        m
     }
 
     /// Builds a matrix from rows.
@@ -75,11 +66,6 @@ impl<F: GfElem> Matrix<F> {
         self.cols
     }
 
-    /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -98,11 +84,6 @@ impl<F: GfElem> Matrix<F> {
     pub fn row_mut(&mut self, r: usize) -> &mut [F] {
         assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterates over the rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[F]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Swaps two rows in place.
@@ -162,71 +143,6 @@ impl<F: GfElem> Matrix<F> {
     /// Panics if `r` is out of bounds or `from_col > self.cols()`.
     pub fn scale_row(&mut self, r: usize, factor: F, from_col: usize) {
         kernel::scale_slice(&mut self.row_mut(r)[from_col..], factor);
-    }
-
-    /// Appends the columns of `other` to the right of `self`
-    /// (the augmented matrix `[self | other]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn augment(&self, other: &Matrix<F>) -> Matrix<F> {
-        assert_eq!(self.rows, other.rows, "augment: row count mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Matrix {
-            rows: self.rows,
-            cols,
-            data,
-        }
-    }
-
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix<F> {
-        let mut t = Matrix::zero(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
-    /// Matrix–vector product `self * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[F]) -> Vec<F> {
-        assert_eq!(x.len(), self.cols, "mul_vec dimension mismatch");
-        (0..self.rows)
-            .map(|r| kernel::dot(self.row(r), x))
-            .collect()
-    }
-
-    /// Number of nonzero entries.
-    pub fn nonzeros(&self) -> usize {
-        self.data.iter().filter(|v| !v.is_zero()).count()
-    }
-
-    /// Whether this is the identity matrix.
-    pub fn is_identity(&self) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let want = if r == c { F::ONE } else { F::ZERO };
-                if self[(r, c)] != want {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Whether the matrix is in reduced row-echelon form: each pivot is 1,
@@ -296,30 +212,6 @@ impl<F: GfElem> IndexMut<(usize, usize)> for Matrix<F> {
     }
 }
 
-impl<F: GfElem> Mul for &Matrix<F> {
-    type Output = Matrix<F>;
-
-    /// Matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions differ.
-    fn mul(self, rhs: &Matrix<F>) -> Matrix<F> {
-        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        let mut out: Matrix<F> = Matrix::zero(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a.is_zero() {
-                    continue;
-                }
-                kernel::axpy(out.row_mut(r), a, rhs.row(k));
-            }
-        }
-        out
-    }
-}
-
 impl<F: GfElem> fmt::Debug for Matrix<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -347,19 +239,9 @@ impl<F: GfElem> fmt::Display for Matrix<F> {
 mod tests {
     use super::*;
     use prlc_gf::Gf256;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn g(v: usize) -> Gf256 {
         Gf256::from_index(v)
-    }
-
-    #[test]
-    fn identity_is_identity() {
-        let i = Matrix::<Gf256>::identity(4);
-        assert!(i.is_identity());
-        assert!(i.is_rref());
-        assert_eq!(i.nonzeros(), 4);
     }
 
     #[test]
@@ -378,45 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_by_identity_is_noop() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let m = Matrix::<Gf256>::random(3, 5, &mut rng);
-        let i3 = Matrix::identity(3);
-        let i5 = Matrix::identity(5);
-        assert_eq!(&(&i3 * &m), &m);
-        assert_eq!(&(&m * &i5), &m);
-    }
-
-    #[test]
-    fn matmul_associative() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Matrix::<Gf256>::random(3, 4, &mut rng);
-        let b = Matrix::<Gf256>::random(4, 2, &mut rng);
-        let c = Matrix::<Gf256>::random(2, 5, &mut rng);
-        assert_eq!(&(&a * &b) * &c, &a * &(&b * &c));
-    }
-
-    #[test]
-    fn transpose_involutive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = Matrix::<Gf256>::random(4, 7, &mut rng);
-        assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn mul_vec_matches_matmul() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = Matrix::<Gf256>::random(3, 4, &mut rng);
-        let x: Vec<Gf256> = (0..4).map(|_| Gf256::random(&mut rng)).collect();
-        let as_col = Matrix::from_rows(x.iter().map(|&v| vec![v]).collect());
-        let prod = &m * &as_col;
-        let mv = m.mul_vec(&x);
-        for r in 0..3 {
-            assert_eq!(prod[(r, 0)], mv[r]);
-        }
-    }
-
-    #[test]
     fn swap_rows_swaps() {
         let mut m = Matrix::from_rows(vec![vec![g(1), g(2)], vec![g(3), g(4)]]);
         m.swap_rows(0, 1);
@@ -424,16 +267,6 @@ mod tests {
         assert_eq!(m.row(1), &[g(1), g(2)]);
         m.swap_rows(1, 1); // no-op
         assert_eq!(m.row(1), &[g(1), g(2)]);
-    }
-
-    #[test]
-    fn augment_concatenates() {
-        let a = Matrix::from_rows(vec![vec![g(1)], vec![g(2)]]);
-        let b = Matrix::from_rows(vec![vec![g(3), g(4)], vec![g(5), g(6)]]);
-        let ab = a.augment(&b);
-        assert_eq!(ab.cols(), 3);
-        assert_eq!(ab.row(0), &[g(1), g(3), g(4)]);
-        assert_eq!(ab.row(1), &[g(2), g(5), g(6)]);
     }
 
     #[test]
@@ -470,12 +303,13 @@ mod tests {
         // A zero row has no pivot.
         let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(0)]]);
         assert!(!m.is_reverse_echelon());
-        assert!(Matrix::<Gf256>::identity(3).is_reverse_echelon());
+        let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(1)]]);
+        assert!(m.is_reverse_echelon());
     }
 
     #[test]
     fn debug_render_is_nonempty() {
-        let m = Matrix::<Gf256>::identity(2);
+        let m = Matrix::from_rows(vec![vec![g(1), g(0)], vec![g(0), g(1)]]);
         let s = format!("{m:?}");
         assert!(s.contains("Matrix 2x2"));
     }
