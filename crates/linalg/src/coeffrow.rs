@@ -9,6 +9,10 @@
 //! representation every experiment used before sparse rows existed) or
 //! sparsely (sorted `(index, value)` pairs, the peeling-decoder idiom).
 //!
+//! The sparse form is a storage format, for blocks at rest and on the
+//! wire: the progressive decoder densifies every arriving row at its
+//! support and holds `DenseRow`s, which admit no other representation.
+//!
 //! # Padded dense layout
 //!
 //! A dense row keeps its `len` symbols in a buffer zero-padded to a whole
@@ -21,17 +25,16 @@
 //! and to [`storage_bytes`](CoeffRow::storage_bytes), which counts the
 //! logical `len`; `gf.axpy.bytes` and `gf.scale.bytes` count `s`.
 //!
-//! The decoder keeps each stored row's support *tight* (its last nonzero
-//! plus one, see [`shrink_support`](CoeffRow::shrink_support)), so every
+//! A buffer need only cover the blocks up to the support: every symbol
+//! past it is zero. A row densified from sparse entries is allocated
+//! that short, and the decoder cuts each row it stores to the blocks
+//! covering its *tight* support (its pivot plus one), so every
 //! elimination step's kernel call covers just the blocks up to the
-//! column it clears. Shrinking also frees the buffer past the blocks
-//! covering the support: a dense row's buffer may be shorter than its
-//! padded length, and every symbol past the buffer is zero.
+//! column it clears.
 //!
 //! Scans trust the recorded support: `data[support..]` is zero (a debug
-//! assertion checks it), so [`last_nonzero_before`](CoeffRow::last_nonzero_before)
-//! and [`normalize_support`](CoeffRow::normalize_support) read only
-//! `data[..support]`, never the zero tail past it. A trailing-support
+//! assertion checks it), so the decoder's pivot and support scans read
+//! only `data[..support]`, never the zero tail past it. A trailing-support
 //! scan OR-folds whole 64-symbol blocks from the top and looks for the
 //! last nonzero symbol by symbol only inside the last nonzero block.
 //!
@@ -43,18 +46,21 @@
 //! the logical row (length + nonzero entries), never over the physical
 //! layout. A pinned-seed run therefore produces byte-identical decode
 //! results, session reports, logical metrics and traces whichever
-//! representation it stores rows in; only the `gf.<op>.bytes` volume
-//! counters differ, because bytes *touched* is exactly the quantity
-//! sparsity eliminates. `tests/coeffrep_equivalence.rs` pins this.
+//! representation it stores rows in. Decoding also counts the same
+//! `gf.<op>.bytes`, since the decoder densifies every row it is given;
+//! only encoding and the combines of rows at rest count different bytes
+//! per representation, because bytes *touched* there is exactly the
+//! quantity sparsity eliminates. `tests/coeffrep_equivalence.rs` pins
+//! this, and `tests/obs_metrics.rs` pins the decoder's share.
 //!
 //! # Densify threshold
 //!
-//! A sparse row that fills in past `len / 4` nonzeros (fill-in is what
-//! Gauss–Jordan elimination does to sparse rows) switches to the dense
-//! layout, where the whole-block kernel is far cheaper per entry. The
-//! threshold depends only on the logical nonzero count, so the switch
+//! A sparse row at rest that fills in past `len / 4` nonzeros (repair
+//! combines and incremental accumulation add entries) switches to the
+//! dense layout, where the whole-block kernel is far cheaper per entry.
+//! The threshold depends only on the logical nonzero count, so the switch
 //! point is deterministic and identical across platforms and thread
-//! counts.
+//! counts. The decoder does not consult it: it densifies every row.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -79,21 +85,150 @@ const DENSIFY_DIVISOR: usize = 4;
 
 #[derive(Clone)]
 enum Repr<F> {
-    Dense {
-        /// The coefficients, zero-padded to a whole number of [`BLOCK`]s
-        /// covering at least `support`: `data[len..]` is always zero,
-        /// and so is every symbol past `data.len()`.
-        data: Vec<F>,
-        len: usize,
-        /// Exclusive upper bound of the nonzero region: `data[support..]`
-        /// are all zero (the bound may be loose).
-        support: usize,
-    },
+    Dense(DenseRow<F>),
     Sparse {
         len: usize,
         /// Strictly ascending indices; values are never zero.
         entries: Vec<(u32, F)>,
     },
+}
+
+/// A row of `len` unknowns in the padded dense layout: the dense
+/// representation of a [`CoeffRow`], and the only row the progressive
+/// decoder holds.
+#[derive(Clone, Debug)]
+pub(crate) struct DenseRow<F> {
+    /// The coefficients, zero-padded to a whole number of [`BLOCK`]s
+    /// covering at least `support`: `data[len..]` is always zero, and so
+    /// is every symbol past `data.len()`.
+    data: Vec<F>,
+    len: usize,
+    /// Exclusive upper bound of the nonzero region: `data[support..]`
+    /// are all zero (the bound may be loose).
+    support: usize,
+}
+
+impl<F: GfElem> DenseRow<F> {
+    /// Densifies sorted sparse entries into a buffer covering only the
+    /// blocks up to their support.
+    fn from_entries(len: usize, entries: &[(u32, F)]) -> Self {
+        let support = entries.last().map_or(0, |&(i, _)| i as usize + 1);
+        let mut data = vec![F::ZERO; padded(support)];
+        for &(i, v) in entries {
+            data[i as usize] = v;
+        }
+        DenseRow { data, len, support }
+    }
+
+    /// The all-zero row a decoded row is released to: support 0 and no
+    /// buffer, so releasing allocates nothing.
+    pub(crate) fn released(len: usize) -> Self {
+        DenseRow {
+            data: Vec::new(),
+            len,
+            support: 0,
+        }
+    }
+
+    /// Exclusive upper bound of the nonzero region (possibly loose).
+    pub(crate) fn support(&self) -> usize {
+        self.support
+    }
+
+    /// The coefficient at index `i`.
+    pub(crate) fn get(&self, i: usize) -> F {
+        assert!(i < self.len, "index {i} out of range");
+        self.data.get(i).copied().unwrap_or(F::ZERO)
+    }
+
+    /// The nonzero coefficients as `(index, value)`, ascending.
+    pub(crate) fn iter_nonzeros(&self) -> impl Iterator<Item = (usize, F)> + '_ {
+        self.data[..self.support]
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.is_zero())
+            .map(|(i, &c)| (i, c))
+    }
+
+    /// The largest index `< end` holding a nonzero coefficient.
+    pub(crate) fn last_nonzero_before(&self, end: usize) -> Option<usize> {
+        debug_assert!(self.zero_from_support(), "nonzero past the support");
+        self.data[..end.min(self.support)]
+            .iter()
+            .rposition(|c| !c.is_zero())
+    }
+
+    /// `self += factor · other` as exactly one whole-block
+    /// [`RowKernel::axpy`] over the blocks covering `other`'s support
+    /// `s`, counting `s` symbols: `other` is zero from `s` to the block
+    /// end, so nothing past `s` changes.
+    pub(crate) fn axpy(&mut self, factor: F, other: &DenseRow<F>, kernel: &RowKernel) {
+        let end = other.support.next_multiple_of(BLOCK);
+        self.cover(end);
+        kernel.axpy(
+            &mut self.data[..end],
+            factor,
+            &other.data[..end],
+            other.support,
+        );
+        self.support = self.support.max(other.support);
+    }
+
+    /// `self *= c` — pivot normalisation — as exactly one whole-block
+    /// [`RowKernel::scale`] over the blocks covering the support `s`,
+    /// counting `s` symbols.
+    pub(crate) fn scale(&mut self, c: F, kernel: &RowKernel) {
+        assert!(!c.is_zero(), "scale by zero");
+        let end = self.support.next_multiple_of(BLOCK);
+        kernel.scale(&mut self.data[..end], c, self.support);
+    }
+
+    /// Recomputes the tight trailing support, scanning only below the
+    /// recorded support, which is already an upper bound.
+    pub(crate) fn normalize_support(&mut self) {
+        debug_assert!(self.zero_from_support(), "nonzero past the support");
+        self.support = trailing_support(&self.data[..self.support]);
+    }
+
+    /// Declares every coefficient at or past `end` zero, tightening the
+    /// support to at most `end` and releasing the buffer past the blocks
+    /// covering it; the decoder calls it with `pivot + 1` on each row it
+    /// stores.
+    pub(crate) fn shrink_support(&mut self, end: usize) {
+        debug_assert!(
+            self.last_nonzero_before(self.len)
+                .is_none_or(|last| last < end),
+            "nonzero coefficient at or past {end}"
+        );
+        self.support = self.support.min(end);
+        // A fresh buffer of the exact size, not a shrink in place: the
+        // freed full-width buffer is then whole for the next row that
+        // needs one (measured ~6% faster on `curve`).
+        let blocks = padded(self.support);
+        if blocks < self.data.len() {
+            self.data = self.data[..blocks].to_vec();
+        }
+    }
+
+    /// The row as a full-length vector.
+    pub(crate) fn to_dense_vec(&self) -> Vec<F> {
+        let mut v = self.data[..self.len.min(self.data.len())].to_vec();
+        v.resize(self.len, F::ZERO);
+        v
+    }
+
+    /// Grows the buffer with zero blocks until it holds `end` symbols.
+    fn cover(&mut self, end: usize) {
+        if self.data.len() < end {
+            self.data.resize(padded(end), F::ZERO);
+        }
+    }
+
+    /// Whether every symbol at or past the support is zero: the
+    /// invariant the support-bounded scans trust.
+    fn zero_from_support(&self) -> bool {
+        self.data[self.support..].iter().all(|x| x.is_zero())
+    }
 }
 
 /// One coefficient row over `len` unknowns, stored densely or sparsely.
@@ -109,29 +244,16 @@ pub struct CoeffRow<F> {
 impl<F: GfElem> CoeffRow<F> {
     /// An all-zero row of `len` unknowns in the given representation.
     pub fn zero(len: usize, rep: CoeffRep) -> Self {
-        let repr = match rep {
-            CoeffRep::Dense => Repr::Dense {
-                data: vec![F::ZERO; padded(len)],
-                len,
-                support: 0,
-            },
-            CoeffRep::Sparse => {
-                assert!(
-                    len <= u32::MAX as usize,
-                    "sparse rows index with u32: length {len} out of range"
-                );
-                Repr::Sparse {
+        match rep {
+            CoeffRep::Dense => CoeffRow {
+                repr: Repr::Dense(DenseRow {
+                    data: vec![F::ZERO; padded(len)],
                     len,
-                    entries: Vec::new(),
-                }
-            }
-        };
-        CoeffRow { repr }
-    }
-
-    /// An all-zero row with the same length and representation as `self`.
-    pub fn zero_like(&self) -> Self {
-        Self::zero(self.len(), self.rep())
+                    support: 0,
+                }),
+            },
+            CoeffRep::Sparse => Self::from_sorted_entries(len, Vec::new()),
+        }
     }
 
     /// Wraps a dense vector, computing its tight trailing support.
@@ -153,7 +275,7 @@ impl<F: GfElem> CoeffRow<F> {
         debug_assert_eq!(data.len(), padded(len));
         let support = trailing_support(&data[..len]);
         CoeffRow {
-            repr: Repr::Dense { data, len, support },
+            repr: Repr::Dense(DenseRow { data, len, support }),
         }
     }
 
@@ -179,7 +301,8 @@ impl<F: GfElem> CoeffRow<F> {
     /// The number of unknowns (logical row length).
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Dense { len, .. } | Repr::Sparse { len, .. } => *len,
+            Repr::Dense(d) => d.len,
+            Repr::Sparse { len, .. } => *len,
         }
     }
 
@@ -191,7 +314,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// The current physical representation.
     pub fn rep(&self) -> CoeffRep {
         match &self.repr {
-            Repr::Dense { .. } => CoeffRep::Dense,
+            Repr::Dense(_) => CoeffRep::Dense,
             Repr::Sparse { .. } => CoeffRep::Sparse,
         }
     }
@@ -203,7 +326,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// representation exists to shrink from `O(N)` to `O(ln N)`.
     pub fn storage_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Dense { len, .. } => len * std::mem::size_of::<F>(),
+            Repr::Dense(d) => d.len * std::mem::size_of::<F>(),
             Repr::Sparse { entries, .. } => entries.len() * std::mem::size_of::<(u32, F)>(),
         }
     }
@@ -212,7 +335,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// rows; possibly loose (but always sound) for dense rows.
     pub fn support(&self) -> usize {
         match &self.repr {
-            Repr::Dense { support, .. } => *support,
+            Repr::Dense(d) => d.support,
             Repr::Sparse { entries, .. } => entries.last().map_or(0, |&(i, _)| i as usize + 1),
         }
     }
@@ -221,29 +344,14 @@ impl<F: GfElem> CoeffRow<F> {
     /// for dense rows.
     pub fn nnz(&self) -> usize {
         match &self.repr {
-            Repr::Dense { data, support, .. } => count_nonzeros(&data[..*support]),
+            Repr::Dense(d) => d.iter_nonzeros().count(),
             Repr::Sparse { entries, .. } => entries.len(),
-        }
-    }
-
-    /// Number of nonzero coefficients at index `start` or later.
-    pub fn count_nonzeros_from(&self, start: usize) -> usize {
-        match &self.repr {
-            Repr::Dense { data, support, .. } => {
-                count_nonzeros(&data[start.min(*support)..*support])
-            }
-            Repr::Sparse { entries, .. } => {
-                entries.len() - entries.partition_point(|&(i, _)| (i as usize) < start)
-            }
         }
     }
 
     /// Whether every coefficient is zero.
     pub fn is_zero_row(&self) -> bool {
-        match &self.repr {
-            Repr::Dense { data, support, .. } => data[..*support].iter().all(|c| c.is_zero()),
-            Repr::Sparse { entries, .. } => entries.is_empty(),
-        }
+        self.iter_nonzeros().next().is_none()
     }
 
     /// The coefficient at index `i`.
@@ -252,25 +360,13 @@ impl<F: GfElem> CoeffRow<F> {
     ///
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> F {
-        assert!(i < self.len(), "index {i} out of range");
         match &self.repr {
-            Repr::Dense { data, .. } => data.get(i).copied().unwrap_or(F::ZERO),
-            Repr::Sparse { entries, .. } => entries
-                .binary_search_by_key(&(i as u32), |&(idx, _)| idx)
-                .map_or(F::ZERO, |p| entries[p].1),
-        }
-    }
-
-    /// The largest index `< end` holding a nonzero coefficient.
-    pub fn last_nonzero_before(&self, end: usize) -> Option<usize> {
-        match &self.repr {
-            Repr::Dense { data, support, .. } => {
-                debug_assert!(zero_from(data, *support), "nonzero past the support");
-                data[..end.min(*support)].iter().rposition(|c| !c.is_zero())
-            }
-            Repr::Sparse { entries, .. } => {
-                let p = entries.partition_point(|&(i, _)| (i as usize) < end);
-                p.checked_sub(1).map(|q| entries[q].0 as usize)
+            Repr::Dense(d) => d.get(i),
+            Repr::Sparse { len, entries } => {
+                assert!(i < *len, "index {i} out of range");
+                entries
+                    .binary_search_by_key(&(i as u32), |&(idx, _)| idx)
+                    .map_or(F::ZERO, |p| entries[p].1)
             }
         }
     }
@@ -278,15 +374,13 @@ impl<F: GfElem> CoeffRow<F> {
     /// Iterates the nonzero coefficients as `(index, value)` in
     /// ascending index order — identical for both representations.
     pub fn iter_nonzeros(&self) -> impl Iterator<Item = (usize, F)> + '_ {
-        let (dense, sparse): (&[F], &[(u32, F)]) = match &self.repr {
-            Repr::Dense { data, support, .. } => (&data[..*support], &[]),
-            Repr::Sparse { entries, .. } => (&[], entries.as_slice()),
+        let (dense, sparse): (Option<&DenseRow<F>>, &[(u32, F)]) = match &self.repr {
+            Repr::Dense(d) => (Some(d), &[]),
+            Repr::Sparse { entries, .. } => (None, entries.as_slice()),
         };
         dense
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(i, &c)| (i, c))
+            .into_iter()
+            .flat_map(DenseRow::iter_nonzeros)
             .chain(sparse.iter().map(|&(i, v)| (i as usize, v)))
     }
 
@@ -302,11 +396,11 @@ impl<F: GfElem> CoeffRow<F> {
             return;
         }
         match &mut self.repr {
-            Repr::Dense { data, support, .. } => {
-                cover(data, i + 1);
-                data[i] = data[i].gf_add(delta);
-                if i >= *support && !data[i].is_zero() {
-                    *support = i + 1;
+            Repr::Dense(d) => {
+                d.cover(i + 1);
+                d.data[i] = d.data[i].gf_add(delta);
+                if i >= d.support && !d.data[i].is_zero() {
+                    d.support = i + 1;
                 }
             }
             Repr::Sparse { entries, .. } => {
@@ -326,13 +420,13 @@ impl<F: GfElem> CoeffRow<F> {
         }
     }
 
-    /// `self += factor · other` — the row operation of Gauss–Jordan
-    /// elimination.
+    /// `self += factor · other` — the row operation of a repair combine.
     ///
     /// Dense-into-dense lowers to exactly one whole-block
     /// [`RowKernel::axpy`] over the blocks covering `other`'s support `s`,
-    /// counting `s` symbols: `other` is zero from `s` to the block end,
-    /// so nothing past `s` changes. A sparse `self` densifies first.
+    /// counting `s` symbols. A sparse `other` is scattered into a dense
+    /// `self`, a sparse `self` densifies before taking a dense `other`,
+    /// and two sparse rows merge their sorted entries.
     ///
     /// # Panics
     ///
@@ -343,28 +437,16 @@ impl<F: GfElem> CoeffRow<F> {
             return;
         }
         match (&mut self.repr, &other.repr) {
-            (
-                Repr::Dense { data, support, .. },
-                Repr::Dense {
-                    data: odata,
-                    support: osupport,
-                    ..
-                },
-            ) => {
-                let end = osupport.next_multiple_of(BLOCK);
-                cover(data, end);
-                kernel.axpy(&mut data[..end], factor, &odata[..end], *osupport);
-                *support = (*support).max(*osupport);
-            }
-            (Repr::Dense { data, support, .. }, Repr::Sparse { entries, .. }) => {
-                cover(data, other.support());
+            (Repr::Dense(d), Repr::Dense(o)) => d.axpy(factor, o, kernel),
+            (Repr::Dense(d), Repr::Sparse { entries, .. }) => {
+                d.cover(other.support());
                 for &(i, v) in entries {
                     let i = i as usize;
-                    data[i] = data[i].gf_add(factor.gf_mul(v));
+                    d.data[i] = d.data[i].gf_add(factor.gf_mul(v));
                 }
-                *support = (*support).max(other.support());
+                d.support = d.support.max(other.support());
             }
-            (Repr::Sparse { .. }, Repr::Dense { .. }) => {
+            (Repr::Sparse { .. }, Repr::Dense(_)) => {
                 // Mixed-representation runs are the escape hatch, not the
                 // hot path: fall back to the dense kernel.
                 self.densify();
@@ -382,31 +464,6 @@ impl<F: GfElem> CoeffRow<F> {
         }
     }
 
-    /// `self *= c` — pivot normalisation.
-    ///
-    /// Dense lowers to exactly one whole-block [`RowKernel::scale`] over
-    /// the blocks covering the support `s`, counting `s` symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is zero (scaling a row by zero is never a valid
-    /// elimination step).
-    pub fn scale(&mut self, c: F, kernel: &RowKernel) {
-        assert!(!c.is_zero(), "scale by zero");
-        match &mut self.repr {
-            Repr::Dense { data, support, .. } => {
-                let end = support.next_multiple_of(BLOCK);
-                kernel.scale(&mut data[..end], c, *support);
-            }
-            Repr::Sparse { entries, .. } => {
-                for e in entries {
-                    // c is nonzero, so nonzero values stay nonzero.
-                    e.1 = e.1.gf_mul(c);
-                }
-            }
-        }
-    }
-
     /// The sub-row over `range`, preserving the representation — the
     /// per-level projection SLC decoding performs.
     ///
@@ -416,10 +473,10 @@ impl<F: GfElem> CoeffRow<F> {
     pub fn project(&self, range: Range<usize>) -> CoeffRow<F> {
         assert!(range.end <= self.len(), "projection range out of bounds");
         match &self.repr {
-            Repr::Dense { data, .. } => CoeffRow::dense_with(range.len(), |d| {
-                let start = range.start.min(data.len());
-                let end = range.end.min(data.len());
-                d[..end - start].copy_from_slice(&data[start..end]);
+            Repr::Dense(d) => CoeffRow::dense_with(range.len(), |out| {
+                let start = range.start.min(d.data.len());
+                let end = range.end.min(d.data.len());
+                out[..end - start].copy_from_slice(&d.data[start..end]);
             }),
             Repr::Sparse { entries, .. } => {
                 let lo = entries.partition_point(|&(i, _)| (i as usize) < range.start);
@@ -437,11 +494,7 @@ impl<F: GfElem> CoeffRow<F> {
     /// rows) — the on-disk shard format stays dense.
     pub fn to_dense_vec(&self) -> Vec<F> {
         match &self.repr {
-            Repr::Dense { data, len, .. } => {
-                let mut v = data[..(*len).min(data.len())].to_vec();
-                v.resize(*len, F::ZERO);
-                v
-            }
+            Repr::Dense(d) => d.to_dense_vec(),
             Repr::Sparse { len, entries } => {
                 let mut v = vec![F::ZERO; *len];
                 for &(i, val) in entries {
@@ -456,48 +509,27 @@ impl<F: GfElem> CoeffRow<F> {
     /// dense rows).
     pub fn densify(&mut self) {
         if let Repr::Sparse { len, entries } = &self.repr {
-            let support = entries.last().map_or(0, |&(i, _)| i as usize + 1);
-            let mut data = vec![F::ZERO; padded(*len)];
-            for &(i, val) in entries {
-                data[i as usize] = val;
-            }
-            self.repr = Repr::Dense {
-                data,
-                len: *len,
-                support,
-            };
+            self.repr = Repr::Dense(DenseRow::from_entries(*len, entries));
         }
     }
 
-    /// Recomputes the tight trailing support of a dense row (no-op for
-    /// sparse rows, whose support is always tight). Scans only below the
-    /// recorded support, which is already an upper bound.
-    pub fn normalize_support(&mut self) {
-        if let Repr::Dense { data, support, .. } = &mut self.repr {
-            debug_assert!(zero_from(data, *support), "nonzero past the support");
-            *support = trailing_support(&data[..*support]);
+    /// The row in the padded dense layout the progressive decoder holds;
+    /// a sparse row is densified into a buffer covering only the blocks
+    /// up to its support.
+    pub(crate) fn into_dense(self) -> DenseRow<F> {
+        match self.repr {
+            Repr::Dense(d) => d,
+            Repr::Sparse { len, entries } => DenseRow::from_entries(len, &entries),
         }
     }
 
-    /// Declares every coefficient at or past `end` zero, tightening a
-    /// dense row's support to at most `end` and releasing its buffer
-    /// past the blocks covering that support; the decoder calls it with
-    /// `pivot + 1` on each row it stores. Sparse rows are always tight.
-    pub fn shrink_support(&mut self, end: usize) {
-        debug_assert!(
-            self.last_nonzero_before(self.len())
-                .is_none_or(|last| last < end),
-            "nonzero coefficient at or past {end}"
-        );
-        if let Repr::Dense { data, support, .. } = &mut self.repr {
-            *support = (*support).min(end);
-            // A fresh buffer of the exact size, not a shrink in place: the
-            // freed full-width buffer is then whole for the next row
-            // that needs one (measured ~6% faster on `curve`).
-            let blocks = padded(*support);
-            if blocks < data.len() {
-                *data = data[..blocks].to_vec();
-            }
+    /// The dense layout of the row, densifying it first if it is sparse.
+    #[cfg(test)]
+    pub(crate) fn dense_mut(&mut self) -> &mut DenseRow<F> {
+        self.densify();
+        match &mut self.repr {
+            Repr::Dense(d) => d,
+            Repr::Sparse { .. } => unreachable!("densified above"),
         }
     }
 
@@ -506,8 +538,8 @@ impl<F: GfElem> CoeffRow<F> {
     #[cfg(test)]
     pub(crate) fn padding_is_zero(&self) -> bool {
         match &self.repr {
-            Repr::Dense { data, len, .. } => {
-                data.len().is_multiple_of(BLOCK) && data.iter().skip(*len).all(|v| v.is_zero())
+            Repr::Dense(d) => {
+                d.data.len().is_multiple_of(BLOCK) && d.data.iter().skip(d.len).all(|v| v.is_zero())
             }
             Repr::Sparse { .. } => true,
         }
@@ -565,13 +597,6 @@ fn padded(len: usize) -> usize {
     len.next_multiple_of(BLOCK)
 }
 
-/// Grows a dense buffer with zero blocks until it holds `end` symbols.
-fn cover<F: GfElem>(data: &mut Vec<F>, end: usize) {
-    if data.len() < end {
-        data.resize(padded(end), F::ZERO);
-    }
-}
-
 /// Exclusive upper bound of the nonzero region of `v`. Each [`BLOCK`] of
 /// symbols is OR-folded from the top, a loop the compiler vectorises,
 /// and only the last block holding a nonzero is searched symbol by
@@ -586,16 +611,6 @@ fn trailing_support<F: GfElem>(v: &[F]) -> usize {
             Some(b * BLOCK + last + 1)
         })
         .unwrap_or(0)
-}
-
-/// Whether every symbol of a dense buffer at or past `start` is zero:
-/// the invariant the support-bounded scans trust.
-fn zero_from<F: GfElem>(data: &[F], start: usize) -> bool {
-    data[start..].iter().all(|x| x.is_zero())
-}
-
-fn count_nonzeros<F: GfElem>(v: &[F]) -> usize {
-    v.iter().filter(|x| !x.is_zero()).count()
 }
 
 impl<F: GfElem> PartialEq for CoeffRow<F> {
@@ -667,7 +682,7 @@ mod tests {
             assert_eq!(r.nnz(), 0);
             assert!(r.is_zero_row());
             assert_eq!(r.support(), 0);
-            assert_eq!(r.last_nonzero_before(5), None);
+            assert_eq!(r.into_dense().last_nonzero_before(5), None);
         }
     }
 
@@ -689,24 +704,44 @@ mod tests {
         let s = sparse(7, &vals);
         for i in 0..7 {
             assert_eq!(d.get(i), s.get(i));
-            assert_eq!(d.count_nonzeros_from(i), s.count_nonzeros_from(i));
         }
+        assert_eq!(d.nnz(), 3);
+        assert_eq!(s.nnz(), 3);
+        assert_eq!(d.support(), 6);
+        assert_eq!(s.support(), 6);
+        // The decoder's scan runs on the dense layout, whichever
+        // representation the row arrived in.
+        let (d, s) = (d.into_dense(), s.into_dense());
         for (end, want) in [
             (0, None),
             (1, None),
             (2, Some(1)),
             (4, Some(3)),
             (5, Some(3)),
+            (7, Some(5)),
         ] {
             assert_eq!(d.last_nonzero_before(end), want, "end={end}");
             assert_eq!(s.last_nonzero_before(end), want, "end={end}");
         }
-        assert_eq!(d.last_nonzero_before(7), Some(5));
-        assert_eq!(s.last_nonzero_before(7), Some(5));
-        assert_eq!(d.nnz(), 3);
-        assert_eq!(s.nnz(), 3);
-        assert_eq!(d.support(), 6);
-        assert_eq!(s.support(), 6);
+    }
+
+    /// A sparse row densifies into the blocks covering its support, not
+    /// its length, and a released row holds no buffer at all.
+    #[test]
+    fn sparse_rows_densify_at_their_support() {
+        let entries = vec![(3, g(5)), (70, g(9))];
+        let d = CoeffRow::from_sorted_entries(1000, entries.clone()).into_dense();
+        assert_eq!((d.support(), d.data.len()), (71, 2 * BLOCK));
+        assert_eq!(
+            d.to_dense_vec(),
+            CoeffRow::from_sorted_entries(1000, entries).to_dense_vec()
+        );
+        let mut c = CoeffRow::from_sorted_entries(1000, vec![(999, g(1))]);
+        c.densify();
+        assert_eq!(c.dense_mut().data.len(), 1024);
+        let r: DenseRow<Gf256> = DenseRow::released(1000);
+        assert_eq!((r.support(), r.data.capacity()), (0, 0));
+        assert_eq!(r.get(999), Gf256::ZERO);
     }
 
     #[test]
@@ -763,8 +798,10 @@ mod tests {
         let c = g(11);
         let mut d = dense(&vals);
         let mut s = sparse(6, &vals);
-        d.scale(c, &RowKernel::active());
-        s.scale(c, &RowKernel::active());
+        // Scaling is the decoder's, on the dense layout a sparse row is
+        // densified into.
+        d.dense_mut().scale(c, &RowKernel::active());
+        s.dense_mut().scale(c, &RowKernel::active());
         assert_eq!(d, s);
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(d.get(i), g(v).gf_mul(c), "i={i}");
@@ -805,10 +842,10 @@ mod tests {
         // Cancellation leaves the bound loose until it is recomputed.
         a.axpy(g(2), &b, &RowKernel::active());
         assert_eq!(a.support(), 4);
-        a.normalize_support();
+        a.dense_mut().normalize_support();
         assert_eq!(a.support(), 1);
         // Shrinking is O(1) and tightens only.
-        let mut c = dense(&[1, 2, 0, 0, 0, 0]);
+        let mut c = dense(&[1, 2, 0, 0, 0, 0]).into_dense();
         c.shrink_support(5);
         assert_eq!(c.support(), 2);
         c.shrink_support(2);
@@ -827,7 +864,7 @@ mod tests {
             assert_eq!(d, s);
             assert_eq!(hash_of(&d), hash_of(&s));
             assert_eq!(format!("{d:?}"), format!("{s:?}"));
-            let Repr::Dense { data, .. } = &d.repr else {
+            let Repr::Dense(DenseRow { data, .. }) = &d.repr else {
                 unreachable!()
             };
             assert_eq!(data.len() % BLOCK, 0);
@@ -857,32 +894,29 @@ mod tests {
                 assert_eq!(trailing_support(&vals), want, "len {len} last {last:?}");
                 let mut row = CoeffRow::from_dense(vals);
                 assert_eq!(row.support(), want);
-                assert_eq!(row.last_nonzero_before(len), last);
+                assert_eq!(row.dense_mut().last_nonzero_before(len), last);
 
                 // Loose: a coefficient added and cancelled at the end.
                 if len > 0 {
                     row.add_assign_at(len - 1, g(1));
                     row.add_assign_at(len - 1, g(1));
                     assert_eq!(row.support(), len);
-                    assert_eq!(row.last_nonzero_before(len), last);
-                    row.normalize_support();
+                    assert_eq!(row.dense_mut().last_nonzero_before(len), last);
+                    row.dense_mut().normalize_support();
                     assert_eq!(row.support(), want, "len {len} last {last:?}");
                 }
 
                 // Cut to its support, then loosened by one past it.
-                row.shrink_support(want);
+                row.dense_mut().shrink_support(want);
                 if want < len {
                     row.add_assign_at(want, g(1));
                     row.add_assign_at(want, g(1));
                     assert_eq!(row.support(), want + 1);
                 }
-                let Repr::Dense { data, .. } = &row.repr else {
-                    unreachable!()
-                };
-                cut_short |= data.len() < len;
-                row.normalize_support();
+                cut_short |= row.dense_mut().data.len() < len;
+                row.dense_mut().normalize_support();
                 assert_eq!(row.support(), want, "cut: len {len} last {last:?}");
-                assert_eq!(row.last_nonzero_before(len), last);
+                assert_eq!(row.dense_mut().last_nonzero_before(len), last);
                 assert!(row.padding_is_zero());
             }
         }

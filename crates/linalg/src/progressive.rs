@@ -58,13 +58,13 @@
 //! `width = 1000` for thousands of insertions per run, so the hot paths
 //! are engineered:
 //!
-//! * rows are stored as [`CoeffRow`]s: a dense row is zero-padded to
-//!   whole 64-symbol blocks and stored with support exactly `pivot + 1`,
-//!   its buffer cut to the blocks covering it, so clearing column `c`
-//!   with the row owning it is one whole-block kernel call over the
-//!   blocks covering `[0, c]`, while sparse rows store only their
-//!   `(index, value)` pairs so elimination costs `O(nnz)` per colliding
-//!   pivot;
+//! * every row is held in one representation: an arriving [`CoeffRow`]
+//!   is densified at its support into the padded layout of whole
+//!   64-symbol blocks, and stored with support exactly `pivot + 1`, its
+//!   buffer cut to the blocks covering it, so clearing column `c` with
+//!   the row owning it is one whole-block kernel call over the blocks
+//!   covering `[0, c]`; a row the decoded prefix covers is released to
+//!   an empty buffer, which allocates nothing;
 //! * the walk stops at the pivot and stored rows are immutable, so an
 //!   insert costs at most one row operation per pivot column between its
 //!   arrival support and its pivot, with no walk below the pivot and no
@@ -94,7 +94,7 @@
 use prlc_gf::kernel::RowKernel;
 use prlc_gf::GfElem;
 
-use crate::coeffrow::{CoeffRep, CoeffRow};
+use crate::coeffrow::{CoeffRow, DenseRow};
 use crate::payload::RowPayload;
 
 /// Outcome of inserting one coded block into the decoder.
@@ -117,28 +117,16 @@ impl InsertOutcome {
     }
 }
 
-#[derive(Clone)]
+/// A stored row: the owner, in `pivot_of_col`, of its column `pivot`.
+#[derive(Clone, Debug)]
 struct Row<F, P> {
     /// Zero right of `pivot` and 1 at it; never changes once stored,
     /// until the decoded prefix covers `pivot` and the row is released:
     /// left all zero, since the walk never clears a prefix column.
-    coeffs: CoeffRow<F>,
+    coeffs: DenseRow<F>,
     /// The payload mirrored through the walk, replaced by the solution
     /// `x_pivot` once the decoded prefix covers `pivot`.
     payload: P,
-    pivot: usize,
-}
-
-// Hand-written (not derived) because `CoeffRow`'s logical `Debug`
-// requires `F: GfElem`, a bound derive cannot infer.
-impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for Row<F, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Row")
-            .field("coeffs", &self.coeffs)
-            .field("payload", &self.payload)
-            .field("pivot", &self.pivot)
-            .finish()
-    }
 }
 
 /// An incremental elimination machine over `width` unknowns.
@@ -163,7 +151,7 @@ pub struct ProgressiveRref<F, P = ()> {
     terms: Vec<(F, usize)>,
 }
 
-// Hand-written for the same `F: GfElem` bound reason as `Row`.
+// Hand-written to leave out the `terms` scratch buffer.
 impl<F: GfElem, P: std::fmt::Debug> std::fmt::Debug for ProgressiveRref<F, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgressiveRref")
@@ -256,30 +244,30 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     }
 
     /// Inserts one coded block given as a [`CoeffRow`] in either
-    /// representation — the sparse-aware form of [`insert`](Self::insert).
+    /// representation.
     ///
-    /// The elimination touches only stored nonzeros: pivot lookup walks
-    /// [`CoeffRow::last_nonzero_before`] and row updates go through
-    /// [`CoeffRow::axpy`] with a row that is zero right of the column
-    /// `c` it clears, so a sparse row with `d` nonzeros costs `O(d)` per
-    /// colliding pivot instead of `O(width)`, and a dense row works only
-    /// on the blocks covering `[0, c]`.
+    /// A sparse row is densified at its support, into a buffer covering
+    /// only the blocks up to its last nonzero, so the walk, the stored
+    /// rows and the kernel see one representation: each update clears a
+    /// column `c` with a row that is zero right of `c`, one kernel call
+    /// over the blocks covering `[0, c]`.
     ///
     /// # Panics
     ///
     /// Panics if `coeffs.len() != width`.
-    pub fn insert_row(&mut self, mut coeffs: CoeffRow<F>, payload: P) -> InsertOutcome {
+    pub fn insert_row(&mut self, coeffs: CoeffRow<F>, payload: P) -> InsertOutcome {
         assert_eq!(coeffs.len(), self.width, "coefficient width mismatch");
         self.inserted += 1;
-
-        // Tighten a dense row's support, so the walk starts at its last
-        // nonzero.
-        coeffs.normalize_support();
 
         // Fill-in accounting: nonzeros the reduction *adds* to this row
         // before it is stored. Logical, so identical across
         // representations; only computed when observability is on.
         let original_nnz = if prlc_obs::enabled() { coeffs.nnz() } else { 0 };
+
+        // Densify, and tighten the support so the walk starts at the
+        // last nonzero.
+        let mut coeffs = coeffs.into_dense();
+        coeffs.normalize_support();
 
         // The walk, top down: clear every coefficient in a pivot column
         // with the row owning it. That row is zero right of its pivot `c`,
@@ -335,11 +323,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         let inv = coeffs.get(pc).gf_inv().expect("pivot entry is nonzero");
         coeffs.scale(inv, &self.kernel);
         let new_idx = self.rows.len();
-        self.rows.push(Row {
-            coeffs,
-            payload,
-            pivot: pc,
-        });
+        self.rows.push(Row { coeffs, payload });
         self.pivot_of_col[pc] = Some(new_idx);
 
         if prlc_obs::enabled() {
@@ -352,7 +336,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             // row between arrival and storage, read before the prefix
             // below can release it. Defined over logical nonzero counts,
             // so the observed values are representation-independent.
-            let stored_nnz = self.rows[new_idx].coeffs.nnz();
+            let stored_nnz = self.rows[new_idx].coeffs.iter_nonzeros().count();
             prlc_obs::histogram!("linalg.rref.fill_in")
                 .observe(stored_nnz.saturating_sub(original_nnz) as u64);
         }
@@ -379,7 +363,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
                 );
                 replay(&mut self.rows, r, &self.terms);
             }
-            self.rows[r].coeffs = CoeffRow::zero(self.width, CoeffRep::Sparse);
+            self.rows[r].coeffs = DenseRow::released(self.width);
             self.prefix += 1;
         }
 
@@ -406,18 +390,16 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         if self.rows.is_empty() {
             return None;
         }
-        let mut order: Vec<usize> = (0..self.rows.len()).collect();
-        order.sort_by_key(|&i| self.rows[i].pivot);
         Some(crate::Matrix::from_rows(
-            order
+            self.pivot_of_col
                 .iter()
-                .map(|&i| {
-                    let row = &self.rows[i];
-                    let mut v = row.coeffs.to_dense_vec();
-                    if row.pivot < self.prefix {
-                        v[row.pivot] = F::ONE;
+                .enumerate()
+                .filter_map(|(pivot, r)| {
+                    let mut v = self.rows[(*r)?].coeffs.to_dense_vec();
+                    if pivot < self.prefix {
+                        v[pivot] = F::ONE;
                     }
-                    v
+                    Some(v)
                 })
                 .collect(),
         ))

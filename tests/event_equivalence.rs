@@ -360,7 +360,7 @@ const GOLDEN: &[(&str, [&str; 8])] = &[
             "fnv1a:222bfa75a537e985",
             "fnv1a:5dcf381be9478092",
             "fnv1a:af63af4c8601a015",
-            "fnv1a:7b774850072c6ddb",
+            "fnv1a:1bb2e896c5b8ef75",
             "fnv1a:f729e4f736661ca7",
             "fnv1a:1ba4177de516bdf4",
         ],

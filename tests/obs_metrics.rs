@@ -285,3 +285,63 @@ fn traced_decode_counts_what_an_untraced_decode_counts() {
     assert_eq!(untraced.1, 10, "the workload decodes every level");
     assert_eq!(decode(true), untraced);
 }
+
+/// Decoding does the same work whichever representation its rows
+/// arrived in: the decoder densifies every row it is given, so one
+/// seed's PLC rows at K = 1000 (`Encoder::sparse`, factor 2), fed once
+/// dense and once sparse into fresh coefficient-only decoders, count
+/// the same `gf.axpy.bytes` and `gf.scale.bytes` and record the same
+/// `linalg.rref.*` counters and histograms. Only encoding and the
+/// combines of rows at rest count different bytes per representation.
+#[test]
+fn decoding_counts_the_same_work_for_dense_and_sparse_rows() {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    obs::enable();
+    let profile = PriorityProfile::uniform(10, 100).unwrap();
+    let dist = PriorityDistribution::uniform(profile.num_levels());
+    let decode = |rep: CoeffRep| {
+        let enc = Encoder::sparse(Scheme::Plc, profile.clone(), 2.0).with_coeff_rep(rep);
+        let mut rng = StdRng::seed_from_u64(7);
+        let rows: Vec<CoeffRow<Gf256>> = (0..1100)
+            .map(|_| enc.encode_coefficients(dist.sample_level(&mut rng), &mut rng))
+            .collect();
+        assert!(rows.iter().all(|r| r.rep() == rep));
+        obs::reset();
+        let mut dec = PlcDecoder::<Gf256, ()>::coefficients_only(profile.clone());
+        for r in rows {
+            dec.insert_row(r, ());
+        }
+        let snap = obs::snapshot();
+        let counters: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| {
+                name.starts_with("linalg.rref.")
+                    || ["gf.axpy.bytes", "gf.scale.bytes"].contains(name)
+            })
+            .copied()
+            .collect();
+        let histograms: Vec<_> = snap
+            .histograms
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("linalg.rref."))
+            .collect();
+        (counters, histograms, dec.rank(), dec.decoded_levels())
+    };
+    let dense = decode(CoeffRep::Dense);
+    assert!(
+        dense
+            .0
+            .iter()
+            .any(|&(name, v)| name == "gf.axpy.bytes" && v > 0),
+        "the decode runs the kernel: {:?}",
+        dense.0
+    );
+    assert_eq!(
+        dense.1.len(),
+        2,
+        "rows_per_pivot and fill_in: {:?}",
+        dense.1
+    );
+    assert_eq!(decode(CoeffRep::Sparse), dense);
+}
