@@ -5,13 +5,14 @@
 //! appear or go missing. The quick sizes run the same code paths as a
 //! full regeneration (analysis curves, Monte-Carlo runners, protocol
 //! simulations), so a change to any of them that moves a printed figure
-//! fails here. A deliberate change re-pins the file with the listing
-//! the failure prints.
+//! fails here. A failure writes the current listing to
+//! `target/tmp/harness_golden.txt`, and a deliberate change re-pins by
+//! copying it over the golden file.
 
 use std::collections::BTreeMap;
 
 use prlc_bench::{RunOpts, EXPERIMENTS};
-use prlc_obs::baseline::digest64;
+use prlc_obs::{assert_golden, baseline::digest64};
 
 #[test]
 fn quick_csvs_match_their_golden_digests() {
@@ -31,18 +32,5 @@ fn quick_csvs_match_their_golden_digests() {
         }
     }
 
-    let golden = include_str!("harness_golden.txt");
-    let want: BTreeMap<String, String> = golden
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            let (file, digest) = l.split_once(' ').expect("`<file> <digest>` line");
-            (file.to_string(), digest.to_string())
-        })
-        .collect();
-    let listing: String = got.iter().map(|(f, d)| format!("{f} {d}\n")).collect();
-    assert!(
-        got == want,
-        "harness CSV digests moved; the current listing is:\n{listing}"
-    );
+    assert_golden!("harness_golden.txt", got);
 }

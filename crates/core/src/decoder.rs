@@ -158,9 +158,9 @@ impl<F: GfElem, P: BlockPayload<F>> PlcDecoder<F, P> {
         self.insert_row(CoeffRow::from_dense(coefficients), payload)
     }
 
-    /// Low-level insertion from a [`CoeffRow`] in either representation
-    /// — sparse rows flow through the elimination without ever being
-    /// densified (until fill-in crosses the row's densify threshold).
+    /// Low-level insertion from a [`CoeffRow`] in either representation.
+    /// The progressive decoder densifies the row at its support, so a
+    /// sparse row costs the same elimination as the dense row it equals.
     ///
     /// # Panics
     ///
@@ -320,8 +320,8 @@ impl<F: GfElem, P: BlockPayload<F>> SlcDecoder<F, P> {
     }
 
     /// Low-level insertion from a [`CoeffRow`] in either representation;
-    /// the row is projected onto the block's level range, preserving its
-    /// representation.
+    /// the row is projected onto the block's level range, and the
+    /// level's progressive decoder densifies the projected row.
     ///
     /// # Panics
     ///

@@ -2,11 +2,12 @@
 //!
 //! `CoeffRep` is a *physical* storage choice: dense `Vec<F>` rows versus
 //! sorted `(index, value)` pairs. Nothing observable may depend on it.
-//! This gate runs the same pinned-seed pipeline — deploy, churn, repair,
-//! collect — once per representation and byte-diffs everything logical:
-//! reports, storage slots (via their representation-independent `Debug`),
-//! decoded levels and payloads, the metrics snapshot JSON, the full
-//! trace dump JSON, and the caller's RNG end state.
+//! This gate runs the pinned-seed pipeline of `tests/pipeline` — deploy,
+//! churn, repair, collect — once per representation and byte-diffs
+//! everything logical: reports, storage slots (via their
+//! representation-independent `Debug`), decoded levels and payloads, the
+//! metrics snapshot JSON, the full trace dump JSON, and the caller's RNG
+//! end state.
 //!
 //! The only keys excluded from the metrics diff are the `gf.*` kernel
 //! byte-volume counters and the wall-clock timers block: the kernel
@@ -16,34 +17,12 @@
 //! contract. Every logical metric — rref pivots, fill-in, encode nnz,
 //! protocol messages — must match byte for byte.
 
-use prlc::net::{
-    collect_with_faults, predistribute_with_faults, refresh_with_faults, ChurnEvent,
-    CollectionConfig, FaultPlan, LinkModel, Network, ProtocolConfig, RefreshConfig, RetryPolicy,
-    RingNetwork, SourceFanout,
-};
+mod pipeline;
+
+use pipeline::{Case, GUARD};
+use prlc::net::SourceFanout;
 use prlc::obs;
 use prlc::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
-
-/// The obs registry and tracer are process-global; runs that reset and
-/// snapshot them must not interleave.
-static GUARD: Mutex<()> = Mutex::new(());
-
-/// Everything observable about one pipeline run, rendered to strings.
-#[derive(Debug, PartialEq, Eq)]
-struct PipelineOutput {
-    predistribute_metrics: String,
-    slots: String,
-    refresh_report: String,
-    collect_report: String,
-    decoded_levels: usize,
-    recovered: Vec<Option<Vec<Gf256>>>,
-    metrics_json: String,
-    trace_json: String,
-    rng_end: u64,
-}
 
 /// The metrics snapshot minus the physically-dependent parts: `gf.*`
 /// kernel byte-volume counters/histograms and the wall-clock timers.
@@ -54,179 +33,55 @@ fn logical_metrics_json(mut snap: obs::Snapshot) -> String {
     snap.to_json()
 }
 
-/// Runs deploy → churn → repair → collect once in the given coefficient
-/// representation, with obs + trace recording.
-fn run_pipeline(
-    scheme: Scheme,
-    fanout: SourceFanout,
-    rep: CoeffRep,
-    plan: &FaultPlan,
-    seed: u64,
-    nodes: usize,
-) -> PipelineOutput {
-    obs::enable();
-    obs::trace::enable();
-    obs::reset();
-    obs::trace::reset();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = RingNetwork::new(nodes, &mut rng);
-    let profile = PriorityProfile::new(vec![2, 3, 5]).unwrap();
-    let sources: Vec<Vec<Gf256>> = (0..profile.total_blocks())
-        .map(|_| (0..2).map(|_| Gf256::random(&mut rng)).collect())
-        .collect();
-    let cfg = ProtocolConfig {
-        scheme,
-        profile: profile.clone(),
-        distribution: PriorityDistribution::uniform(profile.num_levels()),
-        locations: (nodes / 2).min(60),
-        fanout,
-        coeff_rep: rep,
-        two_choices: true,
-        node_capacity: None,
-        shared_seed: seed,
-    };
-    let mut session = plan.clone().session(net.node_count());
-
-    let mut dep = predistribute_with_faults(&net, &cfg, &sources, &mut session, &mut rng)
-        .expect("fresh network accepts the protocol");
-    let predistribute_metrics = format!("{:?}", dep.metrics());
-
-    net.fail_uniform(0.3, &mut rng);
-    assert!(net.alive_count() > 0, "seed killed the whole overlay");
-
-    let refresh_cfg = RefreshConfig {
-        scheme,
-        donors_per_slot: 3,
-    };
-    let refresh_report = refresh_with_faults(&net, &mut dep, &refresh_cfg, &mut session, &mut rng);
-    let refresh_report = format!("{refresh_report:?}");
-
-    let collector = net
-        .random_alive_node(&mut rng)
-        .expect("alive_count > 0 was asserted");
-    let collect_cfg = CollectionConfig::default();
-    let n = profile.total_blocks();
-    let (collect_report, decoded_levels, recovered) = if scheme == Scheme::Slc {
-        let mut dec: SlcDecoder<Gf256, Vec<Gf256>> = SlcDecoder::with_payloads(profile);
-        let report = collect_with_faults(
-            &net,
-            &dep,
-            &mut dec,
-            collector,
-            &collect_cfg,
-            &mut session,
-            &mut rng,
-        );
-        let recovered = (0..n)
-            .map(|i| dec.recovered(i).map(<[_]>::to_vec))
-            .collect();
-        (format!("{report:?}"), dec.decoded_levels(), recovered)
-    } else {
-        let mut dec: PlcDecoder<Gf256, Vec<Gf256>> = PlcDecoder::with_payloads(profile);
-        let report = collect_with_faults(
-            &net,
-            &dep,
-            &mut dec,
-            collector,
-            &collect_cfg,
-            &mut session,
-            &mut rng,
-        );
-        let recovered = (0..n)
-            .map(|i| dec.recovered(i).map(<[_]>::to_vec))
-            .collect();
-        (format!("{report:?}"), dec.decoded_levels(), recovered)
-    };
-
-    PipelineOutput {
-        predistribute_metrics,
-        slots: format!("{:?}", dep.slots()),
-        refresh_report,
-        collect_report,
-        decoded_levels,
-        recovered,
-        metrics_json: logical_metrics_json(obs::snapshot()),
-        trace_json: obs::trace::snapshot().to_json(),
-        rng_end: rng.gen(),
-    }
-}
-
-fn lossy_plan(seed: u64) -> FaultPlan {
-    FaultPlan {
-        link: LinkModel {
-            loss: 0.25,
-            timeout_hops: None,
-        },
-        retry: RetryPolicy::with_retries(2, 1),
-        churn: vec![ChurnEvent {
-            after_messages: 40,
-            fraction: 0.1,
-        }],
-        seed: seed ^ 0xFA,
-    }
-}
-
-fn assert_equivalent(
-    scheme: Scheme,
-    fanout: SourceFanout,
-    plan: &FaultPlan,
-    seed: u64,
-    nodes: usize,
-) {
-    let dense = run_pipeline(scheme, fanout, CoeffRep::Dense, plan, seed, nodes);
-    let sparse = run_pipeline(scheme, fanout, CoeffRep::Sparse, plan, seed, nodes);
+/// Runs `case` with dense and with sparse rows and fails if anything
+/// logical differs.
+fn assert_equivalent(case: Case) {
+    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let [dense, sparse] = [CoeffRep::Dense, CoeffRep::Sparse].map(|rep| {
+        let run = pipeline::run(Case { rep, ..case });
+        (run.fields, logical_metrics_json(run.metrics), run.recovered)
+    });
     assert_eq!(
         dense, sparse,
-        "sparse rows diverged from dense rows \
-         ({scheme:?}, {fanout:?}, nodes {nodes}, seed {seed})"
+        "sparse rows diverged from dense rows ({case:?})"
     );
 }
 
+const LOG2: SourceFanout = SourceFanout::Log { factor: 2.0 };
+
 #[test]
 fn sparse_rows_match_dense_rows_dense_fanout() {
-    let _guard = GUARD.lock().unwrap();
     for scheme in [Scheme::Slc, Scheme::Plc] {
-        assert_equivalent(scheme, SourceFanout::All, &FaultPlan::none(), 21, 200);
+        assert_equivalent(Case::new(scheme, 200, 21));
     }
 }
 
 #[test]
 fn sparse_rows_match_dense_rows_log_fanout() {
-    let _guard = GUARD.lock().unwrap();
     for scheme in [Scheme::Slc, Scheme::Plc] {
-        assert_equivalent(
-            scheme,
-            SourceFanout::Log { factor: 2.0 },
-            &FaultPlan::none(),
-            22,
-            200,
-        );
+        assert_equivalent(Case {
+            fanout: LOG2,
+            ..Case::new(scheme, 200, 22)
+        });
     }
 }
 
 #[test]
 fn sparse_rows_match_dense_rows_under_faults() {
-    let _guard = GUARD.lock().unwrap();
     for scheme in [Scheme::Slc, Scheme::Plc] {
-        assert_equivalent(
-            scheme,
-            SourceFanout::Log { factor: 2.0 },
-            &lossy_plan(9),
-            23,
-            200,
-        );
+        assert_equivalent(Case {
+            fanout: LOG2,
+            lossy: Some(9),
+            ..Case::new(scheme, 200, 23)
+        });
     }
 }
 
 #[test]
 fn sparse_rows_match_dense_rows_at_n_1000() {
-    let _guard = GUARD.lock().unwrap();
-    assert_equivalent(
-        Scheme::Plc,
-        SourceFanout::Log { factor: 2.0 },
-        &lossy_plan(5),
-        24,
-        1000,
-    );
+    assert_equivalent(Case {
+        fanout: LOG2,
+        lossy: Some(5),
+        ..Case::new(Scheme::Plc, 1000, 24)
+    });
 }
