@@ -115,17 +115,16 @@ with the tracer on and prints the per-level decode waterfall: the
 number of coded blocks consumed when each priority level unlocked.
 --out additionally exports the raw trace like `sim --trace`.
 
-`bench` runs the canonical pinned-seed probe suite (GF kernel
-throughput per backend, the lossy-collection sweep, the N=10^5
-timeline, the targeted-adversary sweep, sparse-row bytes vs ln N,
-per-layer micro-benchmarks) and writes one versioned
+`bench` runs the canonical pinned-seed probe suite (the
+lossy-collection sweep, the N=10^5 timeline, the targeted-adversary
+sweep, per-layer micro-benchmarks) and writes one versioned
 BENCH_<probe>.json envelope per probe into --out (default: the current
 directory) — the files committed at the repo root as perf baselines.
 With --check it instead re-runs the probes and diffs each envelope
 against --baseline-dir (default: the current directory): deterministic
-fields (results, metrics, trace digests, RNG end states) must match
-exactly, environmental measurements (MB/s, wall-clock ms) must sit
-inside a multiplicative tolerance band (--tolerance, default 25;
+fields (results, metrics, trace digests) must match exactly,
+environmental measurements (MB/s, wall-clock ms) must sit inside a
+multiplicative tolerance band (--tolerance, default 25;
 --wall-tolerance, default 100). It prints the run-delta table, writes
 machine-readable findings JSON to --report if given, and exits nonzero
 on any finding. --probe restricts the suite to a comma-separated

@@ -642,10 +642,10 @@ fn sim_timeline_large_overlay_with_faults_and_bench_envelope() {
 #[test]
 fn bench_write_check_and_negative_roundtrip() {
     let dir = temp_dir("bench");
-    // Write a fresh kernel baseline (the only probe cheap enough for a
+    // Write a fresh lossy baseline (the cheapest probe in a
     // debug-profile binary test).
     let out = prlc()
-        .args(["bench", "--probe", "kernel", "--out", dir.to_str().unwrap()])
+        .args(["bench", "--probe", "lossy", "--out", dir.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(
@@ -653,14 +653,14 @@ fn bench_write_check_and_negative_roundtrip() {
         "bench write failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let baseline = fs::read_to_string(dir.join("BENCH_kernel.json")).unwrap();
+    let baseline = fs::read_to_string(dir.join("BENCH_lossy.json")).unwrap();
     assert!(
         baseline.starts_with("{\"bench_schema_version\":1,"),
         "{baseline}"
     );
-    assert!(baseline.contains("\"probe\":\"kernel\""), "{baseline}");
+    assert!(baseline.contains("\"probe\":\"lossy\""), "{baseline}");
     assert!(
-        baseline.contains("\"backend\":\"dispatched\""),
+        baseline.contains("\"symbol_throughput_mb_s\":"),
         "{baseline}"
     );
 
@@ -672,7 +672,7 @@ fn bench_write_check_and_negative_roundtrip() {
             "bench",
             "--check",
             "--probe",
-            "kernel",
+            "lossy",
             "--baseline-dir",
             dir.to_str().unwrap(),
             "--report",
@@ -691,17 +691,17 @@ fn bench_write_check_and_negative_roundtrip() {
     let findings = fs::read_to_string(&report).unwrap();
     assert!(findings.contains("\"findings\":[]"), "{findings}");
 
-    // A perturbed deterministic field (the probe name itself) fails with
-    // a machine-readable finding and a nonzero exit.
-    let perturbed = baseline.replace("\"slice_len\":65536", "\"slice_len\":1");
+    // A perturbed deterministic field (a config member) fails with a
+    // machine-readable finding and a nonzero exit.
+    let perturbed = baseline.replace("\"nodes\":80", "\"nodes\":81");
     assert_ne!(perturbed, baseline);
-    fs::write(dir.join("BENCH_kernel.json"), perturbed).unwrap();
+    fs::write(dir.join("BENCH_lossy.json"), perturbed).unwrap();
     let out = prlc()
         .args([
             "bench",
             "--check",
             "--probe",
-            "kernel",
+            "lossy",
             "--baseline-dir",
             dir.to_str().unwrap(),
             "--report",
@@ -717,7 +717,7 @@ fn bench_write_check_and_negative_roundtrip() {
         findings.contains("\"kind\":\"deterministic-drift\""),
         "{findings}"
     );
-    assert!(findings.contains("config.slice_len"), "{findings}");
+    assert!(findings.contains("config.nodes"), "{findings}");
 
     // Unknown probe names are rejected up front.
     let out = prlc().args(["bench", "--probe", "nope"]).output().unwrap();
@@ -736,7 +736,7 @@ fn bench_out_creates_a_fresh_nested_directory() {
         .args([
             "bench",
             "--probe",
-            "kernel",
+            "lossy",
             "--out",
             nested.to_str().unwrap(),
         ])
@@ -747,8 +747,8 @@ fn bench_out_creates_a_fresh_nested_directory() {
         "bench write failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let baseline = fs::read_to_string(nested.join("BENCH_kernel.json")).unwrap();
-    assert!(baseline.contains("\"probe\":\"kernel\""), "{baseline}");
+    let baseline = fs::read_to_string(nested.join("BENCH_lossy.json")).unwrap();
+    assert!(baseline.contains("\"probe\":\"lossy\""), "{baseline}");
     fs::remove_dir_all(dir).unwrap();
 }
 

@@ -8,9 +8,9 @@
 //! gating"):
 //!
 //! * **deterministic** — results series, logical metrics (counters,
-//!   histograms, percentiles), trace digests, RNG end states, probe
-//!   configs. For a pinned seed these are byte-identical across worker
-//!   thread counts and kernel backends, so the differ compares them
+//!   histograms, percentiles), trace digests, probe configs. For a
+//!   pinned seed these are byte-identical across worker thread counts
+//!   and kernel backends, so the differ compares them
 //!   **exactly** (numbers by `f64` bit pattern, everything else by
 //!   value) and any drift is a regression finding;
 //! * **environmental** — throughput (MB/s) and wall-clock (ms)
@@ -23,7 +23,7 @@
 //! fields inherit the right treatment from their naming:
 //! `mb_s`/`symbol_throughput_mb_s` are throughput,
 //! `wall_ms`/`run_wall_ms_total` are wall-clock,
-//! `kernel_backend`/`threads`/`description`/`timers` are labels, and
+//! `kernel_backend`/`threads`/`timers` are labels, and
 //! every other key is deterministic.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -498,7 +498,7 @@ pub fn classify_key(key: &str) -> FieldClass {
     match key {
         "mb_s" | "symbol_throughput_mb_s" => FieldClass::Throughput,
         "wall_ms" | "run_wall_ms_total" => FieldClass::WallClock,
-        "kernel_backend" | "threads" | "description" | "timers" => FieldClass::Label,
+        "kernel_backend" | "threads" | "timers" => FieldClass::Label,
         _ => FieldClass::Deterministic,
     }
 }
@@ -826,11 +826,10 @@ impl Differ<'_> {
                     );
                 }
                 for (i, (bv, cv)) in bi.iter().zip(ci.iter()).enumerate() {
-                    // A probe row that names itself (`"row":"gf/..."`,
-                    // or a kernel row's `"backend"`) is addressed by
-                    // that name, so a finding says which layer or
-                    // backend moved; other elements by their index.
-                    let label = match bv.get("row").or_else(|| bv.get("backend")) {
+                    // A probe row that names itself (`"row":"gf/..."`)
+                    // is addressed by that name, so a finding says
+                    // which layer moved; other elements by their index.
+                    let label = match bv.get("row") {
                         Some(Json::Str(name)) => name.clone(),
                         _ => i.to_string(),
                     };
@@ -1225,7 +1224,7 @@ mod tests {
             },
             Case {
                 name: "missing deterministic key",
-                baseline: versioned("\"results\":[],\"rng_end_state\":\"0xabc\""),
+                baseline: versioned("\"results\":[],\"trace_digest\":\"0xabc\""),
                 current: versioned("\"results\":[]"),
                 expect: Some(FindingKind::MissingKey),
             },

@@ -3,10 +3,9 @@
 //! baselines and re-checked by `prlc bench --check` (the differ lives in
 //! [`prlc_obs::baseline`]).
 //!
-//! Six probes cover the claims the paper makes quantitatively:
+//! Four probes cover the claims the paper makes quantitatively, three
+//! end to end and one per layer:
 //!
-//! * `kernel` — GF(2⁸) `axpy` throughput per backend (scalar, table,
-//!   and whatever the dispatcher picks). Purely environmental.
 //! * `lossy` — the collection sweep over loss × retry budgets
 //!   (the trace-determinism CI workload, widened to a 2×2 grid).
 //! * `timeline` — the fault-injected, churned, repaired `N = 10^5`
@@ -14,12 +13,15 @@
 //!   large-n-smoke CI workload).
 //! * `adversary` — the targeted cache-killer sweep at `N = 10^4`
 //!   (the adversary-smoke CI workload).
-//! * `sparse` — per-row coefficient memory vs `ln N` on the encoder
-//!   path, with the generator's end state pinned.
 //! * `layers` — one micro-benchmark row per hot path of each layer
 //!   (GF arithmetic, encoding, decoding, analysis, protocol): a fixed
 //!   iteration count, an exact-gated digest of the outputs and a banded
 //!   wall time (throughput for the GF slice kernels).
+//!
+//! Every envelope's `run_metadata.symbol_throughput_mb_s` is the
+//! dispatched GF(2⁸) `axpy` throughput, banded like any wall time; the
+//! per-row coefficient memory against `ln N` lives in the full-size
+//! `results/sparse_rows.csv`.
 //!
 //! Every probe resets the global recorders through
 //! [`run_probe_and_reset`] — the same helper `prlc sim` uses — so its
@@ -40,25 +42,15 @@ use prlc_net::{
     predistribute, AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, Network, PlaneNetwork,
     ProtocolConfig, RetryPolicy, RingNetwork, SourceFanout,
 };
-use prlc_obs::baseline::{digest64, envelope_json, Json, Number};
+use prlc_obs::baseline::{digest64, envelope_json, Json};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
-use crate::metadata::{
-    measure_symbol_throughput_mb_s, measure_symbol_throughput_mb_s_with, measure_wall_ms,
-    run_probe_and_reset,
-};
+use crate::metadata::{measure_wall_ms, run_probe_and_reset};
 use crate::scenario::{every_epoch, results_json, Event, Measure, Scenario, TimelineConfig};
 
 /// The canonical probe names, in suite order.
-pub const BENCH_PROBES: &[&str] = &[
-    "kernel",
-    "lossy",
-    "timeline",
-    "adversary",
-    "sparse",
-    "layers",
-];
+pub const BENCH_PROBES: &[&str] = &["lossy", "timeline", "adversary", "layers"];
 
 /// The committed baseline file for a probe: `BENCH_<probe>.json` at the
 /// repository root.
@@ -76,11 +68,9 @@ pub fn bench_file_name(probe: &str) -> String {
 /// failure.
 pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
     match probe {
-        "kernel" => probe_kernel(threads),
         "lossy" => probe_lossy(threads),
         "timeline" => probe_timeline(threads),
         "adversary" => probe_adversary(threads),
-        "sparse" => probe_sparse(threads),
         "layers" => probe_layers(threads),
         other => Err(format!(
             "unknown probe {other:?} (want one of {})",
@@ -102,35 +92,6 @@ fn plc_profile() -> Result<(PriorityProfile, PriorityDistribution), String> {
         PriorityProfile::new(vec![2, 3, 5]).map_err(|e| format!("pinned [2,3,5] profile: {e}"))?;
     let distribution = PriorityDistribution::uniform(profile.num_levels());
     Ok((profile, distribution))
-}
-
-/// GF(2⁸) `axpy` throughput on 64 KiB slices: one row per fixed backend
-/// plus a `dispatched` row labelled with what the dispatcher picked.
-/// Entirely environmental — no metrics/trace blocks (the iteration
-/// counts are wall-clock-bounded and could never match a baseline). The
-/// byte counters its loops leave behind are cleared by the reset every
-/// probe starts with.
-fn probe_kernel(threads: usize) -> Result<String, String> {
-    let config_json = "{\"slice_len\":65536,\"budget_ms\":20}".to_string();
-    run_probe("kernel", config_json, threads, false, || {
-        let mut rows = Vec::new();
-        for backend in [kernel::Backend::Scalar, kernel::Backend::Table] {
-            let mb_s = measure_symbol_throughput_mb_s_with(backend);
-            rows.push(Json::obj([
-                ("backend", Json::Str(backend.name().to_string())),
-                ("mb_s", Json::fixed(mb_s, 1)),
-            ]));
-        }
-        rows.push(Json::obj([
-            ("backend", Json::Str("dispatched".to_string())),
-            (
-                "description",
-                Json::Str(kernel::active_backend_description()),
-            ),
-            ("mb_s", Json::fixed(measure_symbol_throughput_mb_s(), 1)),
-        ]));
-        Ok((Json::Arr(rows).render(), None))
-    })
 }
 
 /// The lossy-collection sweep: the trace-determinism CI workload
@@ -241,113 +202,45 @@ fn run_scenario_probe(
     scenario: &Scenario,
     threads: usize,
 ) -> Result<String, String> {
-    run_probe(probe, config_json.to_string(), threads, true, || {
+    run_probe(probe, config_json.to_string(), threads, || {
         let rows = scenario.run::<Gf256>(threads);
         let rows = rows.map_err(|e| format!("{probe} probe: {e}"))?;
-        Ok((results_json(&rows), None))
+        Ok(results_json(&rows))
     })
 }
 
 /// Runs `work` on freshly reset recorders and renders the probe's
-/// envelope: `probe`, `config`, `run_metadata`, then — when `recorded`
-/// and the recorders are on — the deterministic `metrics` block and the
-/// `trace_digest`, then what `work` returns (the `results` array and an
-/// optional `rng_end_state`), and last the work's `wall_ms`.
+/// envelope: `probe`, `config`, `run_metadata`, then — when the
+/// recorders are on — the deterministic `metrics` block and the
+/// `trace_digest`, then the `results` array `work` returns, and last the
+/// work's `wall_ms`.
 fn run_probe(
     probe: &str,
     config_json: String,
     threads: usize,
-    recorded: bool,
-    work: impl FnOnce() -> Result<(String, Option<String>), String>,
+    work: impl FnOnce() -> Result<String, String>,
 ) -> Result<String, String> {
     let mut meta = run_probe_and_reset(threads);
-    let (out, wall_ms) = measure_wall_ms(work);
-    let (results_json, rng_end_state) = out?;
+    let (results_json, wall_ms) = measure_wall_ms(work);
+    let results_json = results_json?;
     meta.aggregate_obs_timing();
     let mut members = vec![
         ("probe", Json::Str(probe.to_string()).render()),
         ("config", config_json),
         ("run_metadata", meta.to_json()),
     ];
-    if recorded && prlc_obs::enabled() {
+    if prlc_obs::enabled() {
         members.push(("metrics", prlc_obs::snapshot().to_deterministic_json()));
     }
-    if recorded && prlc_obs::trace::enabled() {
+    if prlc_obs::trace::enabled() {
         let digest = digest64(&prlc_obs::trace::snapshot().to_json());
         members.push(("trace_digest", Json::Str(digest).render()));
     }
-    members.push(("results", results_json));
-    if let Some(state) = rng_end_state {
-        members.push(("rng_end_state", Json::Str(state).render()));
-    }
-    members.push(("wall_ms", Json::fixed(wall_ms, 1).render()));
+    members.extend([
+        ("results", results_json),
+        ("wall_ms", Json::fixed(wall_ms, 1).render()),
+    ]);
     Ok(envelope_json(&members) + "\n")
-}
-
-/// Per-row coefficient memory on the encoder path at
-/// `N ∈ {10^3, 10^4, 10^5}`, dense vs sparse rows: integer nonzero and
-/// byte totals over 50 rows each, the `bytes / ln N` ratio the paper's
-/// `O(ln N)` claim rests on, and the shared generator's end state.
-fn probe_sparse(threads: usize) -> Result<String, String> {
-    const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-    const ROWS: usize = 50;
-    const FACTOR: f64 = 2.0;
-    const SEED: u64 = 0xC0DE;
-    let config_json = Json::obj([
-        (
-            "sizes",
-            Json::Arr(SIZES.iter().map(|&n| Json::uint(n as u64)).collect()),
-        ),
-        ("rows_per_cell", Json::uint(ROWS as u64)),
-        (
-            "factor",
-            Json::Num(Number {
-                raw: FACTOR.to_string(),
-                value: FACTOR,
-            }),
-        ),
-        ("scheme", Json::Str("rlc".to_string())),
-        ("seed", Json::uint(SEED)),
-    ])
-    .render();
-    run_probe("sparse", config_json, threads, true, || {
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let mut rows = Vec::new();
-        for n in SIZES {
-            let profile =
-                PriorityProfile::flat(n).map_err(|e| format!("sparse probe N={n}: {e}"))?;
-            for rep in [CoeffRep::Dense, CoeffRep::Sparse] {
-                let enc = Encoder::sparse(Scheme::Rlc, profile.clone(), FACTOR).with_coeff_rep(rep);
-                let mut nnz_total = 0usize;
-                let mut bytes_total = 0usize;
-                for _ in 0..ROWS {
-                    let row = enc.encode_coefficients::<Gf256, _>(0, &mut rng);
-                    nnz_total += row.nnz();
-                    bytes_total += row.storage_bytes();
-                }
-                let ln_n = (n as f64).ln();
-                let rep = match rep {
-                    CoeffRep::Dense => "dense",
-                    CoeffRep::Sparse => "sparse",
-                };
-                let bytes_per_row = bytes_total as f64 / ROWS as f64;
-                rows.push(Json::obj([
-                    ("n", Json::uint(n as u64)),
-                    ("rep", Json::Str(rep.to_string())),
-                    ("rows", Json::uint(ROWS as u64)),
-                    ("nnz_total", Json::uint(nnz_total as u64)),
-                    ("bytes_total", Json::uint(bytes_total as u64)),
-                    ("bytes_per_row", Json::fixed(bytes_per_row, 2)),
-                    (
-                        "bytes_per_row_per_ln_n",
-                        Json::fixed(bytes_per_row / ln_n, 4),
-                    ),
-                ]));
-            }
-        }
-        let end_state = format!("{:#018x}", rng.next_u64());
-        Ok((Json::Arr(rows).render(), Some(end_state)))
-    })
 }
 
 /// One row per hot-path case of every layer the paper's claims cross —
@@ -367,7 +260,7 @@ fn probe_layers(threads: usize) -> Result<String, String> {
         ("seed", Json::uint(SEED)),
     ])
     .render();
-    run_probe("layers", config_json, threads, true, || {
+    run_probe("layers", config_json, threads, || {
         let profile = |levels, per| {
             PriorityProfile::uniform(levels, per).map_err(|e| format!("layers probe: {e}"))
         };
@@ -375,8 +268,9 @@ fn probe_layers(threads: usize) -> Result<String, String> {
         let mut rows = Vec::new();
 
         // GF arithmetic: per-field scalar multiply chains, the slice
-        // kernels at 4 KiB per backend (axpy lives in the kernel probe),
-        // and GF(2⁸) inversion.
+        // kernels at 4 KiB per backend (axpy is timed per backend by the
+        // `axpy_sum` rows below, and dispatched by every envelope's
+        // `run_metadata.symbol_throughput_mb_s`), and GF(2⁸) inversion.
         let mut r = rng(1);
         let a16: Vec<Gf16> = (0..1024).map(|_| Gf16::random(&mut r)).collect();
         let a256: Vec<Gf256> = (0..1024).map(|_| Gf256::random(&mut r)).collect();
@@ -609,7 +503,7 @@ fn probe_layers(threads: usize) -> Result<String, String> {
                     .collect::<Vec<_>>()
             }));
         }
-        Ok((Json::Arr(rows).render(), None))
+        Ok(Json::Arr(rows).render())
     })
 }
 
@@ -627,10 +521,10 @@ fn layer_row<T: fmt::Debug>(name: &str, iters: usize, mut body: impl FnMut() -> 
 
 /// A GF(2⁸) slice-kernel row: `step` runs `iters` times in place on
 /// `dst`, reading `operands` slices of its length each time, and the
-/// digest covers the slice it ends as. Like the kernel probe's rows it
-/// reports throughput (`mb_s`, over every operand read), not wall time,
-/// so the scalar leg's widened throughput band covers the `dispatched`
-/// row changing backend under `PRLC_KERNEL`.
+/// digest covers the slice it ends as. It reports throughput (`mb_s`,
+/// over every operand read), not wall time, so the scalar leg's widened
+/// throughput band covers the `dispatched` row changing backend under
+/// `PRLC_KERNEL`.
 fn slice_row(
     name: &str,
     iters: usize,
@@ -671,8 +565,8 @@ mod tests {
 
     #[test]
     fn file_names_and_probe_list() {
-        assert_eq!(bench_file_name("kernel"), "BENCH_kernel.json");
-        assert_eq!(BENCH_PROBES.len(), 6);
+        assert_eq!(bench_file_name("lossy"), "BENCH_lossy.json");
+        assert_eq!(BENCH_PROBES.len(), 4);
         assert!(run_bench_probe("nope", 1).is_err());
     }
 }

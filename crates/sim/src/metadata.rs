@@ -106,16 +106,6 @@ pub fn measure_wall_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// Short and calibrated: one warm-up pass builds the field tables, then
 /// iterations are timed for roughly 20 ms.
 pub fn measure_symbol_throughput_mb_s() -> f64 {
-    measure_throughput(kernel::axpy)
-}
-
-/// [`measure_symbol_throughput_mb_s`] forced onto a specific kernel
-/// backend — the per-backend rows of the `prlc bench` kernel probe.
-pub fn measure_symbol_throughput_mb_s_with(backend: kernel::Backend) -> f64 {
-    measure_throughput(|dst, c, src| kernel::axpy_with(backend, dst, c, src))
-}
-
-fn measure_throughput(mut axpy: impl FnMut(&mut [Gf256], Gf256, &[Gf256])) -> f64 {
     const LEN: usize = 64 * 1024;
     const BUDGET: Duration = Duration::from_millis(20);
     let src: Vec<Gf256> = (0..LEN).map(|i| Gf256::new((i % 251) as u8)).collect();
@@ -123,12 +113,12 @@ fn measure_throughput(mut axpy: impl FnMut(&mut [Gf256], Gf256, &[Gf256])) -> f6
     let c = Gf256::from_index(0x53);
 
     // Warm-up: forces table construction out of the timed region.
-    axpy(&mut dst, c, &src);
+    kernel::axpy(&mut dst, c, &src);
 
     let mut iters: u64 = 0;
     let start = Instant::now();
     loop {
-        axpy(&mut dst, c, &src);
+        kernel::axpy(&mut dst, c, &src);
         iters += 1;
         if start.elapsed() >= BUDGET {
             break;

@@ -171,50 +171,21 @@ fn moved_layers_row_is_reported_under_its_name() {
 }
 
 #[test]
-fn moved_kernel_row_is_reported_under_its_backend() {
-    // Kernel-probe rows carry no `row` name; findings address them by
-    // their `backend` instead of their position in the results array.
-    let text = baseline_text("kernel");
+fn out_of_band_throughput_fails_with_its_own_kind() {
+    let text = baseline_text("timeline");
     let mut doc = parse_json(&text).expect("parses");
-    let Some(Json::Arr(rows)) = doc.get_mut("results") else {
-        panic!("kernel baseline has no results array")
-    };
-    let row = rows
-        .iter_mut()
-        .find(|r| r.get("backend") == Some(&Json::Str("dispatched".to_string())))
-        .expect("kernel baseline has a dispatched row");
-    let Some(Json::Num(n)) = row.get_mut("mb_s") else {
-        panic!("dispatched row has no mb_s")
+    // Push the dispatched backend's measured throughput far outside the
+    // widest sane band.
+    let Some(Json::Num(n)) = doc
+        .get_mut("run_metadata")
+        .and_then(|m| m.get_mut("symbol_throughput_mb_s"))
+    else {
+        panic!("timeline baseline has no run_metadata.symbol_throughput_mb_s")
     };
     n.value *= 1000.0;
     n.raw = format!("{}", n.value);
     let mutant = doc.render();
-    let report = diff_envelopes("kernel", &text, &mutant, &Tolerances::default()).expect("diff");
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert_eq!(report.findings[0].path, "results[dispatched].mb_s");
-}
-
-#[test]
-fn out_of_band_throughput_fails_with_its_own_kind() {
-    let text = baseline_text("kernel");
-    let mut doc = parse_json(&text).expect("parses");
-    // Push the dispatched backend's throughput far outside the widest
-    // sane band.
-    let results = doc.get_mut("results").expect("results");
-    let Json::Arr(rows) = results else {
-        panic!("results is not an array")
-    };
-    let mut bumped = false;
-    for row in rows {
-        if let Some(Json::Num(n)) = row.get_mut("mb_s") {
-            n.value *= 1000.0;
-            n.raw = format!("{}", n.value);
-            bumped = true;
-        }
-    }
-    assert!(bumped, "kernel baseline has no mb_s row");
-    let mutant = doc.render();
-    let report = diff_envelopes("kernel", &text, &mutant, &Tolerances::default()).expect("diff");
+    let report = diff_envelopes("timeline", &text, &mutant, &Tolerances::default()).expect("diff");
     assert!(
         report
             .findings
@@ -222,6 +193,11 @@ fn out_of_band_throughput_fails_with_its_own_kind() {
             .any(|f| f.kind == FindingKind::ThroughputOutOfBand),
         "expected throughput-out-of-band, got {:?}",
         report.findings
+    );
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(
+        report.findings[0].path,
+        "run_metadata.symbol_throughput_mb_s"
     );
     // The same drift is visible as a signed out-of-band delta row.
     assert!(report
@@ -234,7 +210,7 @@ fn out_of_band_throughput_fails_with_its_own_kind() {
 
 #[test]
 fn unknown_schema_version_is_rejected() {
-    let text = baseline_text("sparse");
+    let text = baseline_text("adversary");
     let mut doc = parse_json(&text).expect("parses");
     if let Some(Json::Num(n)) = doc.get_mut("bench_schema_version") {
         n.value = 99.0;
@@ -243,7 +219,7 @@ fn unknown_schema_version_is_rejected() {
         panic!("baseline has no schema version");
     }
     let mutant = doc.render();
-    let report = diff_envelopes("sparse", &text, &mutant, &Tolerances::default()).expect("diff");
+    let report = diff_envelopes("adversary", &text, &mutant, &Tolerances::default()).expect("diff");
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     assert_eq!(report.findings[0].kind, FindingKind::SchemaVersion);
 }
