@@ -8,18 +8,16 @@
 //!
 //! The paper solves this with MATLAB's feasibility search initialised at
 //! the uniform distribution and keeps the first feasible point. We
-//! replace MATLAB with a dependency-free multi-start adaptive random
-//! search over the softmax parameterisation of the simplex, driven by a
-//! quadratic penalty that is zero exactly on the feasible region. Like
-//! the paper's, our solver stops at the *first* feasible point — the
-//! feasible region is generally a continuum, so solutions need not match
-//! Table 1 digit-for-digit; what must match (and is verified in the
-//! benchmark harness) is that they satisfy the same constraints and
-//! produce Fig. 7-shaped decoding curves.
+//! replace MATLAB with a deterministic pattern search on the simplex,
+//! also started at the uniform distribution, which descends a quadratic
+//! penalty that is zero exactly on the feasible region and stops at the
+//! *first* feasible point it reaches. The feasible region is generally a
+//! continuum, so solutions need not match Table 1 digit-for-digit; what
+//! must match (and is verified in the benchmark harness) is that they
+//! satisfy the same constraints and produce Fig. 7-shaped decoding
+//! curves.
 
 use prlc_core::{DecodingConstraint, PriorityDistribution, PriorityProfile, Scheme};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::curves;
@@ -127,32 +125,11 @@ impl FeasibilityProblem {
     }
 }
 
-/// Knobs for the feasibility search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SolverOptions {
-    /// Total penalty-evaluation budget across all restarts.
-    pub max_evaluations: usize,
-    /// Number of random restarts (the first start is always the uniform
-    /// distribution, as in the paper).
-    pub restarts: usize,
-    /// RNG seed for the search.
-    pub seed: u64,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            max_evaluations: 2000,
-            restarts: 8,
-            seed: 0x5eed,
-        }
-    }
-}
-
 /// The result of a feasibility search.
 #[derive(Debug, Clone)]
 pub struct Solution {
-    /// The best distribution found (feasible if `feasible` is true).
+    /// The lowest-penalty distribution reached (feasible if `feasible` is
+    /// true).
     pub distribution: PriorityDistribution,
     /// Whether every constraint is satisfied.
     pub feasible: bool,
@@ -162,85 +139,57 @@ pub struct Solution {
     pub evaluations: usize,
 }
 
+/// The search stops once no move of at least this much probability mass
+/// lowers the penalty.
+const MIN_STEP: f64 = 1e-6;
+
 /// Searches for a priority distribution satisfying `problem`.
 ///
-/// Returns the first feasible point found, or the lowest-penalty point
-/// when the budget runs out (`feasible == false`). Deterministic for a
-/// fixed seed.
-pub fn solve_feasibility(problem: &FeasibilityProblem, opts: &SolverOptions) -> Solution {
+/// A pattern search on the simplex, started at the uniform distribution:
+/// each round tries moving `step` of probability mass (or all of it, if
+/// less is left) from level `j` to level `i`, for every ordered pair in
+/// turn, and takes the first move that lowers the penalty. A round with
+/// no such move halves `step`. The search returns at the first point of
+/// zero penalty, or with `feasible == false` once `step` falls below
+/// 10⁻⁶. It draws no random numbers, so the answer is a function of the
+/// problem alone.
+///
+/// `step` starts at a quarter of a level's uniform share. A whole share
+/// empties a level in one move, and Table 1's Case 1 then stalls at a
+/// local minimum of the penalty on that face of the simplex.
+pub fn solve_feasibility(problem: &FeasibilityProblem) -> Solution {
     let n = problem.profile.num_levels();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-
-    let mut best_theta = vec![0.0f64; n];
-    let mut best_penalty = f64::INFINITY;
-    let mut evaluations = 0usize;
-
-    let budget_per_restart = (opts.max_evaluations / opts.restarts.max(1)).max(1);
-
-    'restarts: for restart in 0..opts.restarts.max(1) {
-        // First start: uniform (theta = 0), like the paper's MATLAB run.
-        let mut theta: Vec<f64> = if restart == 0 {
-            vec![0.0; n]
-        } else {
-            (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect()
-        };
-        let mut current = problem.penalty(&softmax(&theta));
-        evaluations += 1;
-        if current < best_penalty {
-            best_penalty = current;
-            best_theta = theta.clone();
-        }
-        if current == 0.0 {
-            break 'restarts;
-        }
-
-        let mut step = 0.5f64;
-        for _ in 0..budget_per_restart {
-            if evaluations >= opts.max_evaluations {
-                break 'restarts;
+    let mut dist = PriorityDistribution::uniform(n);
+    let mut penalty = problem.penalty(&dist);
+    let mut evaluations = 1;
+    let mut step = 0.25 / n as f64;
+    'search: while penalty > 0.0 && step >= MIN_STEP {
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            let mass = step.min(dist.p(j));
+            if i == j || mass == 0.0 {
+                continue;
             }
-            // Perturb one or two random coordinates.
-            let mut candidate = theta.clone();
-            let coords = if rng.gen_bool(0.5) { 1 } else { 2 };
-            for _ in 0..coords {
-                let i = rng.gen_range(0..n);
-                candidate[i] += rng.gen_range(-step..step);
-            }
-            let p = problem.penalty(&softmax(&candidate));
+            let mut weights = dist.as_slice().to_vec();
+            weights[i] += mass;
+            weights[j] -= mass;
+            let candidate =
+                PriorityDistribution::from_weights(weights).expect("moves stay on the simplex");
+            let p = problem.penalty(&candidate);
             evaluations += 1;
-            if p < current {
-                current = p;
-                theta = candidate;
-                step = (step * 1.4).min(3.0);
-                if current < best_penalty {
-                    best_penalty = current;
-                    best_theta = theta.clone();
-                }
-                if current == 0.0 {
-                    break 'restarts;
-                }
-            } else {
-                step = (step * 0.85).max(1e-3);
+            if p < penalty {
+                dist = candidate;
+                penalty = p;
+                continue 'search;
             }
         }
+        step /= 2.0;
     }
-
-    let distribution = softmax(&best_theta);
-    let feasible = problem.is_feasible(&distribution);
     Solution {
-        distribution,
-        feasible,
-        penalty: best_penalty,
+        feasible: problem.is_feasible(&dist),
+        distribution: dist,
+        penalty,
         evaluations,
     }
-}
-
-/// Softmax parameterisation of the simplex (eq. 11 holds by
-/// construction).
-fn softmax(theta: &[f64]) -> PriorityDistribution {
-    let max = theta.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let weights: Vec<f64> = theta.iter().map(|&t| (t - max).exp()).collect();
-    PriorityDistribution::from_weights(weights).expect("softmax weights are positive")
 }
 
 #[cfg(test)]
@@ -268,7 +217,7 @@ mod tests {
         let mut p = small_problem(vec![DecodingConstraint::new(100, 1.0)]);
         p.full_recovery = None;
         assert!(p.is_feasible(&PriorityDistribution::uniform(3)));
-        let sol = solve_feasibility(&p, &SolverOptions::default());
+        let sol = solve_feasibility(&p);
         assert!(sol.feasible, "penalty={}", sol.penalty);
         assert_eq!(sol.penalty, 0.0);
         // The first evaluation (uniform start) already satisfies it.
@@ -283,14 +232,7 @@ mod tests {
         let p = small_problem(vec![DecodingConstraint::new(100, 1.0)]);
         let uniform = PriorityDistribution::uniform(3);
         assert!(!p.is_feasible(&uniform), "uniform unexpectedly feasible");
-        let sol = solve_feasibility(
-            &p,
-            &SolverOptions {
-                max_evaluations: 4000,
-                restarts: 8,
-                seed: 7,
-            },
-        );
+        let sol = solve_feasibility(&p);
         assert!(sol.feasible, "penalty={}", sol.penalty);
         // Mass must shift toward the big low-priority level.
         assert!(
@@ -308,7 +250,7 @@ mod tests {
         p.full_recovery = None;
         let uniform = PriorityDistribution::uniform(3);
         assert!(!p.is_feasible(&uniform), "uniform should not satisfy");
-        let sol = solve_feasibility(&p, &SolverOptions::default());
+        let sol = solve_feasibility(&p);
         assert!(sol.feasible, "penalty={}", sol.penalty);
         // The solution must put substantially more than 1/3 mass on
         // level 1.
@@ -323,17 +265,12 @@ mod tests {
     fn infeasible_problem_reports_best_effort() {
         // Impossible: decode all 3 levels (50 blocks) from 10 blocks.
         let p = small_problem(vec![DecodingConstraint::new(10, 3.0)]);
-        let sol = solve_feasibility(
-            &p,
-            &SolverOptions {
-                max_evaluations: 300,
-                restarts: 3,
-                seed: 1,
-            },
-        );
+        let sol = solve_feasibility(&p);
         assert!(!sol.feasible);
         assert!(sol.penalty > 0.0);
-        assert!(sol.evaluations <= 300);
+        // The step floor stops the search with no evaluation budget.
+        assert!(sol.evaluations < 200, "{} evaluations", sol.evaluations);
+        assert!(sol.penalty < p.penalty(&PriorityDistribution::uniform(3)));
     }
 
     #[test]
@@ -367,19 +304,24 @@ mod tests {
     #[test]
     fn solver_is_deterministic() {
         let p = small_problem(vec![DecodingConstraint::new(13, 1.0)]);
-        let o = SolverOptions::default();
-        let a = solve_feasibility(&p, &o);
-        let b = solve_feasibility(&p, &o);
+        let a = solve_feasibility(&p);
+        let b = solve_feasibility(&p);
         assert_eq!(a.distribution.as_slice(), b.distribution.as_slice());
         assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]
-    fn softmax_stays_on_simplex() {
-        let d = softmax(&[100.0, -100.0, 0.0]);
+    fn moves_stay_on_the_simplex() {
+        // The infeasible problem drives mass to a corner: every move
+        // there empties a level, and none may leave it negative.
+        let p = small_problem(vec![DecodingConstraint::new(10, 3.0)]);
+        let d = solve_feasibility(&p).distribution;
         let sum: f64 = d.as_slice().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        assert!(d.p(0) > 0.999);
-        assert!(d.p(1) >= 0.0);
+        assert!((sum - 1.0).abs() < 1e-12, "p = {:?}", d.as_slice());
+        assert!(
+            d.as_slice().iter().all(|&x| x >= 0.0),
+            "p = {:?}",
+            d.as_slice()
+        );
     }
 }

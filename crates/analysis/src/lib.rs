@@ -55,9 +55,7 @@ pub mod overhead;
 pub mod plc;
 pub mod slc;
 
-pub use design::{
-    solve_feasibility, FeasibilityProblem, FullRecoveryConstraint, Solution, SolverOptions,
-};
+pub use design::{solve_feasibility, FeasibilityProblem, FullRecoveryConstraint, Solution};
 pub use model::{AnalysisOptions, DecodabilityModel};
 
 #[cfg(test)]

@@ -32,12 +32,20 @@ pub fn expected_levels_after_loss(
     loss: f64,
     opts: &AnalysisOptions,
 ) -> f64 {
+    mixture(stored, loss, |m| {
+        curves::expected_levels(scheme, profile, dist, m, opts)
+    })
+}
+
+/// `E[X | loss]` over the binomial window, with `E(X_m)` read from
+/// `expected`.
+fn mixture(stored: usize, loss: f64, mut expected: impl FnMut(usize) -> f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&loss),
         "loss must be in [0,1], got {loss}"
     );
     if loss == 0.0 {
-        return curves::expected_levels(scheme, profile, dist, stored, opts);
+        return expected(stored);
     }
     if loss == 1.0 || stored == 0 {
         return 0.0;
@@ -61,7 +69,7 @@ pub fn expected_levels_after_loss(
             continue;
         }
         mass += p;
-        acc += p * curves::expected_levels(scheme, profile, dist, m, opts);
+        acc += p * expected(m);
     }
     // Renormalise over the truncated window (mass ≈ 1 − 1e-9).
     if mass > 0.0 {
@@ -75,6 +83,9 @@ pub fn expected_levels_after_loss(
 /// decoded levels still reach `target` — the *survivable failure
 /// severity* of a deployment, found by bisection (`E[X | loss]` is
 /// non-increasing in the loss).
+///
+/// `E(X_m)` does not depend on the loss, so each `m` is evaluated once
+/// across the whole bisection.
 ///
 /// Returns `None` if even lossless storage misses the target.
 ///
@@ -91,7 +102,12 @@ pub fn max_survivable_loss(
     opts: &AnalysisOptions,
 ) -> Option<f64> {
     assert!(tol > 0.0, "tolerance must be positive");
-    let at = |loss: f64| expected_levels_after_loss(scheme, profile, dist, stored, loss, opts);
+    let mut curve = vec![None; stored + 1];
+    let mut at = |loss: f64| {
+        mixture(stored, loss, |m| {
+            *curve[m].get_or_insert_with(|| curves::expected_levels(scheme, profile, dist, m, opts))
+        })
+    };
     if at(0.0) < target_levels {
         return None;
     }

@@ -37,14 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("  Pr(X_{{400}} = 3) > 0.99");
 
-    let solution = solve_feasibility(
-        &problem,
-        &SolverOptions {
-            max_evaluations: 4000,
-            restarts: 10,
-            seed: 3,
-        },
-    );
+    let solution = solve_feasibility(&problem);
     println!(
         "\nsolver: feasible = {}, {} evaluations, residual penalty {:.2e}",
         solution.feasible, solution.evaluations, solution.penalty

@@ -59,7 +59,7 @@ pub use prlc_sim as sim;
 pub mod prelude {
     pub use prlc_analysis::{
         curves, design, overhead, solve_feasibility, AnalysisOptions, DecodabilityModel,
-        FeasibilityProblem, FullRecoveryConstraint, SolverOptions,
+        FeasibilityProblem, FullRecoveryConstraint,
     };
     pub use prlc_core::{
         baseline, CodedBlock, CompactBlock, DecodingConstraint, Degree, Encoder, InsertOutcome,

@@ -80,14 +80,7 @@ fn designed_distribution_validates_in_simulation() {
         options: AnalysisOptions::sharp(),
         tolerance: 0.0,
     };
-    let sol = solve_feasibility(
-        &problem,
-        &SolverOptions {
-            max_evaluations: 4000,
-            restarts: 10,
-            seed: 5,
-        },
-    );
+    let sol = solve_feasibility(&problem);
     assert!(sol.feasible, "solver failed: penalty {}", sol.penalty);
 
     let curve = simulate_decoding_curve::<Gf256>(&CurveConfig {
