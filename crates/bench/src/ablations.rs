@@ -121,11 +121,8 @@ fn completion_rate(
 /// and measures the completion probability from `1.2 N` coded blocks for
 /// RLC, SLC and PLC.
 pub(crate) fn sparsity(opts: &RunOpts) -> Vec<Csv> {
-    let (profile, blocks) = if opts.quick {
-        (PriorityProfile::uniform(2, 10).expect("valid"), 30)
-    } else {
-        (PriorityProfile::uniform(5, 40).expect("valid"), 240)
-    };
+    let profile = PriorityProfile::uniform(5, 40).expect("valid");
+    let blocks = 240;
     let n = profile.total_blocks();
     let dist = PriorityDistribution::uniform(profile.num_levels());
     let factors = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0];
@@ -176,11 +173,7 @@ pub(crate) fn sparsity(opts: &RunOpts) -> Vec<Csv> {
 /// related-work baselines (priority-blind Growth Codes and plain
 /// replication).
 pub(crate) fn failure(opts: &RunOpts) -> Vec<Csv> {
-    let profile = if opts.quick {
-        PriorityProfile::new(vec![2, 4, 10]).expect("valid profile")
-    } else {
-        PriorityProfile::new(vec![20, 60, 120]).expect("valid profile")
-    };
+    let profile = PriorityProfile::new(vec![20, 60, 120]).expect("valid profile");
     let n = profile.total_blocks();
     let dist = PriorityDistribution::from_weights(vec![0.3, 0.3, 0.4]).expect("valid");
     let stored = 2 * n;
@@ -277,11 +270,7 @@ fn field_overhead<F: GfElem>(profile: &PriorityProfile, runs: usize, seed: u64) 
 /// divided by `N` — for GF(2⁴), GF(2⁸) and GF(2¹⁶), against the
 /// analytical redundancy bound.
 pub(crate) fn field(opts: &RunOpts) -> Vec<Csv> {
-    let profile = if opts.quick {
-        PriorityProfile::flat(20).expect("valid")
-    } else {
-        PriorityProfile::flat(200).expect("valid")
-    };
+    let profile = PriorityProfile::flat(200).expect("valid");
     let n = profile.total_blocks();
 
     let mut table = Table::new([
@@ -368,13 +357,6 @@ fn max_load<N: Network, B: Fn(&mut StdRng) -> N + Sync>(
 /// maximum node load next to the `ln M / ln ln M` (one choice) and
 /// `ln ln M / ln 2` (two choices) growth predictions.
 pub(crate) fn loadbalance(opts: &RunOpts) -> Vec<Csv> {
-    // M locations over W = M nodes: the classic balls-into-bins regime.
-    let ms: &[usize] = if opts.quick {
-        &[64, 256]
-    } else {
-        &[128, 512, 2048]
-    };
-
     let mut table = Table::new([
         "network",
         "M (= W)",
@@ -383,7 +365,8 @@ pub(crate) fn loadbalance(opts: &RunOpts) -> Vec<Csv> {
         "ln M/ln ln M",
         "ln ln M/ln 2",
     ]);
-    for &m in ms {
+    // M locations over W = M nodes: the classic balls-into-bins regime.
+    for m in [128, 512, 2048] {
         eprintln!("[ablation_loadbalance] M = {m} ...");
         let ring = |two| max_load(|rng| RingNetwork::new(m, rng), m, two, opts.runs, opts.seed);
         let plane = |two| {
@@ -427,15 +410,8 @@ pub(crate) fn loadbalance(opts: &RunOpts) -> Vec<Csv> {
 /// sparse fanout under SLC and PLC on a ring DHT, against the naive
 /// flooding cost (`N` sources × `W` nodes).
 pub(crate) fn bandwidth(opts: &RunOpts) -> Vec<Csv> {
-    let (w, profile, m) = if opts.quick {
-        (40, PriorityProfile::new(vec![4, 6]).expect("valid"), 30)
-    } else {
-        (
-            400,
-            PriorityProfile::new(vec![40, 60, 100]).expect("valid"),
-            400,
-        )
-    };
+    let (w, m) = (400, 400);
+    let profile = PriorityProfile::new(vec![40, 60, 100]).expect("valid");
     let n = profile.total_blocks();
     let dist = PriorityDistribution::uniform(profile.num_levels());
 
@@ -513,30 +489,16 @@ pub(crate) fn bandwidth(opts: &RunOpts) -> Vec<Csv> {
 /// timeline with no repair vs functional repair (2 and 4 donors per
 /// repaired block) and reports decodable levels after each epoch.
 pub(crate) fn refresh(opts: &RunOpts) -> Vec<Csv> {
-    let (profile, nodes, locations, epochs) = if opts.quick {
-        (
-            PriorityProfile::new(vec![2, 3, 5]).expect("valid"),
-            40,
-            25,
-            4,
-        )
-    } else {
-        (
-            PriorityProfile::new(vec![10, 20, 40]).expect("valid"),
-            200,
-            180,
-            8,
-        )
-    };
+    let (nodes, locations) = (200, 180);
 
     let base = TimelineConfig {
         scheme: Scheme::Plc,
-        profile,
+        profile: PriorityProfile::new(vec![10, 20, 40]).expect("valid"),
         distribution: PriorityDistribution::uniform(3),
         nodes,
         locations,
         churn_per_epoch: 0.15,
-        epochs,
+        epochs: 8,
         repair_donors: None,
         faults: FaultPlan::none(),
         fanout: SourceFanout::All,
@@ -591,8 +553,8 @@ pub(crate) fn refresh(opts: &RunOpts) -> Vec<Csv> {
 /// target, and how much node failure a given storage budget survives.
 /// All values are analytical (`prlc-analysis::overhead` / `::loss`),
 /// cross-validated against simulation by the library's test suite.
-pub(crate) fn overhead(opts: &RunOpts) -> Vec<Csv> {
-    let profile = table1_profile(opts.quick);
+pub(crate) fn overhead(_: &RunOpts) -> Vec<Csv> {
+    let profile = table1_profile();
     let n = profile.total_blocks();
     let ana = AnalysisOptions::sharp();
 
@@ -679,10 +641,16 @@ pub(crate) fn overhead(opts: &RunOpts) -> Vec<Csv> {
 ///   predistribution (dense rows cost `N` bytes each regardless of how
 ///   few sources reached the slot; sparse rows cost `5 · nnz`).
 ///
+/// The protocol path predistributes once per `N`, with sparse rows, and
+/// reads its dense cells off each slot row densified one at a time: the
+/// two representations carry the same nonzeros (`coeffrep_equivalence`),
+/// so a whole deployment of dense rows would report the same numbers.
+///
 /// Dense per-row bytes grow linearly with `N`; sparse per-row bytes must
 /// track `ln N` times a constant — the committed CSV is the evidence.
 pub(crate) fn sparse_rows(opts: &RunOpts) -> Vec<Csv> {
     const FACTOR: f64 = 2.0;
+    const REPS: [CoeffRep; 2] = [CoeffRep::Dense, CoeffRep::Sparse];
 
     // Mean (nnz, storage bytes) over `rows` encoder rows at size `n`.
     let encoder_row_cost = |n: usize, rep: CoeffRep, rows: usize| -> (f64, f64) {
@@ -699,9 +667,10 @@ pub(crate) fn sparse_rows(opts: &RunOpts) -> Vec<Csv> {
         (nnz as f64 / rows as f64, bytes as f64 / rows as f64)
     };
 
-    // Mean (nnz, storage bytes) over the non-empty slot blocks of one
-    // sparse-fanout predistribution at size `n`.
-    let slot_row_cost = |n: usize, rep: CoeffRep| -> (f64, f64) {
+    // Mean (nnz, storage bytes) per representation, in `REPS` order, over
+    // the non-empty slot blocks of one sparse-fanout predistribution at
+    // size `n`.
+    let slot_row_costs = |n: usize| -> [(f64, f64); 2] {
         let mut rng = StdRng::seed_from_u64(opts.seed);
         let profile = PriorityProfile::flat(n).expect("valid profile");
         let net = RingNetwork::new((n / 2).max(50), &mut rng);
@@ -711,29 +680,27 @@ pub(crate) fn sparse_rows(opts: &RunOpts) -> Vec<Csv> {
             distribution: PriorityDistribution::uniform(1),
             locations: (n / 4).max(10),
             fanout: SourceFanout::Log { factor: FACTOR },
-            coeff_rep: rep,
+            coeff_rep: CoeffRep::Sparse,
             two_choices: true,
             node_capacity: None,
             shared_seed: opts.seed,
         };
         let sources: Vec<Vec<Gf256>> = vec![Vec::new(); n];
         let dep = predistribute(&net, &cfg, &sources, &mut rng).expect("fresh network");
-        let mut nnz = 0usize;
-        let mut bytes = 0usize;
+        let mut sums = [(0usize, 0usize); 2];
         let mut count = 0usize;
         for slot in dep.slots().iter().filter(|s| !s.block.is_empty()) {
-            nnz += slot.block.coefficients.nnz();
-            bytes += slot.block.coefficients.storage_bytes();
+            let mut dense = slot.block.coefficients.clone();
+            dense.densify();
+            for (sum, row) in sums.iter_mut().zip([&dense, &slot.block.coefficients]) {
+                sum.0 += row.nnz();
+                sum.1 += row.storage_bytes();
+            }
             count += 1;
         }
-        (nnz as f64 / count as f64, bytes as f64 / count as f64)
+        sums.map(|(nnz, bytes)| (nnz as f64 / count as f64, bytes as f64 / count as f64))
     };
 
-    let sizes: &[usize] = if opts.quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
     let mut table = Table::new([
         "N",
         "path",
@@ -743,16 +710,12 @@ pub(crate) fn sparse_rows(opts: &RunOpts) -> Vec<Csv> {
         "ln N",
         "bytes / ln N",
     ]);
-    for &n in sizes {
+    for n in [1_000, 10_000, 100_000] {
         let ln_n = (n as f64).ln();
-        for path in ["encoder", "protocol"] {
-            for rep in [CoeffRep::Dense, CoeffRep::Sparse] {
-                eprintln!("[sparse_rows] N={n} / {path} / {rep:?} ...");
-                let (nnz, bytes) = if path == "encoder" {
-                    encoder_row_cost(n, rep, 50)
-                } else {
-                    slot_row_cost(n, rep)
-                };
+        eprintln!("[sparse_rows] N={n} ...");
+        let encoder = REPS.map(|rep| encoder_row_cost(n, rep, 50));
+        for (path, costs) in [("encoder", encoder), ("protocol", slot_row_costs(n))] {
+            for (rep, (nnz, bytes)) in REPS.into_iter().zip(costs) {
                 table.push_row([
                     n.to_string(),
                     path.to_string(),

@@ -2,7 +2,7 @@
 //! entry of `prlc_bench::EXPERIMENTS`, or the ones named.
 //!
 //! ```text
-//! cargo run --release -p prlc-bench --bin experiments -- [NAME...] [--runs=N] [--quick] [--out=DIR] [--seed=S]
+//! cargo run --release -p prlc-bench --bin experiments -- [NAME...] [--runs=N] [--out=DIR] [--seed=S]
 //! ```
 //!
 //! Bad flags or an unknown `NAME` exit with status 2 before anything
@@ -21,7 +21,7 @@ fn main() -> ExitCode {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: experiments [NAME...] [--runs=N] [--quick] [--out=DIR] [--seed=S]");
+            eprintln!("usage: experiments [NAME...] [--runs=N] [--out=DIR] [--seed=S]");
             return ExitCode::from(2);
         }
     };

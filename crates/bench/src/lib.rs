@@ -14,7 +14,6 @@
 //!
 //! * `--runs=N` — independent repetitions per data point (default 100,
 //!   as in the paper);
-//! * `--quick` — smoke-test sizes for CI, and at most 8 runs;
 //! * `--out=DIR` — output directory (default `results/`);
 //! * `--seed=S` — base seed.
 //!
@@ -39,8 +38,6 @@ use prlc_sim::Table;
 pub struct RunOpts {
     /// Independent runs per data point.
     pub runs: usize,
-    /// Smoke-test mode: shrink problem sizes drastically.
-    pub quick: bool,
     /// Output directory for CSV copies.
     pub out_dir: PathBuf,
     /// Base seed.
@@ -51,7 +48,6 @@ impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
             runs: 100,
-            quick: false,
             out_dir: PathBuf::from("results"),
             seed: 0xC0DE,
         }
@@ -60,8 +56,7 @@ impl Default for RunOpts {
 
 impl RunOpts {
     /// Parses experiment flags (without the program name or experiment
-    /// names). Flags apply in order, so `--quick` caps only the run
-    /// count set before it.
+    /// names); a later flag overrides an earlier one.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = RunOpts::default();
         for arg in args {
@@ -72,9 +67,6 @@ impl RunOpts {
                     }
                     Ok(n) => n,
                 };
-            } else if arg == "--quick" {
-                opts.quick = true;
-                opts.runs = opts.runs.min(8);
             } else if let Some(v) = arg.strip_prefix("--out=") {
                 opts.out_dir = PathBuf::from(v);
             } else if let Some(v) = arg.strip_prefix("--seed=") {
@@ -228,14 +220,9 @@ pub(crate) fn paper_table1_distributions() -> [PriorityDistribution; 3] {
 }
 
 /// The Sec. 5.3 profile: 500 source blocks in levels of 50, 100 and
-/// 350; at `--quick` sizes a tenth of each.
-pub(crate) fn table1_profile(quick: bool) -> PriorityProfile {
-    let sizes = if quick {
-        vec![5, 10, 35]
-    } else {
-        vec![50, 100, 350]
-    };
-    PriorityProfile::new(sizes).expect("valid profile")
+/// 350.
+pub(crate) fn table1_profile() -> PriorityProfile {
+    PriorityProfile::new(vec![50, 100, 350]).expect("valid profile")
 }
 
 /// Evenly spaced sample points `0..=max` with the given step (always
@@ -262,9 +249,7 @@ mod tests {
 
     #[test]
     fn default_opts() {
-        let o = RunOpts::default();
-        assert_eq!(o.runs, 100);
-        assert!(!o.quick);
+        assert_eq!(RunOpts::default().runs, 100);
     }
 
     fn parse(args: &[&str]) -> Result<RunOpts, String> {
@@ -274,10 +259,8 @@ mod tests {
     #[test]
     fn parse_accepts_every_documented_flag() {
         let o = parse(&["--runs=12", "--out=/x", "--seed=7"]).unwrap();
-        assert_eq!((o.runs, o.seed, o.quick), (12, 7, false));
+        assert_eq!((o.runs, o.seed), (12, 7));
         assert_eq!(o.out_dir, PathBuf::from("/x"));
-        assert_eq!(parse(&["--quick"]).unwrap().runs, 8);
-        assert_eq!(parse(&["--quick", "--runs=30"]).unwrap().runs, 30);
     }
 
     #[test]
@@ -289,7 +272,6 @@ mod tests {
             &["--runs=0"],
             &["--runs=-3"],
             &["--seed=-1"],
-            &["--quick", "--bogus"],
             &["--paper"],
             &["fig6"],
         ] {

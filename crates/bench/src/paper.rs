@@ -101,8 +101,7 @@ pub(crate) struct CurveFigure {
     seed_offset: u64,
     title: &'static str,
     columns: &'static [&'static str],
-    full: [Panel; 2],
-    quick: [Panel; 2],
+    panels: [Panel; 2],
 }
 
 /// Figure 4 — "Analysis vs. simulations for PLC" (Sec. 5.1): 1000 source
@@ -113,8 +112,7 @@ pub(crate) const FIG4: CurveFigure = CurveFigure {
     seed_offset: 0,
     title: "PLC analysis vs simulation",
     columns: &["M", "analysis E(X)", "sim mean", "sim ci95"],
-    full: [(5, 200, 1500, 50), (50, 20, 1500, 50)],
-    quick: [(5, 20, 200, 20), (20, 5, 200, 20)],
+    panels: [(5, 200, 1500, 50), (50, 20, 1500, 50)],
 };
 
 /// Figure 5 — "Analysis vs. simulations for SLC" (Sec. 5.1): Fig. 4's
@@ -127,8 +125,7 @@ pub(crate) const FIG5: CurveFigure = CurveFigure {
     seed_offset: 5,
     title: "SLC analysis vs simulation",
     columns: &["M", "analysis E(X)", "sim mean", "sim ci95"],
-    full: [(5, 200, 2000, 50), (50, 20, 3000, 100)],
-    quick: [(5, 20, 300, 25), (20, 5, 300, 25)],
+    panels: [(5, 200, 2000, 50), (50, 20, 3000, 100)],
 };
 
 /// Figure 6 — "SLC vs. PLC" (Sec. 5.2): 1000 source blocks, (a) 10
@@ -141,19 +138,16 @@ pub(crate) const FIG6: CurveFigure = CurveFigure {
     seed_offset: 6,
     title: "SLC vs PLC",
     columns: &["M", "SLC mean", "SLC ci95", "PLC mean", "PLC ci95"],
-    full: [(10, 100, 2500, 100), (50, 20, 2500, 100)],
-    quick: [(5, 20, 300, 25), (20, 5, 300, 25)],
+    panels: [(10, 100, 2500, 100), (50, 20, 2500, 100)],
 };
 
 /// Both panels of a decoding-curve figure.
 pub(crate) fn curve_figure(fig: &CurveFigure, opts: &RunOpts) -> Vec<Csv> {
-    let panels = if opts.quick { fig.quick } else { fig.full };
-    let suffix = if opts.quick { "-quick" } else { "" };
-    panels
+    fig.panels
         .iter()
         .zip(['a', 'b'])
         .map(|(&(levels, per_level, max_blocks, step), panel)| {
-            let name = format!("fig{}{panel}{suffix}", fig.fig);
+            let name = format!("fig{}{panel}", fig.fig);
             let profile = PriorityProfile::uniform(levels, per_level).expect("valid profile");
             let dist = PriorityDistribution::uniform(levels);
             eprintln!(
@@ -207,15 +201,12 @@ pub(crate) fn curve_figure(fig: &CurveFigure, opts: &RunOpts) -> Vec<Csv> {
 /// each constraint's slack (achieved − required) at ours, and the
 /// paper's rows alongside with whether they are feasible under our
 /// analysis. It reads neither `--seed` nor `--runs`.
-pub(crate) fn table1(opts: &RunOpts) -> Vec<Csv> {
-    let profile = table1_profile(opts.quick);
-    let scale = profile.total_blocks() as f64 / 500.0;
-    let scaled = |m: usize| -> usize { (m as f64 * scale).round() as usize };
-
+pub(crate) fn table1(_: &RunOpts) -> Vec<Csv> {
+    let profile = table1_profile();
     let cases: [(&str, [(usize, f64); 2]); 3] = [
-        ("Case 1", [(scaled(130), 1.0), (scaled(950), 2.0)]),
-        ("Case 2", [(scaled(265), 1.0), (scaled(287), 2.0)]),
-        ("Case 3", [(scaled(240), 1.0), (scaled(450), 2.0)]),
+        ("Case 1", [(130, 1.0), (950, 2.0)]),
+        ("Case 2", [(265, 1.0), (287, 2.0)]),
+        ("Case 3", [(240, 1.0), (450, 2.0)]),
     ];
 
     let ana = AnalysisOptions::sharp();
@@ -303,8 +294,8 @@ pub(crate) fn table1(opts: &RunOpts) -> Vec<Csv> {
 /// level 1 by ~130 blocks; Case 2 reaches level 2 by ~287; every curve
 /// satisfies its constraints; RLC would decode nothing before 500.
 pub(crate) fn fig7(opts: &RunOpts) -> Vec<Csv> {
-    let profile = table1_profile(opts.quick);
-    let (max_blocks, step) = if opts.quick { (100, 10) } else { (1000, 25) };
+    let profile = table1_profile();
+    let (max_blocks, step) = (1000, 25);
 
     let dists = paper_table1_distributions();
     let sims: Vec<DecodingCurve> = dists
@@ -349,21 +340,19 @@ pub(crate) fn fig7(opts: &RunOpts) -> Vec<Csv> {
     }
 
     // Key crossover milestones called out in the paper's text.
-    if !opts.quick {
-        let first_reach = |sim: &DecodingCurve, level: f64| -> Option<usize> {
-            sim.summaries.iter().position(|s| s.mean >= level)
-        };
-        println!("\nMilestones (first M where the mean curve reaches a level):");
-        for (i, sim) in sims.iter().enumerate() {
-            println!(
-                "  case {}: level 1 at M={:?}, level 2 at M={:?}",
-                i + 1,
-                first_reach(sim, 1.0),
-                first_reach(sim, 2.0)
-            );
-        }
-        println!("  (RLC requires at least 500 coded blocks to decode anything.)");
+    let first_reach = |sim: &DecodingCurve, level: f64| -> Option<usize> {
+        sim.summaries.iter().position(|s| s.mean >= level)
+    };
+    println!("\nMilestones (first M where the mean curve reaches a level):");
+    for (i, sim) in sims.iter().enumerate() {
+        println!(
+            "  case {}: level 1 at M={:?}, level 2 at M={:?}",
+            i + 1,
+            first_reach(sim, 1.0),
+            first_reach(sim, 2.0)
+        );
     }
+    println!("  (RLC requires at least 500 coded blocks to decode anything.)");
 
     vec![Csv::new(
         "fig7",

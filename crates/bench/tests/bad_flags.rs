@@ -5,9 +5,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// A fresh, empty scratch directory unique to this test and process.
+/// A fresh, empty scratch directory unique to this test.
 fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("prlc-bench-{name}-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("bad_flags-{name}"));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -35,13 +35,15 @@ fn bad_flags_exit_nonzero_and_write_nothing() {
         &["fig6", "--runs=x"],
         &["fig6", "--runs=0"],
         &["fig6", "--paper"],
-        &["fig6", "--quick", "--chrun"],
+        &["fig6", "--chrun"],
+        // The removed smoke-test size is an unknown flag like any other.
+        &["fig6", "--quick"],
         // fig1_fig2 writes no CSV, but it parses the same flags.
         &["fig1_fig2", "--bogus"],
         // A known name before an unknown one does not run either.
         &["fig6", "fig99"],
     ] {
-        let run = experiments(&[bad, &["--quick", &out]].concat());
+        let run = experiments(&[bad, &[out.as_str()]].concat());
         assert_eq!(run.status.code(), Some(2), "{bad:?}");
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert!(stderr.contains("error:"), "{bad:?}: {stderr}");
@@ -49,9 +51,9 @@ fn bad_flags_exit_nonzero_and_write_nothing() {
         assert_eq!(entry_count(&dir), 0, "{bad:?} wrote into {}", dir.display());
     }
 
-    // The same invocation with good flags does write, so the empty
-    // directory above is the flags' doing.
-    let ok = experiments(&["fig6", "--quick", "--seed=3", &out]);
+    // A good invocation does write, so the empty directory above is
+    // the flags' doing.
+    let ok = experiments(&["table1", "--seed=3", &out]);
     assert!(
         ok.status.success(),
         "{}",
@@ -66,7 +68,7 @@ fn unwritable_output_fails_and_names_the_path() {
     let dir = scratch_dir("unwritable");
     let file = dir.join("not-a-dir");
     fs::write(&file, "").expect("create the blocking file");
-    let run = experiments(&["fig7", "--quick", &format!("--out={}", file.display())]);
+    let run = experiments(&["table1", &format!("--out={}", file.display())]);
     let _ = fs::remove_dir_all(&dir);
     assert_eq!(run.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&run.stderr);
