@@ -80,14 +80,14 @@ fn mixture(stored: usize, loss: f64, mut expected: impl FnMut(usize) -> f64) -> 
 }
 
 /// The largest loss fraction (within `tol`) at which the expected
-/// decoded levels still reach `target` — the *survivable failure
-/// severity* of a deployment, found by bisection (`E[X | loss]` is
-/// non-increasing in the loss).
+/// decoded levels still reach each of `targets` — the *survivable
+/// failure severity* of a deployment, found by one bisection per target
+/// (`E[X | loss]` is non-increasing in the loss).
 ///
-/// `E(X_m)` does not depend on the loss, so each `m` is evaluated once
-/// across the whole bisection.
+/// `E(X_m)` does not depend on the loss or the target, so each `m` is
+/// evaluated once across every bisection.
 ///
-/// Returns `None` if even lossless storage misses the target.
+/// Entry `i` is `None` if even lossless storage misses `targets[i]`.
 ///
 /// # Panics
 ///
@@ -97,10 +97,10 @@ pub fn max_survivable_loss(
     profile: &PriorityProfile,
     dist: &PriorityDistribution,
     stored: usize,
-    target_levels: f64,
+    targets: &[f64],
     tol: f64,
     opts: &AnalysisOptions,
-) -> Option<f64> {
+) -> Vec<Option<f64>> {
     assert!(tol > 0.0, "tolerance must be positive");
     let mut curve = vec![None; stored + 1];
     let mut at = |loss: f64| {
@@ -108,19 +108,25 @@ pub fn max_survivable_loss(
             *curve[m].get_or_insert_with(|| curves::expected_levels(scheme, profile, dist, m, opts))
         })
     };
-    if at(0.0) < target_levels {
-        return None;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if at(mid) >= target_levels {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(lo)
+    let lossless = at(0.0);
+    targets
+        .iter()
+        .map(|&target| {
+            if lossless < target {
+                return None;
+            }
+            let (mut lo, mut hi) = (0.0f64, 1.0f64);
+            while hi - lo > tol {
+                let mid = 0.5 * (lo + hi);
+                if at(mid) >= target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            Some(lo)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -210,21 +216,32 @@ mod tests {
     #[test]
     fn max_survivable_loss_brackets() {
         let (p, d, o) = setup();
-        let loss = max_survivable_loss(Scheme::Plc, &p, &d, 40, 1.0, 1e-3, &o)
-            .expect("level 1 survivable at zero loss");
+        let [loss, two] = max_survivable_loss(Scheme::Plc, &p, &d, 40, &[1.0, 2.0], 1e-3, &o)[..]
+        else {
+            panic!("one answer per target");
+        };
+        let loss = loss.expect("level 1 survivable at zero loss");
         assert!((0.0..1.0).contains(&loss));
         // Verify the bracket property.
         let at = |l: f64| expected_levels_after_loss(Scheme::Plc, &p, &d, 40, l, &o);
         assert!(at(loss) >= 1.0 - 1e-6);
         assert!(at((loss + 0.05).min(1.0)) < 1.0 + 1e-9);
+        // A higher target survives less loss, and sharing the memo with
+        // the first target leaves its answer as a lone search finds it.
+        let two = two.expect("two levels survivable at zero loss");
+        assert!(two < loss, "{two} vs {loss}");
+        assert_eq!(
+            max_survivable_loss(Scheme::Plc, &p, &d, 40, &[2.0], 1e-3, &o),
+            [Some(two)]
+        );
         // Unreachable target.
         assert_eq!(
-            max_survivable_loss(Scheme::Plc, &p, &d, 5, 3.0, 1e-2, &o),
-            None
+            max_survivable_loss(Scheme::Plc, &p, &d, 5, &[3.0], 1e-2, &o),
+            [None]
         );
         // More stored blocks survive strictly harsher loss.
-        let small = max_survivable_loss(Scheme::Plc, &p, &d, 20, 1.0, 1e-3, &o).unwrap();
-        let large = max_survivable_loss(Scheme::Plc, &p, &d, 80, 1.0, 1e-3, &o).unwrap();
+        let small = max_survivable_loss(Scheme::Plc, &p, &d, 20, &[1.0], 1e-3, &o)[0].unwrap();
+        let large = max_survivable_loss(Scheme::Plc, &p, &d, 80, &[1.0], 1e-3, &o)[0].unwrap();
         assert!(large > small, "{large} vs {small}");
     }
 }

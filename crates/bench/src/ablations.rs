@@ -604,13 +604,20 @@ pub(crate) fn overhead(_: &RunOpts) -> Vec<Csv> {
         for mult in [1.5f64, 2.0, 3.0] {
             eprintln!("[ablation_overhead] survivable loss: {name} x{mult} ...");
             let stored = (mult * n as f64) as usize;
-            let survivable =
-                |k| loss::max_survivable_loss(Scheme::Plc, &profile, dist, stored, k, 1e-3, &ana);
+            let survivable = loss::max_survivable_loss(
+                Scheme::Plc,
+                &profile,
+                dist,
+                stored,
+                &[1.0, 2.0],
+                1e-3,
+                &ana,
+            );
             surv.push_row([
                 name.to_string(),
                 format!("{stored} ({mult}N)"),
-                fmt_l(survivable(1.0)),
-                fmt_l(survivable(2.0)),
+                fmt_l(survivable[0]),
+                fmt_l(survivable[1]),
             ]);
         }
     }

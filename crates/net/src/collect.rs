@@ -16,7 +16,6 @@ use prlc_gf::GfElem;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 use prlc_core::PriorityDecoder;
 
@@ -148,22 +147,22 @@ where
         return None;
     }
     let span_start = faults.steps() as u64;
-    // Group surviving slots by caching node; visit nodes in random order.
-    let surviving = deployment.surviving_slots(net);
-    let mut by_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for idx in surviving {
-        by_node
-            .entry(deployment.slots()[idx].node)
-            .or_default()
-            .push(idx);
-    }
-    let mut nodes: Vec<NodeId> = by_node.keys().copied().collect();
+    // Group surviving slots by caching node, each node's slots in index
+    // order and the nodes in index order; visit nodes in random order.
+    let mut held: Vec<(NodeId, usize)> = deployment
+        .surviving_slots(net)
+        .into_iter()
+        .map(|idx| (deployment.slots()[idx].node, idx))
+        .collect();
+    held.sort_unstable();
+    let mut nodes: Vec<&[(NodeId, usize)]> = held.chunk_by(|a, b| a.0 == b.0).collect();
     nodes.shuffle(rng);
 
     let target = cfg.target_levels;
     let mut report = CollectionReport::default();
 
-    'outer: for node in nodes {
+    'outer: for group in nodes {
+        let node = group[0].0;
         if faults.is_down(collector) {
             // The collector itself departed: stop with what we have.
             break;
@@ -190,7 +189,7 @@ where
                 continue;
             }
         }
-        for &idx in &by_node[&node] {
+        for &(_, idx) in group {
             let slot = &deployment.slots()[idx];
             if slot.block.is_empty() {
                 continue;

@@ -11,10 +11,13 @@
 //! - **The ring is two parallel arrays**: the alive IDs in ascending
 //!   order (`u64`) and the dense node index at each position (`u32`),
 //!   12 bytes per node. The binary searches read only the IDs.
-//! - **A hop is two binary searches.** Fingers advance monotonically in
-//!   `k`, so the best one is fixed by the last alive node before the
-//!   target: if it lies `d` clockwise of the current node, the hop is
-//!   `finger[⌊log2 d⌋]`.
+//! - **A route walks by ring position.** Fingers advance monotonically
+//!   in `k`, so the best one is fixed by the last alive node `q` at or
+//!   before the target: if it lies `d` clockwise of the current node,
+//!   the hop is `finger[⌊log2 d⌋]`. One binary search per route finds
+//!   the owner and `q`; after the origin's hop, which searches the whole
+//!   ring, each hop reads its ID from the ring array and searches only
+//!   the arc between its position and `q`.
 //! - **Liveness is a bitset**, one bit per dense index (12.5 KiB at
 //!   N=10⁵, so it stays in L1). Failure walks each word's set bits in
 //!   index order and clears a whole word's kills with one store; uniform
@@ -151,6 +154,17 @@ pub struct RingNetwork {
     node_at: Vec<u32>,
 }
 
+/// Where a route to a point ends, as positions in the ring.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    /// The point's owner: the first alive ID at or after the point.
+    owner: usize,
+    /// The last alive ID at or before the point, wrapping.
+    last: usize,
+    /// `ring[last]`.
+    last_id: u64,
+}
+
 impl RingNetwork {
     /// Creates a ring of `nodes` peers with distinct random IDs: the
     /// first `nodes` distinct values the generator yields, in draw order.
@@ -252,9 +266,17 @@ impl RingNetwork {
     /// Panics if no node is alive.
     fn successor(&self, point: u64) -> usize {
         assert!(!self.ring.is_empty(), "no alive nodes");
+        self.node_at[self.successor_position(point)] as usize
+    }
+
+    /// Ring position of the successor of `point`.
+    fn successor_position(&self, point: u64) -> usize {
         let i = self.ring.partition_point(|&id| id < point);
-        let i = if i == self.ring.len() { 0 } else { i };
-        self.node_at[i] as usize
+        if i == self.ring.len() {
+            0
+        } else {
+            i
+        }
     }
 
     /// Clockwise distance from `a` to `b` on the ring.
@@ -262,27 +284,68 @@ impl RingNetwork {
         b.wrapping_sub(a)
     }
 
-    /// One greedy Chord step from the alive node `current` toward
-    /// `point`: the finger that makes the most clockwise progress without
-    /// overshooting the point, falling back to `owner` (the direct
-    /// successor) when no finger precedes the target.
+    /// The fixed part of every route to `point`, found by one binary
+    /// search. Requires an alive node.
+    fn target(&self, point: u64) -> Target {
+        let owner = self.successor_position(point);
+        let last = if self.ring[owner] == point {
+            owner
+        } else {
+            owner.checked_sub(1).unwrap_or(self.ring.len() - 1)
+        };
+        Target {
+            owner,
+            last,
+            last_id: self.ring[last],
+        }
+    }
+
+    /// One greedy Chord step from the alive node with ID `cur_id` toward
+    /// `t`: the position of the finger that makes the most clockwise
+    /// progress without passing the point, or of the owner (the direct
+    /// successor) when the node is `t.last` itself.
     ///
     /// `finger[k] = successor(id + 2^k)` is the first alive node at least
-    /// `2^k` clockwise of `current` (or `current` itself once that passes
-    /// the whole ring), so fingers advance monotonically in `k`. Let `q`
-    /// be the last alive node in `(current, point]`, `d` clockwise of
-    /// `current`. `finger[k]` stays within the target iff `2^k <= d`, so
-    /// the best finger is `finger[⌊log2 d⌋]`: two binary searches in all.
-    fn greedy_next(&self, current: usize, point: u64, owner: usize) -> usize {
-        let cur_id = self.ids[current];
-        let i = self.ring.partition_point(|&id| id <= point);
-        let i = if i == 0 { self.ring.len() } else { i };
-        let (q_id, q) = (self.ring[i - 1], self.node_at[i - 1] as usize);
-        if q == current {
-            return owner;
+    /// `2^k` clockwise of the node (or the node itself once that passes
+    /// the whole ring), so fingers advance monotonically in `k`. If
+    /// `t.last` lies `d` clockwise of the node, `finger[k]` stays within
+    /// the target iff `2^k <= d`, so the best finger is
+    /// `finger[⌊log2 d⌋]`. It lies in the clockwise arc `(at, t.last]` of
+    /// positions, so when the node's position `at` is known, the search
+    /// covers only that arc: one slice of it, chosen by whether the
+    /// finger point wrapped past `2^64`.
+    fn step(&self, cur_id: u64, at: Option<usize>, t: &Target) -> usize {
+        if cur_id == t.last_id {
+            return t.owner;
         }
-        let d = Self::clockwise(cur_id, q_id);
-        self.successor(cur_id.wrapping_add(1u64 << d.ilog2()))
+        let finger = cur_id.wrapping_add(1u64 << Self::clockwise(cur_id, t.last_id).ilog2());
+        let len = self.ring.len();
+        let (lo, hi) = match at {
+            None => (0, len),
+            Some(c) if c < t.last => (c + 1, t.last + 1),
+            Some(c) if finger > cur_id => (c + 1, len),
+            Some(_) => (0, t.last + 1),
+        };
+        let p = lo + self.ring[lo..hi].partition_point(|&id| id < finger);
+        if p == len {
+            0
+        } else {
+            p
+        }
+    }
+
+    /// The target of the route from `from` to `point` and the position of
+    /// its first hop (`None` when `from` owns the point), or `None` when
+    /// `from` cannot route. The origin's position is not known, so its
+    /// finger search covers the whole ring.
+    fn start(&self, from: NodeId, point: u64) -> Option<(Target, Option<usize>)> {
+        if !self.is_alive(from) || self.ring.is_empty() {
+            return None;
+        }
+        let t = self.target(point);
+        let hop = (self.node_at[t.owner] as usize != from.index())
+            .then(|| self.step(self.ids[from.index()], None, &t));
+        Some((t, hop))
     }
 
     /// Every node index (alive or crashed) in clockwise ring-ID order:
@@ -320,14 +383,8 @@ impl RingNetwork {
     /// hop is always a member of `from`'s [finger
     /// neighborhood](Self::finger_neighborhood).
     pub fn first_hop(&self, from: NodeId, point: u64) -> Option<NodeId> {
-        if !self.is_alive(from) || self.ring.is_empty() {
-            return None;
-        }
-        let owner = self.successor(point);
-        if owner == from.index() {
-            return None;
-        }
-        Some(NodeId::new(self.greedy_next(from.index(), point, owner)))
+        let (_, hop) = self.start(from, point)?;
+        hop.map(|p| NodeId::new(self.node_at[p] as usize))
     }
 
     /// Fails every alive node whose ID falls in the clockwise arc of
@@ -396,22 +453,20 @@ impl Network for RingNetwork {
         Some(NodeId::new(self.successor(point)))
     }
 
+    /// Walks by ring position: after the first hop, each hop reads the
+    /// current node's ID from `ring` and searches only its arc.
     fn route(&self, from: NodeId, point: u64) -> Option<Route> {
-        if !self.is_alive(from) || self.ring.is_empty() {
-            return None;
-        }
-        let owner = self.successor(point);
-        let mut current = from.index();
+        let (t, mut hop) = self.start(from, point)?;
         let mut hops = 0usize;
-        while current != owner {
+        while let Some(c) = hop {
             if hops > MAX_HOPS {
                 return None; // inconsistent routing state
             }
-            current = self.greedy_next(current, point, owner);
             hops += 1;
+            hop = (c != t.owner).then(|| self.step(self.ring[c], Some(c), &t));
         }
         Some(Route {
-            owner: NodeId::new(owner),
+            owner: NodeId::new(self.node_at[t.owner] as usize),
             hops,
         })
     }
@@ -481,7 +536,7 @@ mod tests {
 
     /// Reference greedy step: scan all 64 fingers, each found by its own
     /// binary search, for the one closest to `point` without passing it.
-    fn greedy_next_scan(net: &RingNetwork, current: usize, point: u64, owner: usize) -> usize {
+    fn step_by_finger_scan(net: &RingNetwork, current: usize, point: u64, owner: usize) -> usize {
         let cur_id = net.ids[current];
         let dist = RingNetwork::clockwise(cur_id, point);
         let mut best = None;
@@ -513,7 +568,7 @@ mod tests {
         if owner == from.index() {
             return None;
         }
-        Some(NodeId::new(greedy_next_scan(
+        Some(NodeId::new(step_by_finger_scan(
             net,
             from.index(),
             point,
@@ -533,7 +588,7 @@ mod tests {
             if hops > MAX_HOPS {
                 return None;
             }
-            current = greedy_next_scan(net, current, point, owner);
+            current = step_by_finger_scan(net, current, point, owner);
             hops += 1;
         }
         Some(Route {
@@ -610,18 +665,29 @@ mod tests {
     }
 
     /// Checks `first_hop` and `route` against the 64-finger scan for a
-    /// spread of origins and points: random points, node IDs (alive and
-    /// crashed) and their neighbours, and from each point's own owner.
+    /// spread of origins and points: random points, alive and crashed
+    /// node IDs and their neighbours, and from each point's own owner.
+    /// The ring's first and last alive IDs are points too, and the nodes
+    /// at its last positions are origins, so many arcs wrap past
+    /// position 0 and many finger points wrap past `2^64`.
     fn assert_matches_scan(net: &RingNetwork, seed: u64) {
         let n = net.node_count();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut points: Vec<u64> = (0..8).map(|_| rng.gen()).collect();
-        for _ in 0..8 {
-            let id = net.ids[rng.gen_range(0..n)];
+        let dead: Vec<u64> = (0..n)
+            .filter(|&i| !bit(&net.alive, i))
+            .map(|i| net.ids[i])
+            .collect();
+        let mut ids: Vec<u64> = (0..4).map(|_| net.ids[rng.gen_range(0..n)]).collect();
+        ids.extend(net.ring.first().into_iter().chain(net.ring.last()));
+        ids.extend((0..4).filter_map(|_| dead.get(rng.gen_range(0..dead.len().max(1)))));
+        for id in ids {
             points.extend([id, id.wrapping_sub(1), id.wrapping_add(1)]);
         }
         points.extend([0, u64::MAX]);
-        let origins: Vec<NodeId> = (0..6).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+        let mut origins: Vec<NodeId> = (0..6).map(|_| NodeId::new(rng.gen_range(0..n))).collect();
+        let tail = net.ring.len().saturating_sub(3)..net.ring.len();
+        origins.extend(tail.map(|p| NodeId::new(net.node_at[p] as usize)));
         for &p in &points {
             for &from in origins.iter().chain(net.owner_of(p).as_ref()) {
                 assert_eq!(
@@ -646,7 +712,7 @@ mod tests {
             nodes in 1usize..=300,
             seed in 0u64..10_000,
             steps in 0usize..4,
-            fraction in 0.0f64..0.6,
+            fraction in prop_oneof![0.0f64..0.6, 0.9f64..0.99],
         ) {
             let mut net = ring(nodes, seed);
             damage(&mut net, seed ^ 1, steps, fraction);
@@ -670,6 +736,20 @@ mod tests {
             };
             let mut net = RingNetwork::new(nodes, &mut rng);
             damage(&mut net, seed ^ 1, steps, fraction);
+            assert_matches_scan(&net, seed ^ 2);
+        }
+
+        #[test]
+        fn greedy_step_matches_finger_scan_with_one_or_two_alive(
+            nodes in 1usize..=300,
+            seed in 0u64..10_000,
+            survivors in 1usize..=2,
+        ) {
+            let mut net = ring(nodes, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            let keep: Vec<u64> = (0..survivors).map(|_| net.ids[rng.gen_range(0..nodes)]).collect();
+            net.fail_where(|id| !keep.contains(&id));
+            prop_assert!((1..=2).contains(&net.alive_count()));
             assert_matches_scan(&net, seed ^ 2);
         }
 
@@ -747,6 +827,21 @@ mod tests {
                 prop_assert_eq!(net.alive_count(), alive.iter().filter(|&&a| a).count());
                 prop_assert_eq!(ring_arrays(&net), ring_from_scratch(&net));
             }
+        }
+    }
+
+    #[test]
+    fn routes_match_finger_scan_at_100k_after_churn() {
+        let mut net = ring(100_000, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..8 {
+            net.fail_uniform(0.15, &mut rng);
+        }
+        for _ in 0..2000 {
+            let from = net.random_alive_node(&mut rng).unwrap();
+            let p = net.random_point(&mut rng);
+            assert_eq!(net.first_hop(from, p), first_hop_scan(&net, from, p));
+            assert_eq!(net.route(from, p), route_scan(&net, from, p));
         }
     }
 

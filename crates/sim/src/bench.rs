@@ -39,12 +39,12 @@ use prlc_core::{
 };
 use prlc_gf::{kernel, Gf16, Gf256, Gf64k, GfElem};
 use prlc_net::{
-    predistribute, AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, Network, PlaneNetwork,
-    ProtocolConfig, RetryPolicy, RingNetwork, SourceFanout,
+    predistribute, AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, Network, NodeId,
+    PlaneNetwork, ProtocolConfig, RetryPolicy, RingNetwork, SourceFanout,
 };
 use prlc_obs::baseline::{digest64, envelope_json, Json};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::metadata::{measure_wall_ms, run_probe_and_reset};
 use crate::scenario::{every_epoch, results_json, Event, Measure, Scenario, TimelineConfig};
@@ -503,6 +503,24 @@ fn probe_layers(threads: usize) -> Result<String, String> {
                     .collect::<Vec<_>>()
             }));
         }
+
+        // Routing at N = 10^6, where the ring no longer fits in cache:
+        // 2000 routes from random nodes to random points, on an RNG of
+        // its own. Every node is alive, so the origin is a plain index
+        // draw, not `random_alive_node`'s scan of the liveness bitset,
+        // which would take longer than the route. Last, like the rows
+        // above.
+        const BIG_RING: usize = 1_000_000;
+        let mut r = rng(8);
+        let ring = RingNetwork::new(BIG_RING, &mut r);
+        rows.push(layer_row(
+            &format!("protocol/route_ring_{BIG_RING}"),
+            2000,
+            || {
+                let from = NodeId::new(r.gen_range(0..BIG_RING));
+                ring.route(from, ring.random_point(&mut r))
+            },
+        ));
         Ok(Json::Arr(rows).render())
     })
 }
